@@ -146,32 +146,37 @@ class QuantumCode:
         return out
 
     def _check_commutation(self):
-        sp = symplectic_product
         gens = self._all_gens()
         if not gens:
             return
-        # map each generator to its pair partner index, if any
-        partner = {}
-        idx = len(self.gens_i)
-        for _ in self.gens_e + self.gens_g:
-            partner[idx] = idx + 1
-            partner[idx + 1] = idx
-            idx += 2
-        for a in range(len(gens)):
+        # G . Omega . G^T over packed rows: bit b of row a is the
+        # symplectic product of generators a and b, for b > a only
+        swapped = [g.x | (g.z << self.n) for g in gens]
+        packed = [g.packed() for g in gens]
+        # expected upper triangle: each pair's first member anticommutes
+        # with the second and with nothing else
+        expected = [0] * len(gens)
+        for a in range(len(self.gens_i), len(gens), 2):
+            expected[a] = 1 << (a + 1)
+        for a, ga in enumerate(packed):
+            row = 0
             for b in range(a + 1, len(gens)):
-                want = 1 if partner.get(a) == b else 0
-                if sp(gens[a], gens[b]) != want:
-                    raise ValueError(
-                        f"generator commutation broken between #{a} and #{b}: "
-                        f"{format_pauli(gens[a])} vs {format_pauli(gens[b])}"
-                    )
+                row |= ((ga & swapped[b]).bit_count() & 1) << b
+            diff = row ^ expected[a]
+            if diff:
+                b = (diff & -diff).bit_length() - 1
+                raise ValueError(
+                    f"generator commutation broken between #{a} and #{b}: "
+                    f"{format_pauli(gens[a])} vs {format_pauli(gens[b])}"
+                )
         for zbar, xbar in self.logicals:
-            if sp(zbar, xbar) != 1:
+            zp, xp = zbar.packed(), xbar.packed()
+            if symplectic_product(zbar, xbar) != 1:
                 raise ValueError("logical pair must anticommute")
-            for g in gens:
-                if sp(zbar, g):
+            for sg in swapped:
+                if (zp & sg).bit_count() & 1:
                     raise ValueError("logical Z does not commute with a generator")
-                if sp(xbar, g):
+                if (xp & sg).bit_count() & 1:
                     raise ValueError("logical X does not commute with a generator")
 
 
@@ -319,11 +324,12 @@ def find_distance_violator(
             masks[q][li] = m
             packed[q][li] = (zb << q) | (xb << (q + n))
 
+    # echelon form of the harmless group, eliminated once for all candidates
     harmless = None
     if mode == "degenerate":
         passive = code.passive_gens()
         if passive:
-            harmless = paulis_to_matrix(passive)
+            harmless = f2._echelon([g.packed() for g in passive], 2 * n)
 
     for w in range(1, d):
         for support in itertools.combinations(range(n), w):
@@ -335,7 +341,7 @@ def find_distance_violator(
                     vec ^= packed[q][li]
                 if syndrome:
                     continue
-                if harmless is not None and f2.in_rowspace(harmless, vec):
+                if harmless is not None and f2._reduce(vec, *harmless) == 0:
                     continue
                 return PauliVec.from_packed(vec, n)
     return None

@@ -215,10 +215,16 @@ def in_rowspace(m: BitMatrix, v) -> bool:
     """
     w = _pack_vector(v, m.cols)
     reduced, pivots = _echelon(list(m.bits), m.cols)
+    return _reduce(w, reduced, pivots) == 0
+
+
+def _reduce(w: int, reduced: list[int], pivots: list[int]) -> int:
+    """Residual of ``w`` against an ``_echelon`` output; 0 iff ``w`` lies
+    in its row space."""
     for row, col in zip(reduced, pivots):
         if (w >> col) & 1:
             w ^= row
-    return w == 0
+    return w
 
 
 def nullspace(m: BitMatrix) -> BitMatrix | None:
@@ -292,6 +298,11 @@ def parse_alist(text: str) -> BitMatrix:
     n, m = tokens_per_line[0]
     if n < 1 or m < 1:
         raise ValueError("alist dimensions must be positive")
+    if len(tokens_per_line) < 4 + n:
+        raise ValueError(
+            f"alist file truncated: {n} column lists expected, "
+            f"found {len(tokens_per_line) - 4}"
+        )
     col_deg = tokens_per_line[2]
     if len(col_deg) != n:
         raise ValueError("alist column-degree list has wrong length")

@@ -82,12 +82,12 @@ def symplectic_product(u: PauliVec, v: PauliVec) -> int:
     """z . x' + z' . x mod 2; zero iff the operators commute."""
     if u.n != v.n:
         raise ValueError(f"qubit count mismatch: {u.n} != {v.n}")
-    return (bin(u.z & v.x).count("1") + bin(v.z & u.x).count("1")) & 1
+    return ((u.z & v.x).bit_count() + (v.z & u.x).bit_count()) & 1
 
 
 def weight(u: PauliVec) -> int:
     """Number of qubits acted on non-trivially."""
-    return bin(u.z | u.x).count("1")
+    return (u.z | u.x).bit_count()
 
 
 def parse_pauli(s: str) -> PauliVec:

@@ -7,15 +7,25 @@ count ``c`` is the number of ebits an entanglement-assisted code built
 on the input generators consumes; the isotropic generators become the
 commuting stabilizer.
 
-The procedure runs n rounds.  Each round takes the current leading
+The input is brought to reduced row-echelon form once; that row order
+feeds the pairing below.  The span is then completed to a basis of
+(Z_2)^{2n} by appending each unit vector e_0, e_1, ... that does not
+lie in the span so far.  Membership is decided by reducing e_k against
+the basis rows keyed by their lowest set bit, so the completion costs
+O(n^2) big-int XORs of 2n-bit rows rather than one elimination per
+candidate.
+
+The procedure then runs n rounds.  Each round takes the current leading
 vector u, finds the first remaining vector v that anticommutes with it
 (smallest index wins, so the output is deterministic for a given input
 order), and makes every other vector commute with both via
 
     w  ->  w + (v . w) u + (u . w) v .
 
-Vectors of the input span are kept at the front of the working list, so
-membership of u and v in the span is read off positionally.
+A symplectic product a . b is the parity of swap(a) & b, where swap
+exchanges the z and x halves; swap(u) and swap(v) are formed once per
+round.  Vectors of the input span are kept at the front of the working
+list, so membership of u and v in the span is read off positionally.
 """
 
 from __future__ import annotations
@@ -28,13 +38,10 @@ from .pauli import PauliVec
 __all__ = ["GroupDecomposition", "decompose", "symp_dim"]
 
 
-def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
-def _symp(a: int, b: int, n: int, mask: int) -> int:
-    """Symplectic product of packed (z|x) vectors."""
-    return _parity((a & mask) & (b >> n)) ^ _parity((b & mask) & (a >> n))
+def _swap(a: int, n: int, mask: int) -> int:
+    """Exchange the z and x halves of a packed (z|x) vector, so that the
+    symplectic product a . b is the parity of ``_swap(a) & b``."""
+    return (a >> n) | ((a & mask) << n)
 
 
 @dataclass(frozen=True)
@@ -92,20 +99,26 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
         raise ValueError("empty input needs an explicit qubit count")
 
     mask = (1 << n) - 1
-    reduced, _ = _echelon([v.packed() for v in vecs], 2 * n)
+    reduced, pivots = _echelon([v.packed() for v in vecs], 2 * n)
     m = len(reduced)
 
-    # extend to a basis of the full 2n-dimensional space
+    # extend to a basis of the full 2n-dimensional space: e_k joins when
+    # it does not reduce to zero against the span so far, whose rows are
+    # keyed by their lowest set bit (the pivot, for the echelon rows)
     work = list(reduced)
-    span = list(reduced)
+    span = dict(zip(pivots, reduced))
     for k in range(2 * n):
         if len(work) == 2 * n:
             break
-        cand = 1 << k
-        trial, _ = _echelon(span + [cand], 2 * n)
-        if len(trial) > len(span):
-            work.append(cand)
-            span = trial
+        cand = w = 1 << k
+        while w:
+            low = (w & -w).bit_length() - 1
+            row = span.get(low)
+            if row is None:
+                span[low] = w
+                work.append(cand)
+                break
+            w ^= row
 
     pairs: list[tuple[int, int]] = []
     isotropic: list[int] = []
@@ -115,13 +128,15 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     m_rem = m
     for _ in range(n):
         u = work[0]
+        su = _swap(u, n, mask)
         j = None
         for idx in range(1, len(work)):
-            if _symp(u, work[idx], n, mask):
+            if (su & work[idx]).bit_count() & 1:
                 j = idx
                 break
         assert j is not None, "no symplectic partner found; basis invariant broken"
         v = work[j]
+        sv = _swap(v, n, mask)
 
         if j + 1 <= m_rem:  # partner inside the remaining span: hyperbolic pair
             work[j], work[1] = work[1], work[j]
@@ -139,7 +154,7 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
                 completion.append((u, v))
 
         work = [
-            w ^ (u if _symp(v, w, n, mask) else 0) ^ (v if _symp(u, w, n, mask) else 0)
+            w ^ (u if (sv & w).bit_count() & 1 else 0) ^ (v if (su & w).bit_count() & 1 else 0)
             for w in rest
         ]
 

@@ -204,6 +204,16 @@ def test_parse_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_truncated_alist_exit_code(tmp_path, capsys):
+    bad = tmp_path / "short.alist"
+    bad.write_text("5 3\n1 1\n1 1 1 1 1\n1 1 1\n1\n")
+    rc, out = run_cli("construct", "--input", str(bad))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in out + err
+    assert "alist file truncated" in err
+
+
 def test_budget_exit_code(bch_file):
     rc, _ = run_cli("analyze", "--input", bch_file, "--distance", "9")
     assert rc == 3

@@ -139,6 +139,36 @@ def test_constructor_rejects_dependent_generators():
                                  parse_pauli("ZIZ")))
 
 
+def test_constructor_names_first_noncommuting_pair():
+    # ZZI anticommutes with both XIX (#2) and XII (#3); the lower one is named
+    with pytest.raises(ValueError, match=r"between #1 and #2: ZZI vs XIX"):
+        QuantumCode(n=3, gens_i=tuple(parse_pauli(s) for s in ("IZI", "ZZI", "XIX", "XII")))
+
+
+def test_constructor_names_first_offender_in_broken_bch63():
+    """Demote bch63's first entanglement pair to isotropic generators; the
+    error names the first anticommuting (a, b) with a < b."""
+    code = builtin("bch63")
+    gens_i = code.gens_i + code.gens_e[0]
+    gens_e = code.gens_e[1:]
+    flat = list(gens_i) + [g for pair in gens_e for g in pair]
+    expected = {len(gens_i) + 2 * j: len(gens_i) + 2 * j + 1 for j in range(len(gens_e))}
+    first = next(
+        (a, b)
+        for a in range(len(flat))
+        for b in range(a + 1, len(flat))
+        if symplectic_product(flat[a], flat[b]) != (expected.get(a) == b)
+    )
+    with pytest.raises(ValueError, match=rf"between #{first[0]} and #{first[1]}:"):
+        QuantumCode(n=code.n, gens_i=gens_i, gens_e=gens_e)
+
+
+def test_constructor_rejects_logical_anticommuting_with_generator():
+    with pytest.raises(ValueError, match="logical X does not commute"):
+        QuantumCode(n=2, gens_i=(parse_pauli("ZI"),),
+                    logicals=((parse_pauli("IZ"), parse_pauli("XX")),))
+
+
 # -- distance ----------------------------------------------------------------
 
 def test_steane_strict_distance_three():

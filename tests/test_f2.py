@@ -139,6 +139,11 @@ def test_alist_matches_dense_on_hamming():
     assert f2.parse_alist(f2.format_alist(h)).bits == h.bits
 
 
+def test_alist_truncated_column_lists():
+    with pytest.raises(ValueError, match="alist file truncated"):
+        f2.parse_alist("5 3\n1 1\n1 1 1 1 1\n1 1 1\n1\n")
+
+
 def test_transpose_involution():
     rng = np.random.default_rng(5)
     m = random_bitmatrix(rng, 4, 7)

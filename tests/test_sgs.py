@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabkit import f2, gf4, sgs
+from stabkit import f2, gf4, qc_ldpc, sgs
 from stabkit.codes import bch63_matrix, css_sp_matrix, hamming_matrix, q15_matrix
 from stabkit.f2 import BitMatrix
 from stabkit.pauli import PauliVec, paulis_to_matrix, symplectic_product
@@ -152,3 +154,138 @@ def test_dependent_input_rows_are_dropped():
     g12 = g1 * g2
     dec = sgs.decompose([g1, g2, g12])
     assert (dec.c, dec.ell) == (0, 2)
+
+
+# -- equivalence with the re-eliminating completion ------------------------
+
+
+def _oracle_symp(a, b, n, mask):
+    return (bin((a & mask) & (b >> n)).count("1") + bin((b & mask) & (a >> n)).count("1")) & 1
+
+
+def _oracle_decompose(vecs, n):
+    """Reference decomposition that completes the basis by re-running a
+    full elimination on span + [e_k] for every unit vector e_k."""
+    mask = (1 << n) - 1
+    reduced, _ = f2._echelon([v.packed() for v in vecs], 2 * n)
+    m = len(reduced)
+    work = list(reduced)
+    span = list(reduced)
+    for k in range(2 * n):
+        if len(work) == 2 * n:
+            break
+        cand = 1 << k
+        trial, _ = f2._echelon(span + [cand], 2 * n)
+        if len(trial) > len(span):
+            work.append(cand)
+            span = trial
+
+    pairs, isotropic, iso_partners, completion = [], [], [], []
+    m_rem = m
+    for _ in range(n):
+        u = work[0]
+        j = next(i for i in range(1, len(work)) if _oracle_symp(u, work[i], n, mask))
+        v = work[j]
+        if j + 1 <= m_rem:
+            work[j], work[1] = work[1], work[j]
+            rest = work[2:]
+            m_rem -= 2
+            pairs.append((u, v))
+        else:
+            work[j], work[-1] = work[-1], work[j]
+            rest = work[1:-1]
+            if m_rem >= 1:
+                m_rem -= 1
+                isotropic.append(u)
+                iso_partners.append(v)
+            else:
+                completion.append((u, v))
+        work = [
+            w ^ (u if _oracle_symp(v, w, n, mask) else 0)
+            ^ (v if _oracle_symp(u, w, n, mask) else 0)
+            for w in rest
+        ]
+
+    pv = lambda p: PauliVec.from_packed(p, n)
+    return sgs.GroupDecomposition(
+        n=n,
+        c=len(pairs),
+        ell=len(isotropic),
+        pairs=tuple((pv(u), pv(v)) for u, v in pairs),
+        isotropic=tuple(pv(u) for u in isotropic),
+        iso_partners=tuple(pv(v) for v in iso_partners),
+        completion=tuple((pv(u), pv(v)) for u, v in completion),
+    )
+
+
+def _assert_same_as_oracle(vecs, n):
+    got = sgs.decompose(vecs, n=n)
+    want = _oracle_decompose(vecs, n)
+    assert (got.n, got.c, got.ell) == (want.n, want.c, want.ell)
+    assert got.pairs == want.pairs
+    assert got.isotropic == want.isotropic
+    assert got.iso_partners == want.iso_partners
+    assert got.completion == want.completion
+
+
+@st.composite
+def _spans(draw):
+    """(vectors, n) with n <= 12: random, empty, full-rank or padded with
+    dependent combinations of the drawn vectors."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["random", "empty", "full", "dependent"]))
+    vec = st.integers(0, (1 << (2 * n)) - 1)
+    if kind == "empty":
+        rows = []
+    elif kind == "full":
+        # unit vectors, each mixed with arbitrary later ones: invertible
+        rows = [(1 << k) | (draw(vec) >> (k + 1) << (k + 1)) for k in range(2 * n)]
+        rows = draw(st.permutations(rows))
+    else:
+        rows = draw(st.lists(vec, max_size=2 * n + 2))
+        if kind == "dependent" and rows:
+            picks = draw(st.lists(st.lists(st.sampled_from(rows), min_size=1), min_size=1,
+                                  max_size=4))
+            for combo in picks:
+                acc = 0
+                for r in combo:
+                    acc ^= r
+                rows.append(acc)
+    return [PauliVec.from_packed(r, n) for r in rows], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spans())
+def test_decompose_matches_reeliminating_oracle(span):
+    vecs, n = span
+    _assert_same_as_oracle(vecs, n)
+
+
+def _sp_vecs(hsp):
+    n = hsp.cols // 2
+    return [PauliVec.from_packed(hsp.row(i), n) for i in range(hsp.rows)], n
+
+
+@pytest.mark.parametrize("name", ["ex1", "bch63", "q15"])
+def test_decompose_matches_oracle_on_paper_codes(name):
+    if name == "ex1":
+        hsp = css_sp_matrix(qc_ldpc.expand(qc_ldpc.make_ex1()))
+    elif name == "bch63":
+        hsp = css_sp_matrix(bch63_matrix())
+    else:
+        hsp = gf4.f4_to_symplectic(q15_matrix())
+    _assert_same_as_oracle(*_sp_vecs(hsp))
+
+
+def test_decompose_eliminates_once(monkeypatch):
+    calls = []
+    real = sgs._echelon
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(sgs, "_echelon", counting)
+    vecs, n = _sp_vecs(css_sp_matrix(bch63_matrix()))
+    sgs.decompose(vecs, n=n)
+    assert calls == [2 * n]
