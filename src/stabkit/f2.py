@@ -290,8 +290,25 @@ def format_dense(m: BitMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _alist_entries(lists, degrees, bound: int, what: str) -> list[tuple[int, int]]:
+    """(k, i - 1) for every index i of list k: only the first
+    ``degrees[k]`` entries count, and zeros are padding."""
+    out = []
+    for k, (entries, deg) in enumerate(zip(lists, degrees)):
+        for i in entries[:deg]:
+            if i == 0:
+                continue
+            if not 1 <= i <= bound:
+                raise ValueError(f"alist {what} index {i} out of range")
+            out.append((k, i - 1))
+    return out
+
+
 def parse_alist(text: str) -> BitMatrix:
-    """Parse MacKay's alist format (1-based indices, N M header)."""
+    """Parse MacKay's alist format (1-based indices, N M header).
+
+    Both the n column lists and the m row lists must be present, and
+    they must describe the same matrix."""
     tokens_per_line = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
     if len(tokens_per_line) < 4:
         raise ValueError("alist file too short")
@@ -303,23 +320,34 @@ def parse_alist(text: str) -> BitMatrix:
             f"alist file truncated: {n} column lists expected, "
             f"found {len(tokens_per_line) - 4}"
         )
-    col_deg = tokens_per_line[2]
+    if len(tokens_per_line) < 4 + n + m:
+        raise ValueError(
+            f"alist file truncated: {m} row lists expected, "
+            f"found {len(tokens_per_line) - 4 - n}"
+        )
+    col_deg, row_deg = tokens_per_line[2], tokens_per_line[3]
     if len(col_deg) != n:
         raise ValueError("alist column-degree list has wrong length")
+    if len(row_deg) != m:
+        raise ValueError("alist row-degree list has wrong length")
     rows = [0] * m
-    for j in range(n):
-        entries = tokens_per_line[4 + j][: col_deg[j]]
-        for i in entries:
-            if i == 0:
-                continue
-            if not 1 <= i <= m:
-                raise ValueError(f"alist row index {i} out of range")
-            rows[i - 1] |= 1 << j
+    for j, i in _alist_entries(tokens_per_line[4:4 + n], col_deg, m, "row"):
+        rows[i] |= 1 << j
+    listed = [0] * m
+    for i, j in _alist_entries(tokens_per_line[4 + n:4 + n + m], row_deg, n, "column"):
+        listed[i] |= 1 << j
+    for i, (a, b) in enumerate(zip(rows, listed)):
+        if a != b:
+            raise ValueError(f"alist row list {i + 1} disagrees with the column lists")
     return BitMatrix(m, n, tuple(rows))
 
 
 def format_alist(m: BitMatrix) -> str:
-    """Serialize to alist (N M header, per-column then per-row 1-based lists)."""
+    """Serialize to alist (N M header, per-column then per-row 1-based lists).
+
+    Lists are zero-padded to the largest degree, and to at least one
+    entry, so an empty row or column is a "0" line rather than a blank
+    one."""
     arr = m.to_array()
     col_idx = [list(np.flatnonzero(arr[:, j]) + 1) for j in range(m.cols)]
     row_idx = [list(np.flatnonzero(arr[i, :]) + 1) for i in range(m.rows)]
@@ -329,7 +357,7 @@ def format_alist(m: BitMatrix) -> str:
     lines.append(" ".join(str(len(c)) for c in col_idx))
     lines.append(" ".join(str(len(r)) for r in row_idx))
     for c in col_idx:
-        lines.append(" ".join(str(i) for i in c + [0] * (cmax - len(c))))
+        lines.append(" ".join(str(i) for i in c + [0] * (max(cmax, 1) - len(c))))
     for r in row_idx:
-        lines.append(" ".join(str(i) for i in r + [0] * (rmax - len(r))))
+        lines.append(" ".join(str(i) for i in r + [0] * (max(rmax, 1) - len(r))))
     return "\n".join(lines) + "\n"

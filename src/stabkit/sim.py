@@ -7,14 +7,21 @@ a Z flip from Z or Y), and the residual is scored either strictly
 (must vanish) or degenerately (must lie in the span of the isotropic
 and gauge generators).
 
-Every trial draws from its own generator seeded by the tuple
-(seed, p_index, trial), so results are bit-identical for any worker
-count or execution order.
+Trials run in blocks of ``BLOCK`` = 32: the block's flips are stacked
+into uint8 [B, n] arrays, each CSS half gets its syndromes from one
+matrix product and its estimates from one ``decode_batch`` call, and
+residuals are packed into ints only for degenerate scoring.  Every
+trial still draws from its own generator seeded by the tuple
+(seed, p_index, trial), and batch rows decode independently, so results
+are bit-identical for any block split, worker count or execution order.
+With ``workers`` > 1 each of min(workers, cpu count, trials) threads,
+the calling one included, takes one contiguous span of the trials.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +30,9 @@ import numpy as np
 from .codes import QuantumCode
 from .f2 import _echelon
 from .pauli import PauliVec, symplectic_product
-from .spa import SpaGraph, decode
+# ``decode`` is re-exported: code that wraps or inspects ``sim.decode``
+# (the benchmark tracer) keeps working although trials use decode_batch
+from .spa import SpaGraph, decode, decode_batch  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -35,6 +44,10 @@ __all__ = [
     "sweep",
     "wilson_interval",
 ]
+
+#: trials decoded together; a fixed block keeps peak memory flat in the
+#: trial count
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,8 @@ class SimConfig:
         for p in self.p_grid:
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"depolarizing probability {p} outside [0, 1)")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.success_mode not in ("strict", "degenerate"):
             raise ValueError(f"unknown success mode {self.success_mode!r}")
         if self.code.css is None:
@@ -95,20 +110,26 @@ def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tup
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _flips(u: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z flip indicators (uint8, shaped like ``u``) of depolarizing
+    noise from uniforms ``u``: X below 2p/3 (Pauli X or Y), Z in
+    [p/3, p) (Pauli Y or Z)."""
+    x_flip = (u < 2.0 * p / 3.0).view(np.uint8)
+    z_flip = ((u >= p / 3.0) & (u < p)).view(np.uint8)
+    return x_flip, z_flip
+
+
+def _pack(bits: np.ndarray) -> int:
+    """Python int whose bit i is ``bits[i]`` (a 1-D 0/1 uint8 array)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliVec:
     """i.i.d. depolarizing noise: identity w.p. 1-p, X/Y/Z each w.p. p/3."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    u = rng.random(n)
-    x_flip = u < 2.0 * p / 3.0                       # Pauli X or Y
-    z_flip = (u >= p / 3.0) & (u < p)                # Pauli Y or Z
-    z = 0
-    for i in np.flatnonzero(z_flip):
-        z |= 1 << int(i)
-    x = 0
-    for i in np.flatnonzero(x_flip):
-        x |= 1 << int(i)
-    return PauliVec(n, z, x)
+    x_flip, z_flip = _flips(rng.random(n), p)
+    return PauliVec(n, _pack(z_flip), _pack(x_flip))
 
 
 def syndrome(code: QuantumCode, error: PauliVec) -> np.ndarray:
@@ -142,39 +163,39 @@ class _TrialRunner:
         else:
             self.passive_echelon = []
 
-    def _residual_harmless(self, rz: int, rx: int) -> bool:
-        v = rz | (rx << self.n)
+    def _residual_harmless(self, v: int) -> bool:
+        """Whether the packed (z|x) residual lies in the passive span."""
         for row in self.passive_echelon:
             low = (row & -row).bit_length() - 1
             if (v >> low) & 1:
                 v ^= row
         return v == 0
 
-    def run_trial(self, p: float, p_idx: int, trial: int) -> bool:
-        """True when the trial ends in a block error."""
-        cfg = self.config
-        rng = np.random.default_rng((cfg.seed, p_idx, trial))
-        err = sample_depolarizing(self.n, p, rng)
-        ex = np.array([(err.x >> i) & 1 for i in range(self.n)], dtype=np.uint8)
-        ez = np.array([(err.z >> i) & 1 for i in range(self.n)], dtype=np.uint8)
+    def count_errors(self, p: float, p_idx: int, start: int, stop: int) -> int:
+        """Block errors among trials ``start .. stop-1``, decoded in
+        blocks of ``BLOCK``."""
         if p == 0.0:
-            return False
+            return 0
+        return sum(self._block_errors(p, p_idx, a, min(a + BLOCK, stop))
+                   for a in range(start, stop, BLOCK))
+
+    def _block_errors(self, p: float, p_idx: int, start: int, stop: int) -> int:
+        cfg = self.config
+        u = np.stack([np.random.default_rng((cfg.seed, p_idx, t)).random(self.n)
+                      for t in range(start, stop)])
+        ex, ez = _flips(u, p)
         f = 2.0 * p / 3.0
-        sz = (self.hz_arr @ ex) % 2
-        sx = (self.hx_arr @ ez) % 2
-        dec_x = decode(self.graph_z, sz, f, cfg.max_iter)
-        dec_z = decode(self.graph_x, sx, f, cfg.max_iter)
-        rx = ex ^ dec_x.estimate
-        rz = ez ^ dec_z.estimate
-        rx_i = 0
-        for i in np.flatnonzero(rx):
-            rx_i |= 1 << int(i)
-        rz_i = 0
-        for i in np.flatnonzero(rz):
-            rz_i |= 1 << int(i)
+        sz = (ex @ self.hz_arr.T) & 1
+        sx = (ez @ self.hx_arr.T) & 1
+        rx = ex ^ decode_batch(self.graph_z, sz, f, cfg.max_iter)[0]
+        rz = ez ^ decode_batch(self.graph_x, sx, f, cfg.max_iter)[0]
+        failed = rx.any(axis=1) | rz.any(axis=1)
         if cfg.success_mode == "strict":
-            return not (rx_i == 0 and rz_i == 0)
-        return not self._residual_harmless(rz_i, rx_i)
+            return int(failed.sum())
+        packed = np.packbits(np.concatenate([rz, rx], axis=1)[failed], axis=1,
+                             bitorder="little")
+        return sum(not self._residual_harmless(int.from_bytes(row.tobytes(), "little"))
+                   for row in packed)
 
 
 def run_point(config: SimConfig, p: float, p_idx: int = 0) -> SimPoint:
@@ -186,19 +207,18 @@ def run_point(config: SimConfig, p: float, p_idx: int = 0) -> SimPoint:
 
 
 def _count_errors(runner: _TrialRunner, p: float, p_idx: int) -> int:
-    cfg = runner.config
-    trials = cfg.trials
-    if cfg.workers <= 1:
-        return sum(runner.run_trial(p, p_idx, t) for t in range(trials))
-    chunk = max(1, math.ceil(trials / (cfg.workers * 4)))
-    spans = [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
-
-    def work(span):
-        a, b = span
-        return sum(runner.run_trial(p, p_idx, t) for t in range(a, b))
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        return sum(pool.map(work, spans))
+    """Block errors over all trials.  With w = min(workers, cpu count,
+    trials) > 1 the trials are cut into w contiguous spans: the calling
+    thread runs the first and a pool of w - 1 threads the others."""
+    trials = runner.config.trials
+    w = min(runner.config.workers, os.cpu_count() or 1, trials)
+    if w == 1:
+        return runner.count_errors(p, p_idx, 0, trials)
+    cuts = [trials * i // w for i in range(w + 1)]
+    with ThreadPoolExecutor(max_workers=w - 1) as pool:
+        rest = [pool.submit(runner.count_errors, p, p_idx, a, b)
+                for a, b in zip(cuts[1:-1], cuts[2:])]
+        return runner.count_errors(p, p_idx, 0, cuts[1]) + sum(f.result() for f in rest)
 
 
 def sweep(config: SimConfig) -> SimResult:

@@ -214,6 +214,27 @@ def test_truncated_alist_exit_code(tmp_path, capsys):
     assert "alist file truncated" in err
 
 
+def test_contradicting_alist_exit_code(tmp_path, capsys):
+    lines = f2.format_alist(f2.BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])).splitlines()
+    lines[-1] = "1 2"     # row 2 claims columns 1 and 2; the columns say 2 and 3
+    bad = tmp_path / "contradicting.alist"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, out = run_cli("construct", "--input", str(bad))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in out + err
+    assert "disagrees with the column lists" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_nonpositive_workers(workers, capsys):
+    rc, out = run_cli("simulate", "--code", "steane7", "--p", "0.01", "--trials", "10",
+                      "--workers", workers)
+    assert rc == 2
+    assert out == ""
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_budget_exit_code(bch_file):
     rc, _ = run_cli("analyze", "--input", bch_file, "--distance", "9")
     assert rc == 3

@@ -144,6 +144,47 @@ def test_alist_truncated_column_lists():
         f2.parse_alist("5 3\n1 1\n1 1 1 1 1\n1 1 1\n1\n")
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_alist_round_trip_any_matrix(rows, cols, data):
+    bits = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    m = BitMatrix(rows, cols, tuple(bits))
+    assert f2.parse_alist(f2.format_alist(m)).bits == m.bits
+
+
+def test_alist_round_trip_empty_rows_and_columns():
+    for m in (BitMatrix.zeros(2, 3), BitMatrix.zeros(1, 1),
+              BitMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 1, 1]])):
+        text = f2.format_alist(m)
+        assert all(ln.strip() for ln in text.splitlines())
+        assert f2.parse_alist(text).bits == m.bits
+
+
+def _alist_lines(rows):
+    return f2.format_alist(BitMatrix.from_rows(rows)).splitlines()
+
+
+def test_alist_row_lists_required():
+    lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="alist file truncated: 2 row lists"):
+        f2.parse_alist("\n".join(lines[:-1]) + "\n")
+
+
+def test_alist_row_lists_must_agree():
+    lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
+    lines[-1] = "1 2"
+    with pytest.raises(ValueError, match="row list 2 disagrees"):
+        f2.parse_alist("\n".join(lines) + "\n")
+    lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
+    lines[3] = "2"        # row-degree line one entry short
+    with pytest.raises(ValueError, match="row-degree"):
+        f2.parse_alist("\n".join(lines) + "\n")
+    lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
+    lines[-1] = "2 4"     # column 4 does not exist
+    with pytest.raises(ValueError, match="column index 4 out of range"):
+        f2.parse_alist("\n".join(lines) + "\n")
+
+
 def test_transpose_involution():
     rng = np.random.default_rng(5)
     m = random_bitmatrix(rng, 4, 7)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,85 @@ def test_config_validation():
         SimConfig(code=builtin("fivequbit"), p_grid=(0.1,), trials=1)
 
 
+def test_config_rejects_nonpositive_workers():
+    st = builtin("steane7")
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            SimConfig(code=st, p_grid=(0.1,), trials=1, workers=workers)
+
+
+def test_worker_threads_capped(monkeypatch):
+    """The calling thread takes one span; the pool holds the others, and
+    no more workers run than there are cores or trials."""
+    pools = []
+
+    class Pool(sim.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+    base = dict(code=builtin("steane7"), p_grid=(0.02,), seed=4)
+    serial = sweep(SimConfig(workers=1, trials=90, **base)).to_csv()
+    assert pools == []
+    assert sweep(SimConfig(workers=64, trials=90, **base)).to_csv() == serial
+    assert pools == ([os.cpu_count() - 1] if os.cpu_count() > 1 else [])
+    pools.clear()
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    assert sweep(SimConfig(workers=64, trials=90, **base)).to_csv() == serial
+    sweep(SimConfig(workers=64, trials=2, **base))
+    sweep(SimConfig(workers=64, trials=1, **base))
+    assert pools == [2, 1]
+
+
+def test_trial_spans_add_up():
+    """Blocks and worker spans may cut the trials anywhere: every trial
+    is seeded alone and decoded independently of its block."""
+    code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()))
+    runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.04,), trials=100, seed=6))
+    whole = runner.count_errors(0.04, 0, 0, 100)
+    assert whole > 0
+    for cuts in ((0, 33, 100), (0, 1, 2, 64, 65, 100), (0, 50, 100)):
+        assert sum(runner.count_errors(0.04, 0, a, b) for a, b in zip(cuts, cuts[1:])) == whole
+
+
 def test_syndrome_length_mismatch():
     with pytest.raises(ValueError):
         syndrome(builtin("steane7"), PauliVec(6, 0, 0))
+
+
+# CSVs of ``sweep`` recorded before the trial loop decoded in blocks;
+# batching must not change a byte of them.
+_HEAD = "p,trials,block_errors,wer,ci_lo,ci_hi\n"
+PINNED_SWEEPS = {
+    "ex1": _HEAD + "0.01,100,1,0.01,0.001767432064,0.05448619618\n"
+                   "0.03,100,5,0.05,0.02154367915,0.1117504692\n",
+    "mackay": _HEAD + "0.01,100,16,0.16,0.1009528849,0.2442026939\n"
+                      "0.03,100,38,0.38,0.2909759925,0.477902447\n",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_codes():
+    return {
+        "ex1": codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex1()), name="ex1"),
+        "mackay": codes.build_eaqecc_binary(qc_ldpc.make_ex_mackay(seed=0), name="mackay"),
+    }
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+@pytest.mark.parametrize("name", ["ex1", "mackay"])
+def test_sweep_csv_pinned(pinned_codes, name, mode):
+    cfg = SimConfig(code=pinned_codes[name], p_grid=(0.01, 0.03), trials=100, seed=3,
+                    success_mode=mode)
+    assert sweep(cfg).to_csv() == PINNED_SWEEPS[name]
+
+
+def test_sample_depolarizing_pinned_bits():
+    rng = np.random.default_rng(2024)
+    expect = [(40, 0.3, 0x29b5012a2, 0x80200052e0),
+              (70, 0.9, 0x232a50af770e7b9cf8, 0x36f6bf7eebff7ffb5b),
+              (5, 0.0, 0, 0)]
+    for n, p, z, x in expect:
+        e = sample_depolarizing(n, p, rng)
+        assert (e.n, e.z, e.x) == (n, z, x)

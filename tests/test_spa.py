@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit import qc_ldpc, spa
 from stabkit.codes import hamming_matrix
 from stabkit.f2 import BitMatrix
-from stabkit.spa import SpaGraph, SpaWorkspace, decode, exact_marginals
+from stabkit.spa import SpaGraph, SpaWorkspace, decode, decode_batch, exact_marginals
 
-from util import random_tree_check_matrix
+from util import random_bitmatrix, random_tree_check_matrix
 
 
 def test_zero_syndrome_decodes_to_zero_first_iteration():
@@ -155,3 +157,183 @@ def test_failure_reported_when_unsatisfiable():
     res = decode(h, [1, 0], 0.1, max_iter=5)
     assert not res.converged
     assert res.iterations == 5
+
+
+def _random_syndromes(rng, h, b):
+    """Reachable, zero and uniformly random (often unreachable) rows."""
+    arr = h.to_array()
+    errs = (rng.random((b, h.cols)) < 0.2).astype(np.uint8)
+    syn = (errs @ arr.T) % 2
+    kind = rng.integers(0, 4, size=b)
+    syn[kind == 0] = 0
+    syn[kind == 1] = rng.integers(0, 2, size=(int((kind == 1).sum()), h.rows))
+    return syn.astype(np.uint8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 31, 32, 33]), st.integers(1, 5),
+       st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.5, 0.7]), st.booleans())
+def test_decode_batch_rows_match_decode(seed, b, max_iter, prior, tree):
+    rng = np.random.default_rng(seed)
+    if tree:   # no cycles at all
+        h = random_tree_check_matrix(rng, int(rng.integers(4, 12)), int(rng.integers(2, 5)))
+    else:      # dense enough for 4-cycles, sometimes with empty rows or columns
+        h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    syn = _random_syndromes(rng, h, b)
+    est, conv, its = decode_batch(h, syn, prior, max_iter)
+    assert est.shape == (b, h.cols) and est.dtype == np.uint8
+    graph = SpaGraph(h)
+    for i in range(b):
+        res = decode(graph, syn[i], prior, max_iter)
+        assert np.array_equal(res.estimate, est[i])
+        assert (res.converged, res.iterations) == (bool(conv[i]), int(its[i]))
+
+
+def _reference_decode(h, syndrome, prior, max_iter):
+    """The one-syndrome decoder that the batch kernel replaced, kept as
+    the reference: row-major padded gathers, ``np.cumprod`` leave-one-out
+    products, ``np.prod`` posteriors and a fresh scatter per step.  The
+    arithmetic per message is the same, so results must be equal."""
+    arr = h.to_array()
+    rows, cols = np.nonzero(arr)
+    e = len(rows)
+
+    def slots(groups, count):
+        out = np.full((count, max(int(np.bincount(groups, minlength=count).max(initial=0)), 1)), e)
+        fill = np.zeros(count, dtype=int)
+        for edge, grp in enumerate(groups):
+            out[grp, fill[grp]] = edge
+            fill[grp] += 1
+        return out
+
+    def loo(x):
+        pref = np.ones_like(x)
+        pref[:, 1:] = np.cumprod(x, axis=1)[:, :-1]
+        suff = np.ones_like(x)
+        suff[:, :-1] = np.cumprod(x[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        return pref * suff
+
+    def scatter(padded, sl):
+        flat = np.empty(e)
+        flat[sl[sl < e]] = padded[sl < e]
+        return flat
+
+    cs, bs = slots(rows, h.rows), slots(cols, h.cols)
+    sign = 1.0 - 2.0 * np.asarray(syndrome, dtype=float)
+    p0, p1 = 1.0 - prior, prior
+    q0, q1 = np.full(e, p0), np.full(e, p1)
+    for it in range(1, max_iter + 1):
+        dr = scatter(sign[:, None] * loo(np.append(q0 - q1, 1.0)[cs]), cs)
+        r0 = np.maximum((1.0 + dr) / 2.0, 1e-300)
+        r1 = np.maximum((1.0 - dr) / 2.0, 1e-300)
+        l0 = p0 * loo(np.append(r0, 1.0)[bs])
+        l1 = p1 * loo(np.append(r1, 1.0)[bs])
+        norm = np.maximum(l0 + l1, 1e-300)
+        q0 = np.maximum(scatter(l0 / norm, bs), 1e-300)
+        q1 = np.maximum(scatter(l1 / norm, bs), 1e-300)
+        t0 = p0 * np.prod(np.append(r0, 1.0)[bs], axis=1)
+        t1 = p1 * np.prod(np.append(r1, 1.0)[bs], axis=1)
+        est = (t1 / np.maximum(t0 + t1, 1e-300) > 0.5).astype(np.uint8)
+        if np.array_equal((arr @ est) % 2, syndrome):
+            return est, True, it
+    return est, False, max_iter
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "mackay"])
+def test_decode_batch_matches_reference_decoder(name):
+    h = (qc_ldpc.make_ex_mackay(seed=0) if name == "mackay"
+         else qc_ldpc.expand(getattr(qc_ldpc, f"make_{name}")()))
+    graph = SpaGraph(h)
+    rng = np.random.default_rng(21)
+    for p, max_iter in ((0.01, 20), (0.03, 20), (0.06, 8)):
+        errs = (rng.random((24, h.cols)) < p).astype(np.uint8)
+        syn = (errs @ h.to_array().T) % 2
+        est, conv, its = decode_batch(graph, syn, p, max_iter)
+        for i in range(len(syn)):
+            ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], p, max_iter)
+            assert np.array_equal(ref_est, est[i])
+            assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5),
+       st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.5, 0.7]))
+def test_decode_batch_matches_reference_on_random_checks(seed, max_iter, prior):
+    rng = np.random.default_rng(seed)
+    h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    syn = _random_syndromes(rng, h, 12)
+    est, conv, its = decode_batch(h, syn, prior, max_iter)
+    for i in range(len(syn)):
+        ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], prior, max_iter)
+        assert np.array_equal(ref_est, est[i])
+        assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
+
+
+def _kernel(graph, syndrome, prior, max_iter):
+    """The iteration loop on one syndrome, straight through the
+    workspace, with no shortcut for a zero syndrome."""
+    ws = SpaWorkspace(graph, syndrome, prior)
+    for it in range(1, max_iter + 1):
+        ws.horizontal_step()
+        ws.vertical_step()
+        est = ws.tentative()
+        if ws.satisfies(est):
+            return est, True, it
+    return est, False, max_iter
+
+
+def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        h = random_bitmatrix(rng, int(rng.integers(1, 6)), int(rng.integers(3, 10)), 0.4)
+        graph = SpaGraph(h)
+        zero = np.zeros(h.rows, dtype=np.uint8)
+        for prior in (0.01, 0.2, 0.45, 0.5, 0.6, 0.9):
+            est, conv, its = _kernel(graph, zero, prior, 4)
+            res = decode(graph, zero, prior, 4)
+            assert np.array_equal(res.estimate, est)
+            assert (res.converged, res.iterations) == (conv, its)
+            if prior < 0.5:
+                assert not est.any() and conv and its == 1
+    # below 1/2 zero rows never reach the kernel; from 1/2 up they do
+    steps = []
+    real = SpaWorkspace.horizontal_step
+    monkeypatch.setattr(SpaWorkspace, "horizontal_step",
+                        lambda ws: (steps.append(len(ws.syndrome)), real(ws)))
+    h = hamming_matrix()
+    syn = np.zeros((5, 3), dtype=np.uint8)
+    syn[2] = (1, 0, 1)
+    est, conv, its = decode_batch(h, syn, 0.1, 10)
+    assert steps and max(steps) == 1
+    assert conv.all() and list(its[[0, 1, 3, 4]]) == [1] * 4
+    steps.clear()
+    decode_batch(h, syn, 0.5, 10)
+    assert steps[0] == 5
+
+
+def test_decode_batch_validation():
+    h = hamming_matrix()
+    with pytest.raises(ValueError):
+        decode_batch(h, [0, 0, 0], 0.1)            # one syndrome, not a batch
+    with pytest.raises(ValueError):
+        decode_batch(h, np.zeros((2, 4)), 0.1)     # wrong check count
+    with pytest.raises(ValueError):
+        decode_batch(h, np.zeros((2, 3)), 0.1, max_iter=0)
+    est, conv, its = decode_batch(h, np.zeros((0, 3)), 0.1)
+    assert est.shape == (0, 7) and conv.shape == its.shape == (0,)
+
+
+def test_batched_workspace_shapes():
+    h = hamming_matrix()
+    g = SpaGraph(h)
+    ws = SpaWorkspace(g, np.zeros((4, 3), dtype=np.uint8), 0.1)
+    ws.horizontal_step()
+    ws.vertical_step()
+    assert ws.q0.shape == ws.r1.shape == (4, g.n_edges)
+    assert ws.pseudoposteriors().shape == (4, 7)
+    assert ws.satisfies(ws.tentative()).shape == (4,)
+    single = SpaWorkspace(g, [0, 0, 0], 0.1)
+    single.horizontal_step()
+    single.vertical_step()
+    assert single.pseudoposteriors().shape == (7,)
+    assert single.satisfies(single.tentative()) is True
