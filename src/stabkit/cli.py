@@ -24,7 +24,7 @@ from .codes import (
     make_report,
 )
 from .f2 import BitMatrix
-from .pauli import PauliVec, format_pauli
+from .pauli import PauliVec, format_pauli, weight
 
 _EXAMPLE_NAMES = ("ex1", "ex2", "mackay", "hi")
 
@@ -128,9 +128,12 @@ def _cmd_analyze(args) -> int:
         print(f"girth: {qc_ldpc.girth_exact(h)}")
         print(f"dual-containing: {'yes' if hhT.is_zero() else 'no'}")
     print(f"computed: {code.params}")
-    if args.distance:
-        ok = codes.verify_distance(code, args.distance, args.mode)
-        print(f"distance {args.distance} ({args.mode}): {'verified' if ok else 'REFUTED'}")
+    if args.distance is not None:
+        violator = codes.find_distance_violator(code, args.distance, args.mode)
+        verdict = "verified" if violator is None else "REFUTED"
+        print(f"distance {args.distance} ({args.mode}): {verdict}")
+        if violator is not None:
+            print(f"violator: {format_pauli(violator)} (weight {weight(violator)})")
     return 0
 
 

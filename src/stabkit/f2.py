@@ -116,13 +116,9 @@ class BitMatrix:
     # -- shape manipulation --------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            v = 0
-            for i, b in enumerate(self.bits):
-                v |= ((b >> j) & 1) << i
-            cols.append(v)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
+        cols = np.packbits(self.to_array().T, axis=1, bitorder="little")
+        return BitMatrix(self.cols, self.rows,
+                         tuple(int.from_bytes(c.tobytes(), "little") for c in cols))
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if other.cols != self.cols:
@@ -272,6 +268,8 @@ def parse_dense(text: str) -> BitMatrix:
     if len(header) != 2:
         raise ValueError(f"bad dense header: {lines[0]!r}")
     m, n = int(header[0]), int(header[1])
+    if m < 1 or n < 1:
+        raise ValueError(f"dense matrix dimensions must be positive, got {m}x{n}")
     if len(lines) - 1 < m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = []

@@ -164,6 +164,8 @@ def parse_f4(text: str) -> F4Matrix:
     if len(header) != 2:
         raise ValueError(f"bad GF(4) header: {lines[0]!r}")
     m, n = int(header[0]), int(header[1])
+    if m < 1 or n < 1:
+        raise ValueError(f"GF(4) matrix dimensions must be positive, got {m}x{n}")
     if len(lines) - 1 < m:
         raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
     entries = []

@@ -236,6 +236,8 @@ class ExponentMatrix:
                 else:
                     out.append(ExponentEntry.monomial(int(item)))
             grid.append(tuple(out))
+        if not grid:
+            raise ValueError("exponent matrix has no rows")
         return cls(r, len(grid), len(grid[0]), tuple(grid))
 
     @property
@@ -607,6 +609,9 @@ def parse_exponent(text: str) -> ExponentMatrix:
     if len(header) != 3:
         raise ValueError(f"bad exponent header: {lines[0]!r}")
     r, J, L = (int(t) for t in header)
+    for name, value in (("r", r), ("J", J), ("L", L)):
+        if value < 1:
+            raise ValueError(f"exponent header {name} must be positive, got {value}")
     if len(lines) - 1 < J:
         raise ValueError(f"expected {J} exponent rows, found {len(lines) - 1}")
     rows = []

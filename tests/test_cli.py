@@ -238,3 +238,38 @@ def test_simulate_rejects_nonpositive_workers(workers, capsys):
 def test_budget_exit_code(bch_file):
     rc, _ = run_cli("analyze", "--input", bch_file, "--distance", "9")
     assert rc == 3
+
+
+@pytest.mark.parametrize("distance", ["0", "-2"])
+def test_analyze_rejects_nonpositive_distance(hamming_file, distance, capsys):
+    rc, out = run_cli("analyze", "--input", hamming_file, "--distance", distance)
+    assert rc == 2
+    assert not any(ln.startswith("distance ") for ln in out.splitlines())
+    assert "distance must be positive" in capsys.readouterr().err
+
+
+def test_analyze_names_violator(hamming_file):
+    rc, out = run_cli("analyze", "--input", hamming_file,
+                      "--distance", "4", "--mode", "strict")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[-2:] == ["distance 4 (strict): REFUTED", "violator: XXXIIII (weight 3)"]
+
+
+def test_analyze_verified_prints_no_violator(hamming_file):
+    rc, out = run_cli("analyze", "--input", hamming_file,
+                      "--distance", "3", "--mode", "degenerate")
+    assert rc == 0
+    assert out.splitlines()[-1] == "distance 3 (degenerate): verified"
+    assert "violator" not in out
+
+
+@pytest.mark.parametrize("header", ["3 0 3", "3 -1 3", "3 1 0", "0 1 3"])
+def test_qcldpc_nonpositive_exponent_header_exit_code(tmp_path, header, capsys):
+    path = tmp_path / "exp.txt"
+    path.write_text(f"{header}\n0 1 2\n")
+    rc, out = run_cli("qcldpc", "--exponent", str(path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in out + err
+    assert "must be positive" in err

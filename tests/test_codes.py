@@ -1,7 +1,11 @@
 import itertools
+import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit import codes, f2, gf4, qc_ldpc, sgs
 from stabkit.codes import (
@@ -9,6 +13,7 @@ from stabkit.codes import (
     QuantumCode,
     VerificationBudgetError,
     bch63_matrix,
+    build_from_sp,
     build_eaqecc_binary,
     build_eaqecc_gf4,
     builtin,
@@ -426,3 +431,164 @@ def test_report_verifies_small_distances():
     rep = make_report(builtin("shor9"))
     assert rep.verified_d == 3
     assert rep.hamming_ok is None  # degenerate: bound not applicable
+
+
+# -- distance search against the enumerating oracle ---------------------------
+
+_ORACLE_LETTERS = ((0, 1), (1, 0), (1, 1))  # X, Z, Y as (z, x) bits
+
+
+def _enumerating_violator(code, d, mode):
+    """The candidate-by-candidate enumerator the syndrome-lookup search
+    replaced: every error of weight < d by ascending weight, ascending
+    support, X < Z < Y per position; the first harmful one is returned."""
+    n = code.n
+    test_gens = code._all_gens() if mode == "strict" else code.measured_gens()
+    masks = [[0] * 3 for _ in range(n)]
+    packed = [[0] * 3 for _ in range(n)]
+    for q in range(n):
+        for li, (zb, xb) in enumerate(_ORACLE_LETTERS):
+            m = 0
+            for t, g in enumerate(test_gens):
+                bit = (zb & (g.x >> q)) ^ (xb & (g.z >> q))
+                m |= (bit & 1) << t
+            masks[q][li] = m
+            packed[q][li] = (zb << q) | (xb << (q + n))
+    harmless = None
+    if mode == "degenerate":
+        passive = code.passive_gens()
+        if passive:
+            harmless = f2._echelon([g.packed() for g in passive], 2 * n)
+    for w in range(1, d):
+        for support in itertools.combinations(range(n), w):
+            for letters in itertools.product(range(3), repeat=w):
+                syndrome = 0
+                vec = 0
+                for q, li in zip(support, letters):
+                    syndrome ^= masks[q][li]
+                    vec ^= packed[q][li]
+                if syndrome:
+                    continue
+                if harmless is not None and f2._reduce(vec, *harmless) == 0:
+                    continue
+                return PauliVec.from_packed(vec, n)
+    return None
+
+
+def _random_code(rng, kind, n, rows, degenerate_columns):
+    """A small random code: CSS from a binary check, from a quaternary
+    check, or straight from random (z|x) rows.  ``degenerate_columns``
+    copies one column onto another and clears a third, so that two
+    qubits share their syndrome masks and one has none."""
+    if kind == "symplectic":
+        return build_from_sp(random_bitmatrix(rng, rows, 2 * n))
+    grid = rng.integers(0, 2 if kind == "binary" else 4, size=(rows, n))
+    if degenerate_columns:
+        a, b, c = rng.choice(n, size=3, replace=False)
+        grid[:, b] = grid[:, a]
+        grid[:, c] = 0
+    if kind == "binary":
+        return build_eaqecc_binary(BitMatrix.from_rows(grid))
+    return build_eaqecc_gf4(F4Matrix.from_rows(grid))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    kind=st.sampled_from(("binary", "gf4", "symplectic")),
+    n=st.integers(3, 9),
+    rows=st.integers(1, 4),
+    degenerate_columns=st.booleans(),
+    variant=st.sampled_from(("plain", "gauge", "ungauge")),
+    d=st.integers(1, 5),
+    mode=st.sampled_from(("strict", "degenerate")),
+)
+def test_violator_matches_enumeration(seed, kind, n, rows, degenerate_columns,
+                                      variant, d, mode):
+    rng = np.random.default_rng(seed)
+    code = _random_code(rng, kind, n, rows, degenerate_columns)
+    if variant != "plain" and code.c:
+        code = gauge_move(code, int(rng.integers(code.c)))
+        if variant == "ungauge":
+            code = ungauge(code)
+    assert find_distance_violator(code, d, mode) == _enumerating_violator(code, d, mode)
+
+
+def test_violator_of_code_without_generators():
+    bare = QuantumCode(n=3)
+    for mode in ("strict", "degenerate"):
+        assert find_distance_violator(bare, 1, mode) is None
+        assert str(find_distance_violator(bare, 2, mode)) == "XII"
+
+
+_MACKAY_D3 = "I" * 23 + "X" + "I" * 59 + "X" + "I" * 44
+
+#: first violators (None: the distance holds) of the criterion-3 checks
+#: and their one-higher neighbours, recorded from the enumerating search
+_PINNED_VIOLATORS = [
+    ("steane7", 3, "strict", None),
+    ("steane7", 4, "strict", "XXXIIII"),
+    ("shor9", 3, "degenerate", None),
+    ("shor9", 3, "strict", "ZZIIIIIII"),
+    ("ea8", 3, "degenerate", None),
+    ("ea8", 4, "degenerate", "XXXIIIII"),
+    ("eaoq8", 3, "degenerate", None),
+    ("eaoq8", 4, "degenerate", "XXXIIIII"),
+    ("q15", 4, "strict", None),
+    ("q15", 5, "strict", "XYZIIIZIIIIIIII"),
+    ("q15_traded", 3, "degenerate", None),
+    ("q15_traded", 4, "degenerate", "XYIIIYIIIIIIIII"),
+    ("fivequbit", 3, "strict", None),
+    ("fivequbit", 4, "strict", "XYXII"),
+    ("mackay", 3, "strict", _MACKAY_D3),
+    ("mackay", 3, "degenerate", _MACKAY_D3),
+]
+
+
+def _named_code(name):
+    if name == "q15_traded":
+        return q15_traded()
+    if name == "mackay":
+        return build_eaqecc_binary(qc_ldpc.make_ex_mackay(), name=name)
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name,d,mode,expected", _PINNED_VIOLATORS)
+def test_pinned_violators(name, d, mode, expected):
+    got = find_distance_violator(_named_code(name), d, mode)
+    assert (None if got is None else str(got)) == expected
+
+
+@pytest.mark.parametrize("name,d,mode", [("bch63", 4, "degenerate"), ("q15", 5, "strict"),
+                                         ("ea8", 4, "strict")])
+def test_violator_matches_enumeration_on_builtins(name, d, mode):
+    code = _named_code(name)
+    assert find_distance_violator(code, d, mode) == _enumerating_violator(code, d, mode)
+
+
+@pytest.mark.parametrize("name,d", [("steane7", 4), ("q15", 4), ("bch63", 3), ("bch63", 4)])
+def test_budget_boundary(name, d):
+    code = builtin(name)
+    total = sum(math.comb(code.n, w) * 3 ** w for w in range(1, d))
+    for mode in ("strict", "degenerate"):
+        with pytest.raises(VerificationBudgetError, match=rf"needs {total} candidates "
+                                                          rf"\(> budget {total - 1}\)"):
+            find_distance_violator(code, d, mode, budget=total - 1)
+        find_distance_violator(code, d, mode, budget=total)
+
+
+_BUILTIN_REPORTS = {
+    "shor9": ("[[9,1,3;0]]", True, True, None, 3),
+    "steane7": ("[[7,1,3;0]]", True, True, True, 3),
+    "ea8": ("[[8,1,3;1]]", False, True, None, 3),
+    "eaoq8": ("[[8,1,3;2,1]]", False, True, None, 3),
+    "bch63": ("[[63,21,9;6]]", False, True, None, None),
+    "q15": ("[[15,9,4;4]]", False, True, True, 4),
+    "fivequbit": ("[[5,1,3;0]]", True, True, True, 3),
+    "q15_traded": ("[[15,9,3;1,3]]", False, True, True, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_REPORTS))
+def test_builtin_reports_unchanged(name):
+    assert astuple(make_report(_named_code(name))) == _BUILTIN_REPORTS[name]

@@ -9,7 +9,7 @@ from stabkit import f2
 from stabkit.codes import hamming_matrix
 from stabkit.f2 import BitMatrix
 
-from util import random_bitmatrix
+from util import mutated_text, random_bitmatrix
 
 
 def test_rank_identity():
@@ -127,6 +127,12 @@ def test_dense_parse_errors():
         f2.parse_dense("1 3\n0a1")
 
 
+def test_dense_parse_rejects_nonpositive_header():
+    for text in ("0 3\n", "-2 3\n010\n011\n110\n", "2 0\n\n\n"):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            f2.parse_dense(text)
+
+
 def test_alist_round_trip():
     rng = np.random.default_rng(4)
     m = random_bitmatrix(rng, 5, 9, density=0.3)
@@ -191,6 +197,15 @@ def test_transpose_involution():
     assert m.transpose().transpose().bits == m.bits
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 20), st.integers(1, 20))
+def test_transpose_matches_array_transpose(seed, rows, cols):
+    m = random_bitmatrix(np.random.default_rng(seed), rows, cols)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert np.array_equal(t.to_array(), m.to_array().T)
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         BitMatrix(0, 3, ())
@@ -198,3 +213,21 @@ def test_matrix_validation():
         BitMatrix(1, 2, (0b111,))  # bit outside declared width
     with pytest.raises(ValueError):
         f2.mat_mul(BitMatrix.identity(3), BitMatrix.identity(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(f2.format_dense(hamming_matrix())))
+def test_parse_dense_fuzz_raises_only_value_error(text):
+    try:
+        f2.parse_dense(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(f2.format_alist(hamming_matrix())))
+def test_parse_alist_fuzz_raises_only_value_error(text):
+    try:
+        f2.parse_alist(text)
+    except ValueError:
+        pass

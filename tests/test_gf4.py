@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stabkit import f2, gf4, sgs
 from stabkit.codes import css_sp_matrix, hamming_matrix, q15_matrix
@@ -18,6 +19,8 @@ from stabkit.gf4 import (
     trace_inner,
 )
 from stabkit.pauli import PauliVec, symplectic_product, weight
+
+from util import mutated_text
 
 
 def test_gamma_table():
@@ -115,3 +118,18 @@ def test_parse_rejects_bad_symbols():
         gf4.parse_f4("")
     with pytest.raises(ValueError):
         gf4.parse_f4("2 2\n0 1")
+
+
+def test_parse_rejects_nonpositive_header():
+    for text in ("0 2\n", "-2 2\n1w\n01\n0W\n", "1 0\n\n"):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            gf4.parse_f4(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(gf4.format_f4(F4Matrix.from_rows([[1, 0, F4_W, F4_WBAR], [0, F4_W, 1, 1]]))))
+def test_parse_f4_fuzz_raises_only_value_error(text):
+    try:
+        gf4.parse_f4(text)
+    except ValueError:
+        pass

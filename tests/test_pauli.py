@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import pauli
+from stabkit import codes, pauli
 from stabkit.pauli import (
     PauliVec,
     format_pauli,
@@ -15,6 +15,8 @@ from stabkit.pauli import (
     symplectic_product,
     weight,
 )
+
+from util import mutated_text
 
 _pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=24)
 
@@ -129,3 +131,13 @@ def test_stabilizer_table_skips_comments():
 def test_packed_round_trip():
     u = parse_pauli("IXYZVW".replace("V", "X").replace("W", "Z"))
     assert PauliVec.from_packed(u.packed(), u.n) == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text("# ea8\n" + codes.to_stabilizer_table(codes.builtin("ea8"))))
+def test_stabilizer_table_fuzz_raises_only_value_error(text):
+    try:
+        load_stabilizer_table(text)
+        codes.from_stabilizer_table(text)
+    except ValueError:
+        pass

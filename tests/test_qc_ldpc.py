@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stabkit import f2, qc_ldpc
 from stabkit.f2 import BitMatrix
@@ -34,7 +35,7 @@ from stabkit.qc_ldpc import (
     row_difference,
 )
 
-from util import random_bitmatrix, random_exponent_matrix
+from util import mutated_text, random_bitmatrix, random_exponent_matrix
 
 
 def _type_i_intro():
@@ -408,6 +409,30 @@ def test_exponent_parse_errors():
         parse_exponent("4 1 2\n0")
     with pytest.raises(ValueError):
         parse_exponent("4 1 2\n0 5")  # exponent out of range
+
+
+@pytest.mark.parametrize("text,what", [
+    ("3 0 3\n", "J"), ("3 -1 3\n0 1 2\n", "J"), ("3 -3 3\n0 1 2\n0 1 2\n0 1 2\n", "J"),
+    ("3 1 0\n0\n", "L"), ("3 1 -2\n0\n", "L"),
+])
+def test_exponent_parse_rejects_nonpositive_shape(text, what):
+    with pytest.raises(ValueError, match=rf"{what} must be positive"):
+        parse_exponent(text)
+
+
+def test_from_lists_rejects_empty_grid():
+    with pytest.raises(ValueError, match="no rows"):
+        ExponentMatrix.from_lists(3, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_text(format_exponent(ExponentMatrix.from_lists(
+    5, [[0, (1, 2), None], [3, 4, (0, 4)]]))))
+def test_parse_exponent_fuzz_raises_only_value_error(text):
+    try:
+        parse_exponent(text)
+    except ValueError:
+        pass
 
 
 def test_entry_validation():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+from hypothesis import strategies as st
 
 from stabkit.f2 import BitMatrix
 from stabkit.pauli import PauliVec
@@ -62,3 +65,27 @@ def random_tree_check_matrix(rng, n_bits, n_checks) -> BitMatrix:
     for c, b in edges:
         rows[c] |= 1 << b
     return BitMatrix(n_checks, n_bits, tuple(rows))
+
+
+#: tokens spliced into parser inputs: signs, zeros, huge and overlong
+#: integers, field and Pauli symbols, separators and control characters
+FUZZ_TOKENS = ("-1", "0", "1", "-", "+", "2+", "3+4", "w", "W", "X", "I", "|", "#",
+               str(2 ** 64), "9" * 5000, "1e3", "nan", " ", "\t", "\n", "\x00", "")
+
+
+@st.composite
+def mutated_text(draw, text: str):
+    """``text`` after 1-6 insertions, replacements and deletions of its
+    whitespace-delimited tokens; separators count as tokens too."""
+    parts = re.split(r"(\s+)", text)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("insert", "replace", "delete")))
+        i = draw(st.integers(0, max(len(parts) - 1, 0)))
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        if kind == "insert":
+            parts.insert(i, token)
+        elif kind == "replace" and parts:
+            parts[i] = token
+        elif parts:
+            del parts[i]
+    return "".join(parts)
