@@ -1,50 +1,26 @@
 #!/usr/bin/env python3
-"""Print analysis reports for every builtin code and the quasi-cyclic
-example families: parameters (computed next to claimed), bounds,
-verified distances, girths and ebit counts."""
+"""Print a report for every named code in ``codes.NAMED``: parameters
+(computed next to claimed), bounds, verified distances and generators,
+the girths of CSS codes' checks, and for the quasi-cyclic examples the
+rank of H H^T by elimination and by the polynomial route."""
 
 from stabkit import codes, f2, qc_ldpc
-from stabkit.codes import (
-    BUILTIN_CLAIMS,
-    BUILTIN_NAMES,
-    build_eaqecc_binary,
-    builtin,
-    format_report,
-    q15_traded,
-)
 
 
 def main():
-    for name in BUILTIN_NAMES:
+    for name, entry in codes.NAMED.items():
+        code = entry.build()
         print(f"==== {name} ====")
-        print(format_report(builtin(name), claimed=BUILTIN_CLAIMS.get(name)))
-
-    print("==== q15_traded (searched gauge trade of q15) ====")
-    print(format_report(q15_traded()))
-
-    for name, e in (("ex1", qc_ldpc.make_ex1()), ("ex2", qc_ldpc.make_ex2())):
-        h = qc_ldpc.expand(e)
-        code = build_eaqecc_binary(h, name=name)
-        hhT = f2.mat_mul(h, h.transpose())
-        print(f"==== {name} ====")
-        print(f"computed: {code.params}   claimed: [[128,48,6;18]]")
-        print(f"girth: {qc_ldpc.girth_exact(h)}  "
-              f"ebits: {f2.rank(hhT)} (polynomial route {qc_ldpc.hermitian_rank_poly(e)}, "
-              f"total gcd degree {qc_ldpc.hermitian_corank_poly(e)})")
+        print(codes.format_report(code), end="")
+        if code.css:
+            print(f"girth(Hz): {qc_ldpc.girth_exact(code.css.hz)}  "
+                  f"girth(Hx): {qc_ldpc.girth_exact(code.css.hx)}")
+        for label, e in entry.exponents() if entry.exponents else ():
+            h = qc_ldpc.expand(e)
+            print(f"{label}: rank(H H^T) {f2.rank(f2.mat_mul(h, h.transpose()))} "
+                  f"(polynomial route {qc_ldpc.hermitian_rank_poly(e)}, "
+                  f"total gcd degree {qc_ldpc.hermitian_corank_poly(e)})")
         print()
-
-    hc, hd = qc_ldpc.make_ex_hi()
-    a, b = qc_ldpc.expand(hc), qc_ldpc.expand(hd)
-    k = 120 - f2.rank(a) - f2.rank(b)
-    print("==== ex-HI ====")
-    print(f"computed: [[120,{k}]]   claimed: [[120,38,4]]")
-    print(f"girth(H_C): {qc_ldpc.girth_exact(a)}  girth(H_D): {qc_ldpc.girth_exact(b)}")
-
-    h = qc_ldpc.make_ex_mackay()
-    code = build_eaqecc_binary(h, name="mackay")
-    print("==== ex-MacKay ====")
-    print(f"computed: {code.params}")
-    print(f"girth: {qc_ldpc.girth_exact(h)} (4-cycles by construction)")
 
 
 if __name__ == "__main__":

@@ -1,28 +1,21 @@
 #!/usr/bin/env python3
-"""Sweep the three quasi-cyclic LDPC example codes over a depolarizing
-probability grid and print one CSV block per code.
+"""Sweep named codes (by default the three quasi-cyclic LDPC examples)
+over a depolarizing probability grid and print one CSV block per code.
 
 The two entanglement-assisted examples (ex1, ex2) have 4-cycle-free
 Tanner graphs; the dual-containing ex-MacKay construction does not, and
 its sum-product decoding suffers accordingly.  This script reproduces
 that ordering.
+
+Every code is the one ``codes.NAMED`` builds (ex-MacKay from seed 0, as
+in ``simulate --code mackay``); ``--seed`` seeds only the trials.
 """
 
 import argparse
 import sys
 import time
 
-from stabkit import codes, qc_ldpc, sim
-
-
-def build(name: str, seed: int):
-    if name == "ex1":
-        return codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex1()), name=name)
-    if name == "ex2":
-        return codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()), name=name)
-    if name == "mackay":
-        return codes.build_eaqecc_binary(qc_ldpc.make_ex_mackay(seed=seed), name=name)
-    raise SystemExit(f"unknown code {name}")
+from stabkit import codes, sim
 
 
 def main():
@@ -37,16 +30,26 @@ def main():
     ap.add_argument("--codes", default="ex1,ex2,mackay")
     args = ap.parse_args()
 
-    grid = tuple(float(t) for t in args.p.split(",") if t)
-    for name in args.codes.split(","):
-        code = build(name.strip(), args.seed)
-        cfg = sim.SimConfig(
-            code=code, p_grid=grid, trials=args.trials, seed=args.seed,
-            max_iter=args.max_iter, success_mode=args.mode, workers=args.workers,
-        )
+    try:
+        grid = tuple(float(t) for t in args.p.split(",") if t)
+    except ValueError:
+        ap.error(f"bad probability list {args.p!r}")
+    configs = []
+    for name in (t.strip() for t in args.codes.split(",")):
+        if name not in codes.NAMED:
+            ap.error(f"unknown code {name!r}; choose from {', '.join(codes.NAMED)}")
+        try:
+            configs.append((name, sim.SimConfig(
+                code=codes.NAMED[name].build(), p_grid=grid, trials=args.trials,
+                seed=args.seed, max_iter=args.max_iter, success_mode=args.mode,
+                workers=args.workers,
+            )))
+        except ValueError as exc:
+            ap.error(f"{name}: {exc}")
+    for name, cfg in configs:
         t0 = time.time()
         result = sim.sweep(cfg)
-        print(f"# {name}: {code.params}  ({time.time() - t0:.1f}s, "
+        print(f"# {name}: {cfg.code.params}  ({time.time() - t0:.1f}s, "
               f"mode={args.mode}, seed={args.seed})")
         sys.stdout.write(result.to_csv())
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import codes, f2, gf4, qc_ldpc, sgs, sim
 from .codes import (
-    BUILTIN_NAMES,
+    NAMED,
     VerificationBudgetError,
     build_eaqecc_binary,
     build_eaqecc_gf4,
@@ -26,13 +27,10 @@ from .codes import (
 from .f2 import BitMatrix
 from .pauli import PauliVec, format_pauli, weight
 
-_EXAMPLE_NAMES = ("ex1", "ex2", "mackay", "hi")
-
-_EXAMPLE_CLAIMS = {
-    "ex1": "[[128,48,6;18]]",
-    "ex2": "[[128,48,6;18]]",
-    "hi": "[[120,38,4]]",
-}
+#: ``qcldpc --example`` choices: the quasi-cyclic named codes, plus
+#: ``mackay``, which ``--n/--m/--L/--seed`` parameterise
+_QCLDPC_EXAMPLES = tuple(name for name, entry in NAMED.items()
+                         if entry.exponents or name == "mackay")
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -49,44 +47,14 @@ def _read_text(path: str) -> str:
 
 def _load_matrix_gf2(path: str) -> BitMatrix:
     text = _read_text(path)
-    head = text.lstrip().splitlines()[0].split() if text.strip() else []
-    # alist starts "N M" followed by a weights line; dense rows are 0/1 strings
-    try:
-        return f2.parse_dense(text)
-    except ValueError:
-        if len(head) == 2:
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    # an alist's second line holds two integers (its largest column and
+    # row weights); a dense row is COLS 0/1 digits, perhaps spaced
+    if len(lines) > 1 and len(lines[1]) == 2:
+        row = "".join(lines[1])
+        if set(row) - {"0", "1"} or lines[0][-1] != str(len(row)):
             return f2.parse_alist(text)
-        raise
-
-
-def _qc_css_code(hc, hd) -> codes.QuantumCode:
-    """CSS code from a pair of classical checks (Z side, X side)."""
-    hc_x = qc_ldpc.expand(hc)
-    hd_x = qc_ldpc.expand(hd)
-    n = hc_x.cols
-    rows = [hc_x.row(i) for i in range(hc_x.rows)]
-    rows += [hd_x.row(i) << n for i in range(hd_x.rows)]
-    hsp = BitMatrix(len(rows), 2 * n, tuple(rows))
-    return codes.build_from_sp(hsp, css=codes.CssPair(hz=hc_x, hx=hd_x))
-
-
-def _resolve_code(spec: str, field: str) -> tuple[codes.QuantumCode, str | None]:
-    if spec in BUILTIN_NAMES:
-        return builtin(spec), codes.BUILTIN_CLAIMS.get(spec)
-    if spec in _EXAMPLE_NAMES:
-        claim = _EXAMPLE_CLAIMS.get(spec)
-        if spec == "ex1":
-            h = qc_ldpc.expand(qc_ldpc.make_ex1())
-        elif spec == "ex2":
-            h = qc_ldpc.expand(qc_ldpc.make_ex2())
-        elif spec == "mackay":
-            h = qc_ldpc.make_ex_mackay()
-        else:
-            return _qc_css_code(*qc_ldpc.make_ex_hi()), claim
-        return build_eaqecc_binary(h, name=spec), claim
-    if field == "gf4":
-        return build_eaqecc_gf4(gf4.parse_f4(_read_text(spec))), None
-    return build_eaqecc_binary(_load_matrix_gf2(spec)), None
+    return f2.parse_dense(text)
 
 
 def _cmd_construct(args) -> int:
@@ -98,14 +66,7 @@ def _cmd_construct(args) -> int:
         h = _load_matrix_gf2(args.input)
         code = build_eaqecc_binary(h, d_claimed=args.claimed_d)
         hsp = css_sp_matrix(h)
-    report = make_report(code)
-    report = codes.CodeReport(
-        params=report.params,
-        dual_containing=is_dual_containing(hsp),
-        singleton_ok=report.singleton_ok,
-        hamming_ok=report.hamming_ok,
-        verified_d=report.verified_d,
-    )
+    report = replace(make_report(code), dual_containing=is_dual_containing(hsp))
     sys.stdout.write(format_report(code, report))
     return 0
 
@@ -138,13 +99,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _qcldpc_exponents(args):
-    if args.example == "ex1":
-        return [("ex1", qc_ldpc.make_ex1())]
-    if args.example == "ex2":
-        return [("ex2", qc_ldpc.make_ex2())]
-    if args.example == "hi":
-        hc, hd = qc_ldpc.make_ex_hi()
-        return [("hi_C", hc), ("hi_D", hd)]
+    if args.example:
+        return NAMED[args.example].exponents()
     if args.exponent:
         e = qc_ldpc.parse_exponent(_read_text(args.exponent))
         if args.r and args.r != e.r:
@@ -194,22 +150,21 @@ def _cmd_qcldpc(args) -> int:
         print(f"rank(H H^T): {c_bits} (polynomial pipeline: {c_poly}, "
               f"bound: {qc_ldpc.rank_bound(e)})")
 
-    if args.example in ("ex1", "ex2"):
-        code = build_eaqecc_binary(qc_ldpc.expand(named[0][1]), name=args.example)
-        print(f"computed: {code.params}")
-        print(f"claimed:  {_EXAMPLE_CLAIMS[args.example]}")
-    elif args.example == "hi":
-        code = _qc_css_code(named[0][1], named[1][1])
-        print(f"computed: {code.params}")
-        print(f"claimed:  {_EXAMPLE_CLAIMS['hi']}")
-    else:
-        code = build_eaqecc_binary(qc_ldpc.expand(named[0][1]))
-        print(f"computed: {code.params}")
+    entry = NAMED.get(args.example)
+    code = entry.build() if entry else build_eaqecc_binary(qc_ldpc.expand(named[0][1]))
+    print(f"computed: {code.params}")
+    if entry and entry.claimed:
+        print(f"claimed:  {entry.claimed}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    code, _ = _resolve_code(args.code, args.field)
+    if args.code in NAMED:
+        code = builtin(args.code)
+    elif args.field == "gf4":
+        code = build_eaqecc_gf4(gf4.parse_f4(_read_text(args.code)))
+    else:
+        code = build_eaqecc_binary(_load_matrix_gf2(args.code))
     try:
         p_grid = tuple(float(t) for t in args.p.split(",") if t != "")
     except ValueError as exc:
@@ -228,8 +183,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_builtin(args) -> int:
-    code = builtin(args.name)
-    sys.stdout.write(format_report(code, claimed=codes.BUILTIN_CLAIMS.get(args.name)))
+    sys.stdout.write(format_report(builtin(args.name)))
     return 0
 
 
@@ -266,7 +220,7 @@ def _build_parser() -> _CliParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("qcldpc", help="quasi-cyclic LDPC families")
-    p.add_argument("--example", choices=_EXAMPLE_NAMES, default=None)
+    p.add_argument("--example", choices=_QCLDPC_EXAMPLES, default=None)
     p.add_argument("--exponent", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--emit", choices=("matrix", "report"), default="report")
@@ -289,7 +243,7 @@ def _build_parser() -> _CliParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("builtin", help="report on a named example code")
-    p.add_argument("name", choices=BUILTIN_NAMES)
+    p.add_argument("name", choices=tuple(NAMED))
     p.set_defaults(func=_cmd_builtin)
 
     p = sub.add_parser("sgs", help="symplectic Gram-Schmidt on a (z|x) matrix file")

@@ -11,15 +11,19 @@ Codes are built from classical binary or quaternary parity checks by
 expanding to a binary symplectic matrix and running the symplectic
 Gram-Schmidt decomposition; the pair count of the decomposition is the
 ebit cost.
+
+:data:`NAMED` holds the paper's named codes, each with its builder and
+claimed parameters.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
-from . import f2, gf4, sgs
+from . import f2, gf4, qc_ldpc, sgs
 from .f2 import BitMatrix
 from .gf4 import F4Matrix
 from .pauli import (
@@ -51,6 +55,8 @@ __all__ = [
     "ungauge",
     "builtin",
     "BUILTIN_NAMES",
+    "NAMED",
+    "NamedCode",
     "make_report",
     "format_report",
 ]
@@ -183,12 +189,14 @@ class QuantumCode:
 # -- constructions --------------------------------------------------------
 
 
-def css_sp_matrix(h: BitMatrix) -> BitMatrix:
-    """Block-diagonal (z|x) matrix [h 0; 0 h] of a binary parity check."""
-    m, n = h.rows, h.cols
-    rows = [h.row(i) for i in range(m)]                 # Z-type: (h_i | 0)
-    rows += [h.row(i) << n for i in range(m)]           # X-type: (0 | h_i)
-    return BitMatrix(2 * m, 2 * n, tuple(rows))
+def css_sp_matrix(hz: BitMatrix, hx: BitMatrix | None = None) -> BitMatrix:
+    """Block-diagonal (z|x) matrix [hz 0; 0 hx] of a CSS pair of binary
+    parity checks; ``hx`` defaults to ``hz``."""
+    hx = hz if hx is None else hx
+    n = hz.cols
+    rows = [hz.row(i) for i in range(hz.rows)]          # Z-type: (hz_i | 0)
+    rows += [hx.row(i) << n for i in range(hx.rows)]    # X-type: (0 | hx_i)
+    return BitMatrix(len(rows), 2 * n, tuple(rows))
 
 
 def build_from_sp(
@@ -484,7 +492,7 @@ def ungauge(code: QuantumCode) -> QuantumCode:
     return replace(code, gens_i=new_iso, gens_g=())
 
 
-# -- builtin codes --------------------------------------------------------
+# -- named codes ----------------------------------------------------------
 
 _SHOR_TABLE = """
 ZZIIIIIII
@@ -517,10 +525,9 @@ _EA8_PAIR = ("IIIIIIIZ", "XXXIIIXX")
 _EA8_LOGICALS = ("ZIIZIIIZ", "IIIXXXII")
 
 _EAOQ8_ISO = ["ZZIZZIII", "ZIZZIZII", "IIIIIIZZ", "XXXXXXII"]
-_EAOQ8_PAIR = ("IIIIIIIZ", "XXXIIIXX")
 _EAOQ8_GAUGE = (("ZZIIIIII", "IXIIXIII"), ("IIIZIZII", "IIXIIXII"))
 
-_FIVEQUBIT_GENS = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+_FIVEQUBIT_TABLE = "XZZXI IXZZX XIXZZ ZXIXZ"
 
 # [15,10,4] quaternary parity check; W denotes the conjugate w^2
 _Q15_H4 = """5 15
@@ -542,21 +549,6 @@ _Q15_TRADED_E = (
 )
 _Q15_TRADED_G = (("IZIYXXXIYYIXXXY", "ZXYXIXYXZYIXIIX"),)
 _Q15_TRADED_I = ("ZZYIZYXXYZIYZZI", "XXZIXZYYZXIZXXI")
-
-BUILTIN_NAMES = ("shor9", "steane7", "ea8", "eaoq8", "bch63", "q15", "fivequbit")
-
-#: parameters reported in the source tables for each builtin, for
-#: claimed-vs-computed comparison in reports
-BUILTIN_CLAIMS = {
-    "shor9": "[[9,1,3;0]]",
-    "steane7": "[[7,1,3;0]]",
-    "ea8": "[[8,1,3;1]]",
-    "eaoq8": "[[8,1,3;2,1]]",
-    "bch63": "[[63,21,9;6]]",
-    "q15": "[[15,9,4;4]]",
-    "fivequbit": "[[5,1,3;0]]",
-}
-
 
 def hamming_matrix() -> BitMatrix:
     """Parity check of the dual-containing [7,4,3] Hamming code."""
@@ -654,39 +646,94 @@ def q15_traded() -> QuantumCode:
     )
 
 
+def _ea8_code(iso, gauge, name: str) -> QuantumCode:
+    """The eight-qubit one-ebit code, or with gauge pairs a regrouping of it."""
+    gens_i = tuple(parse_pauli(s) for s in iso)
+    pair = tuple(parse_pauli(s) for s in _EA8_PAIR)
+    return QuantumCode(n=8, gens_i=gens_i, gens_e=(pair,),
+                       gens_g=tuple((parse_pauli(a), parse_pauli(b)) for a, b in gauge),
+                       d_claimed=3, logicals=(tuple(parse_pauli(s) for s in _EA8_LOGICALS),),
+                       css=_pure_type_css(gens_i + pair), name=name)
+
+
+def _ex_hi() -> QuantumCode:
+    """CSS code of the ex-HI pair: H_C checks on the Z side, H_D on the X side."""
+    hz, hx = (qc_ldpc.expand(e) for e in qc_ldpc.make_ex_hi())
+    return build_from_sp(css_sp_matrix(hz, hx), css=CssPair(hz=hz, hx=hx), name="hi")
+
+
+@dataclass(frozen=True)
+class NamedCode:
+    """One of the paper's named codes.
+
+    ``build`` constructs it, ``claimed`` is the parameter string the
+    paper gives for it (None when it gives none) and, for quasi-cyclic
+    codes, ``exponents`` returns the labelled exponent matrices that the
+    ``qcldpc`` report analyses.
+    """
+
+    build: Callable[[], QuantumCode]
+    claimed: str | None
+    exponents: Callable[[], list[tuple[str, qc_ldpc.ExponentMatrix]]] | None = None
+
+
+#: every named code in report order, keyed by the name its builder gives
+#: it.  Builders look the public construction functions up when they run
+#: and build nothing at import.
+NAMED: dict[str, NamedCode] = {
+    "shor9": NamedCode(
+        lambda: _table_code(_SHOR_TABLE, ("ZZZZZZZZZ", "XXXXXXXXX"), 3, "shor9"),
+        "[[9,1,3;0]]",
+    ),
+    "steane7": NamedCode(
+        lambda: _table_code(_STEANE_TABLE, ("ZZZZZZZ", "XXXXXXX"), 3, "steane7"),
+        "[[7,1,3;0]]",
+    ),
+    "ea8": NamedCode(lambda: _ea8_code(_EA8_ISO, (), "ea8"), "[[8,1,3;1]]"),
+    "eaoq8": NamedCode(lambda: _ea8_code(_EAOQ8_ISO, _EAOQ8_GAUGE, "eaoq8"), "[[8,1,3;2,1]]"),
+    "bch63": NamedCode(
+        lambda: build_eaqecc_binary(bch63_matrix(), d_claimed=9, name="bch63"),
+        "[[63,21,9;6]]",
+    ),
+    "q15": NamedCode(
+        lambda: build_eaqecc_gf4(q15_matrix(), d_claimed=4, name="q15"),
+        "[[15,9,4;4]]",
+    ),
+    "fivequbit": NamedCode(
+        lambda: _table_code(_FIVEQUBIT_TABLE, ("ZZZZZ", "XXXXX"), 3, "fivequbit"),
+        "[[5,1,3;0]]",
+    ),
+    "q15_traded": NamedCode(lambda: q15_traded(), None),
+    "ex1": NamedCode(
+        lambda: build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex1()), name="ex1"),
+        "[[128,48,6;18]]",
+        lambda: [("ex1", qc_ldpc.make_ex1())],
+    ),
+    "ex2": NamedCode(
+        lambda: build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()), name="ex2"),
+        "[[128,48,6;18]]",
+        lambda: [("ex2", qc_ldpc.make_ex2())],
+    ),
+    "mackay": NamedCode(
+        lambda: build_eaqecc_binary(qc_ldpc.make_ex_mackay(seed=0), name="mackay"),
+        None,
+    ),
+    "hi": NamedCode(
+        _ex_hi,
+        "[[120,38,4]]",
+        lambda: list(zip(("hi_C", "hi_D"), qc_ldpc.make_ex_hi())),
+    ),
+}
+
+#: the seven codes of the paper's tables
+BUILTIN_NAMES = tuple(NAMED)[:7]
+
+
 def builtin(name: str) -> QuantumCode:
-    """Construct one of the named example codes."""
-    if name == "shor9":
-        return _table_code(_SHOR_TABLE, ("ZZZZZZZZZ", "XXXXXXXXX"), 3, name)
-    if name == "steane7":
-        return _table_code(_STEANE_TABLE, ("ZZZZZZZ", "XXXXXXX"), 3, name)
-    if name == "ea8":
-        iso = tuple(parse_pauli(s) for s in _EA8_ISO)
-        pair = (parse_pauli(_EA8_PAIR[0]), parse_pauli(_EA8_PAIR[1]))
-        logs = ((parse_pauli(_EA8_LOGICALS[0]), parse_pauli(_EA8_LOGICALS[1])),)
-        gens = list(iso) + [pair[0], pair[1]]
-        return QuantumCode(n=8, gens_i=iso, gens_e=(pair,), d_claimed=3,
-                           logicals=logs, css=_pure_type_css(gens), name=name)
-    if name == "eaoq8":
-        iso = tuple(parse_pauli(s) for s in _EAOQ8_ISO)
-        pair = (parse_pauli(_EAOQ8_PAIR[0]), parse_pauli(_EAOQ8_PAIR[1]))
-        gauge = tuple(
-            (parse_pauli(a), parse_pauli(b)) for a, b in _EAOQ8_GAUGE
-        )
-        logs = ((parse_pauli(_EA8_LOGICALS[0]), parse_pauli(_EA8_LOGICALS[1])),)
-        measured = list(iso) + [pair[0], pair[1]]
-        return QuantumCode(n=8, gens_i=iso, gens_e=(pair,), gens_g=gauge,
-                           d_claimed=3, logicals=logs,
-                           css=_pure_type_css(measured), name=name)
-    if name == "bch63":
-        return build_eaqecc_binary(bch63_matrix(), d_claimed=9, name=name)
-    if name == "q15":
-        return build_eaqecc_gf4(q15_matrix(), d_claimed=4, name=name)
-    if name == "fivequbit":
-        gens = tuple(parse_pauli(s) for s in _FIVEQUBIT_GENS)
-        logs = ((parse_pauli("ZZZZZ"), parse_pauli("XXXXX")),)
-        return QuantumCode(n=5, gens_i=gens, d_claimed=3, logicals=logs, name=name)
-    raise KeyError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    """Construct the named code ``name``, a key of :data:`NAMED`."""
+    if name not in NAMED:
+        raise KeyError(f"unknown builtin {name!r}; choose from {tuple(NAMED)}")
+    return NAMED[name].build()
 
 
 # -- reports --------------------------------------------------------------
@@ -695,6 +742,8 @@ def builtin(name: str) -> QuantumCode:
 @dataclass(frozen=True)
 class CodeReport:
     params: str
+    #: every generator commutes with every other, as
+    #: :func:`is_dual_containing` checks on the (z|x) generator matrix
     dual_containing: bool
     singleton_ok: bool
     hamming_ok: bool | None
@@ -734,8 +783,7 @@ def make_report(code: QuantumCode, budget: int = 10 ** 6) -> CodeReport:
     )
 
 
-def format_report(code: QuantumCode, report: CodeReport | None = None,
-                  claimed: str | None = None) -> str:
+def format_report(code: QuantumCode, report: CodeReport | None = None) -> str:
     """Text report: parameter line, checks, generator table.
 
     Entanglement pairs are shown with their receiver-side extension
@@ -744,8 +792,7 @@ def format_report(code: QuantumCode, report: CodeReport | None = None,
     """
     if report is None:
         report = make_report(code)
-    if claimed is None and code.name:
-        claimed = BUILTIN_CLAIMS.get(code.name)
+    claimed = NAMED[code.name].claimed if code.name in NAMED else None
     lines = [f"computed: {report.params}"]
     if claimed:
         lines.append(f"claimed:  {claimed}")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stdout
 
@@ -226,6 +227,36 @@ def test_contradicting_alist_exit_code(tmp_path, capsys):
     assert "disagrees with the column lists" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2 3\n010\n", "expected 2 matrix rows, found 1"),
+    ("2 3\n010\n01\n", "bad dense row: '01'"),
+])
+def test_malformed_dense_reports_dense_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "short.txt"
+    bad.write_text(text)
+    rc, out = run_cli("construct", "--input", str(bad))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in out + err
+    assert message in err
+    assert "alist" not in err
+
+
+@pytest.mark.parametrize("command, spaced, compact", [
+    ("construct", "2 2\n1 0\n0 1\n", "2 2\n10\n01\n"),
+    ("sgs", "1 2\n1 0\n", "1 2\n10\n"),
+])
+def test_dense_rows_may_be_spaced(tmp_path, command, spaced, compact):
+    outs = []
+    for text in (spaced, compact):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        rc, out = run_cli(command, "--input", str(path))
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_simulate_rejects_nonpositive_workers(workers, capsys):
     rc, out = run_cli("simulate", "--code", "steane7", "--p", "0.01", "--trials", "10",
@@ -273,3 +304,52 @@ def test_qcldpc_nonpositive_exponent_header_exit_code(tmp_path, header, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in out + err
     assert "must be positive" in err
+
+
+#: sha256 of the full stdout of report commands, recorded before the named
+#: codes moved into one registry in ``codes``
+PINNED_REPORTS = {
+    "builtin shor9": "a89e21dc2e409c05a437b490e58aeec2a3626322543d558e7ac9470b32c84378",
+    "builtin steane7": "13b9430ca63abe19c045d83fb4c433fddc967ecc0dce36c45d8b21f45701cf08",
+    "builtin ea8": "8b6f844700871fed6c4d0db596ab81d7e4e5ce4518b4fcfc1b016e8dd47efaa2",
+    "builtin eaoq8": "8b026057017b3facc3b3f1905e401b5baae5ebc4cba0005fad39b4ac65fe30d0",
+    "builtin bch63": "ba8f75d73b219489095f42520f7aaced979fe19265b71ffb34d7d4c78664d975",
+    "builtin q15": "18e8f5e45820b098f3616d2825dc57a819d6032ace0bafe67b7a7511f3e1424f",
+    "builtin fivequbit": "1dcb810c8a9536cdcf171f603f9063732983f9ba846d996df826aff448effb2d",
+    "qcldpc --example ex1": "563a4526d16705da5eadc1983e77861a47fe3d60333d334416e25f7c092a290c",
+    "qcldpc --example ex2": "7319cad1bcca0f8255c66890c8e396e085655aff9e8d0946ba1a8789d0ba8acd",
+    "qcldpc --example hi": "307f267a517509944799a31868a4d1d67de9e5d76f8b8251c5732cbcd97e47c9",
+    "qcldpc --example mackay": "3389e84a6e674c829e2a049cc2c094a8bad2ab2c40252d017a5bf1b87f749b18",
+    "qcldpc --example mackay --emit matrix --format alist --seed 3":
+        "423e6165f9c89090d22fb0c091a7f752932c81dee51da48ee743a126bc343582",
+}
+
+
+@pytest.mark.parametrize("command", PINNED_REPORTS)
+def test_report_output_pinned(command):
+    rc, out = run_cli(*command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[command]
+
+
+#: ``simulate --p 0.01,0.03 --trials 64 --seed 5`` CSVs, the same in both modes
+PINNED_SIMULATE = {
+    "ex1": "p,trials,block_errors,wer,ci_lo,ci_hi\n"
+           "0.01,64,0,0,0,0.05662405979\n"
+           "0.03,64,8,0.125,0.06472242663,0.2277456182\n",
+    "hi": "p,trials,block_errors,wer,ci_lo,ci_hi\n"
+          "0.01,64,0,0,0,0.05662405979\n"
+          "0.03,64,11,0.171875,0.09877742301,0.2821321162\n",
+    "steane7": "p,trials,block_errors,wer,ci_lo,ci_hi\n"
+               "0.01,64,1,0.015625,0.002763541923,0.083341016\n"
+               "0.03,64,4,0.0625,0.0245712014,0.1499748509\n",
+}
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+@pytest.mark.parametrize("name", PINNED_SIMULATE)
+def test_simulate_output_pinned(name, mode):
+    rc, out = run_cli("simulate", "--code", name, "--p", "0.01,0.03", "--trials", "64",
+                      "--seed", "5", "--mode", mode)
+    assert rc == 0
+    assert out == PINNED_SIMULATE[name]
