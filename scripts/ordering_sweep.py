@@ -26,7 +26,9 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--max-iter", type=int, default=100)
     ap.add_argument("--mode", choices=("strict", "degenerate"), default="degenerate")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="worker processes, at most min(workers, cores, trials); "
+                         "serial where fork is unavailable")
     ap.add_argument("--codes", default="ex1,ex2,mackay")
     args = ap.parse_args()
 

@@ -239,7 +239,9 @@ def _build_parser() -> _CliParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--mode", choices=("strict", "degenerate"), default="degenerate")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most min(workers, cores, trials); "
+                        "serial where fork is unavailable")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("builtin", help="report on a named example code")

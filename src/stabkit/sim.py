@@ -5,24 +5,34 @@ p/3), the syndrome is decoded CSS-split by two independent sum-product
 runs with marginal flip prior 2p/3 (an X flip arises from Pauli X or Y,
 a Z flip from Z or Y), and the residual is scored either strictly
 (must vanish) or degenerately (must lie in the span of the isotropic
-and gauge generators).
+and gauge generators).  Each block error is also classed as not
+converged (either half's decoder stopped at ``max_iter``) or converged
+to a wrong coset.
 
-Trials run in blocks of ``BLOCK`` = 32: the block's flips are stacked
-into uint8 [B, n] arrays, each CSS half gets its syndromes from one
-matrix product and its estimates from one ``decode_batch`` call, and
-residuals are packed into ints only for degenerate scoring.  Every
-trial still draws from its own generator seeded by the tuple
-(seed, p_index, trial), and batch rows decode independently, so results
-are bit-identical for any block split, worker count or execution order.
-With ``workers`` > 1 each of min(workers, cpu count, trials) threads,
-the calling one included, takes one contiguous span of the trials.
+Trials run in chunks of ``CHUNK`` = 4 kernel widths: the chunk's flips
+are stacked into uint8 [B, n] arrays, each CSS half gets its syndromes
+from one matrix product, and all syndromes of the chunk go to one
+``decode_batch`` call (2B rows when both halves share one check matrix,
+one call per half otherwise).  Residuals are packed into ints only for
+degenerate scoring.  Every trial still draws from its own generator
+seeded by the tuple (seed, p_index, trial), and batch rows decode
+independently, so results are bit-identical for any chunk split,
+worker count or execution order.
+
+With ``workers`` > 1, w = min(workers, cpu count, trials) processes
+each take one contiguous span of every point's trials: the calling
+process the first, and a pool of w - 1 processes forked once per
+``sweep`` or ``run_point`` call the others.  The children inherit the
+code and its decoder graphs through fork, so only the span bounds and
+the counts cross process boundaries.  Where the platform cannot fork,
+every run is serial.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +42,7 @@ from .f2 import _echelon
 from .pauli import PauliVec, symplectic_product
 # ``decode`` is re-exported: code that wraps or inspects ``sim.decode``
 # (the benchmark tracer) keeps working although trials use decode_batch
-from .spa import SpaGraph, decode, decode_batch  # noqa: F401
+from .spa import WIDTH, SpaGraph, decode, decode_batch  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -45,9 +55,14 @@ __all__ = [
     "wilson_interval",
 ]
 
-#: trials decoded together; a fixed block keeps peak memory flat in the
-#: trial count
-BLOCK = 32
+#: trials sampled and decoded together: a few kernel widths, so that
+#: peak memory stays flat in the trial count
+CHUNK = 4 * WIDTH
+
+
+def _check_p(p: float):
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"depolarizing probability {p} outside [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,9 @@ class SimConfig:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for p in self.p_grid:
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"depolarizing probability {p} outside [0, 1)")
+            _check_p(p)
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.success_mode not in ("strict", "degenerate"):
@@ -82,6 +98,10 @@ class SimPoint:
     wer: float
     ci_lo: float
     ci_hi: float
+    #: block errors where either CSS half's decoder did not converge
+    not_converged: int = 0
+    #: block errors where both halves converged, to a wrong coset
+    converged_wrong: int = 0
 
 
 @dataclass(frozen=True)
@@ -153,7 +173,10 @@ class _TrialRunner:
         code = config.code
         self.n = code.n
         self.graph_z = SpaGraph(code.css.hz)   # Z-type checks detect X errors
-        self.graph_x = SpaGraph(code.css.hx)   # X-type checks detect Z errors
+        # X-type checks detect Z errors; one graph serves both halves
+        # when they share a check matrix, as every build_eaqecc_binary
+        # code does
+        self.graph_x = self.graph_z if code.css.hx is code.css.hz else SpaGraph(code.css.hx)
         self.hz_arr = self.graph_z.arr
         self.hx_arr = self.graph_x.arr
         passive = code.passive_gens()
@@ -171,62 +194,105 @@ class _TrialRunner:
                 v ^= row
         return v == 0
 
-    def count_errors(self, p: float, p_idx: int, start: int, stop: int) -> int:
-        """Block errors among trials ``start .. stop-1``, decoded in
-        blocks of ``BLOCK``."""
+    def count_errors(self, p: float, p_idx: int, start: int, stop: int) -> tuple[int, int]:
+        """``(block errors, of which not converged)`` among trials
+        ``start .. stop-1``, decoded in chunks of ``CHUNK``."""
+        errors = not_converged = 0
         if p == 0.0:
-            return 0
-        return sum(self._block_errors(p, p_idx, a, min(a + BLOCK, stop))
-                   for a in range(start, stop, BLOCK))
+            return errors, not_converged
+        for a in range(start, stop, CHUNK):
+            e, nc = self._chunk_errors(p, p_idx, a, min(a + CHUNK, stop))
+            errors += e
+            not_converged += nc
+        return errors, not_converged
 
-    def _block_errors(self, p: float, p_idx: int, start: int, stop: int) -> int:
+    def _decode(self, sz: np.ndarray, sx: np.ndarray, f: float):
+        """Estimates and convergence flags of both CSS halves: one
+        ``decode_batch`` call on the stacked syndromes when the halves
+        share a graph, one call per half otherwise."""
+        max_iter = self.config.max_iter
+        if self.graph_x is self.graph_z:
+            est, conv, _ = decode_batch(self.graph_z, np.concatenate([sz, sx]), f, max_iter)
+            b = len(sz)
+            return est[:b], conv[:b], est[b:], conv[b:]
+        dx, cx, _ = decode_batch(self.graph_z, sz, f, max_iter)
+        dz, cz, _ = decode_batch(self.graph_x, sx, f, max_iter)
+        return dx, cx, dz, cz
+
+    def _chunk_errors(self, p: float, p_idx: int, start: int, stop: int) -> tuple[int, int]:
         cfg = self.config
-        u = np.stack([np.random.default_rng((cfg.seed, p_idx, t)).random(self.n)
-                      for t in range(start, stop)])
+        u = np.empty((stop - start, self.n))
+        for row, t in zip(u, range(start, stop)):
+            np.random.default_rng((cfg.seed, p_idx, t)).random(out=row)
         ex, ez = _flips(u, p)
-        f = 2.0 * p / 3.0
         sz = (ex @ self.hz_arr.T) & 1
         sx = (ez @ self.hx_arr.T) & 1
-        rx = ex ^ decode_batch(self.graph_z, sz, f, cfg.max_iter)[0]
-        rz = ez ^ decode_batch(self.graph_x, sx, f, cfg.max_iter)[0]
+        dx, cx, dz, cz = self._decode(sz, sx, 2.0 * p / 3.0)
+        rx = ex ^ dx
+        rz = ez ^ dz
         failed = rx.any(axis=1) | rz.any(axis=1)
-        if cfg.success_mode == "strict":
-            return int(failed.sum())
-        packed = np.packbits(np.concatenate([rz, rx], axis=1)[failed], axis=1,
-                             bitorder="little")
-        return sum(not self._residual_harmless(int.from_bytes(row.tobytes(), "little"))
-                   for row in packed)
+        if cfg.success_mode == "degenerate":
+            packed = np.packbits(np.concatenate([rz, rx], axis=1)[failed], axis=1,
+                                 bitorder="little")
+            failed[failed] = [not self._residual_harmless(int.from_bytes(row.tobytes(), "little"))
+                              for row in packed]
+        return int(failed.sum()), int((failed & ~(cx & cz)).sum())
+
+
+#: the runner of the sweep a forked worker process serves
+_worker_runner: _TrialRunner | None = None
+
+
+def _adopt(runner: _TrialRunner):
+    global _worker_runner
+    _worker_runner = runner
+
+
+def _worker_span(p: float, p_idx: int, start: int, stop: int) -> tuple[int, int]:
+    return _worker_runner.count_errors(p, p_idx, start, stop)
+
+
+def _simulate(config: SimConfig, grid) -> tuple[SimPoint, ...]:
+    """One ``SimPoint`` per ``(p_idx, p)`` of ``grid``.  With w =
+    min(workers, cpu count, trials) > 1 the trials of each point are cut
+    into w contiguous spans: the calling process runs the first, and a
+    pool of w - 1 forked processes, made once for the whole grid, the
+    others.  Where the platform cannot fork, w is 1."""
+    runner = _TrialRunner(config)
+    trials = config.trials
+    w = min(config.workers, os.cpu_count() or 1, trials)
+    if w > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            w = 1
+    cuts = [trials * i // w for i in range(w + 1)]
+    with ExitStack() as stack:
+        pool = None
+        if w > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(
+                w - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt, initargs=(runner,)))
+        points = []
+        for p_idx, p in grid:
+            rest = [pool.submit(_worker_span, p, p_idx, a, b)
+                    for a, b in zip(cuts[1:-1], cuts[2:])]
+            counts = [runner.count_errors(p, p_idx, 0, cuts[1])] + [f.result() for f in rest]
+            errors, not_converged = map(sum, zip(*counts))
+            lo, hi = wilson_interval(errors, trials)
+            points.append(SimPoint(p, trials, errors, errors / trials, lo, hi,
+                                   not_converged, errors - not_converged))
+    return tuple(points)
 
 
 def run_point(config: SimConfig, p: float, p_idx: int = 0) -> SimPoint:
     """Monte Carlo at a single depolarizing probability."""
-    runner = _TrialRunner(config)
-    errors = _count_errors(runner, p, p_idx)
-    lo, hi = wilson_interval(errors, config.trials)
-    return SimPoint(p, config.trials, errors, errors / config.trials, lo, hi)
-
-
-def _count_errors(runner: _TrialRunner, p: float, p_idx: int) -> int:
-    """Block errors over all trials.  With w = min(workers, cpu count,
-    trials) > 1 the trials are cut into w contiguous spans: the calling
-    thread runs the first and a pool of w - 1 threads the others."""
-    trials = runner.config.trials
-    w = min(runner.config.workers, os.cpu_count() or 1, trials)
-    if w == 1:
-        return runner.count_errors(p, p_idx, 0, trials)
-    cuts = [trials * i // w for i in range(w + 1)]
-    with ThreadPoolExecutor(max_workers=w - 1) as pool:
-        rest = [pool.submit(runner.count_errors, p, p_idx, a, b)
-                for a, b in zip(cuts[1:-1], cuts[2:])]
-        return runner.count_errors(p, p_idx, 0, cuts[1]) + sum(f.result() for f in rest)
+    _check_p(p)
+    return _simulate(config, [(p_idx, p)])[0]
 
 
 def sweep(config: SimConfig) -> SimResult:
     """run_point over the whole probability grid, in grid order."""
-    runner = _TrialRunner(config)
-    points = []
-    for p_idx, p in enumerate(config.p_grid):
-        errors = _count_errors(runner, p, p_idx)
-        lo, hi = wilson_interval(errors, config.trials)
-        points.append(SimPoint(p, config.trials, errors, errors / config.trials, lo, hi))
-    return SimResult(tuple(points))
+    return SimResult(_simulate(config, enumerate(config.p_grid)))

@@ -11,14 +11,15 @@ incoming edge, the probability that the other bits of a check have even
 parity is (1 + prod dq) / 2, which equals the configuration sum over
 satisfying assignments.
 
-There is one kernel and it works on a batch: ``decode_batch`` runs B
-independent syndromes side by side, with the messages of all B rows
-held edge-major (E Tanner-graph edges by B rows), and drops each row
-from the batch as soon as it converges.  The products over the edges
-of each check (or bit) run on a padded slot-major [d, groups, B]
-gather, one contiguous multiply per slot and always in slot order, so
-a row's arithmetic does not depend on the rest of its batch.
-``decode`` is the batch of one.
+There is one kernel and it works on a batch: ``decode_batch`` runs up
+to ``WIDTH`` independent syndromes side by side, with the messages of
+all rows held edge-major (E Tanner-graph edges by B rows).  A row
+leaves as soon as it converges or reaches ``max_iter``, and the next
+queued syndrome takes its slot, so the kernel stays wide however long
+single rows run.  The products over the edges of each check (or bit)
+run on a padded slot-major [d, groups, B] gather, one contiguous
+multiply per slot and always in slot order, so a row's arithmetic does
+not depend on the rest of its batch.  ``decode`` is the batch of one.
 
 ``exact_marginals`` is the brute-force oracle: true per-bit posteriors
 by enumerating every error pattern consistent with the syndrome.
@@ -36,6 +37,9 @@ __all__ = ["SpaGraph", "SpaWorkspace", "DecodeResult", "decode", "decode_batch",
            "exact_marginals"]
 
 _FLOOR = 1e-300
+#: most syndromes ``decode_batch`` iterates at once; the kernel peaks at
+#: about 22 KB per row on a graph of 384 edges
+WIDTH = 64
 _Q_SENTINEL = ((1.0,), (0.0,))    # q0, q1 of the sentinel edge: dq = 1
 
 
@@ -157,6 +161,16 @@ class SpaWorkspace:
     r0 = property(lambda self: self.r[0, :-1].T)
     r1 = property(lambda self: self.r[1, :-1].T)
 
+    def admit(self, slots: np.ndarray, syndromes: np.ndarray):
+        """Restart the batch rows ``slots`` on new syndromes (a [k, m]
+        array): their messages go back to the prior."""
+        syndromes = syndromes & 1
+        self.syndrome[slots] = syndromes
+        self.sign[:, slots] = 1.0 - 2.0 * syndromes.T
+        self.q[:, :-1, slots] = self.prior
+        self.r[:, :-1, slots] = 0.0
+        self._totals = None
+
     def keep(self, rows: np.ndarray):
         """Carry on with the batch rows selected by ``rows`` only."""
         self.syndrome = self.syndrome[rows]
@@ -172,12 +186,13 @@ class SpaWorkspace:
         self._totals = None
         loo, _ = _loo_prod((self.q[0] - self.q[1])[g.check_slots_t])
         loo *= self.sign
-        dr = loo.reshape(-1, loo.shape[-1])[g.check_pos]
         self.r = r = np.empty(self.q.shape)
         r[:, -1] = 1.0
         body = r[:, :-1]
+        dr = body[1]    # dr = prod dq over the other edges, then r1 in place
+        np.take(loo.reshape(-1, loo.shape[-1]), g.check_pos, axis=0, out=dr, mode="clip")
         np.add(1.0, dr, out=body[0])
-        np.subtract(1.0, dr, out=body[1])
+        np.subtract(1.0, dr, out=dr)
         body /= 2.0
         np.maximum(body, _FLOOR, out=body)
 
@@ -192,10 +207,12 @@ class SpaWorkspace:
         for t in (0, 1):
             loo, total = _loo_prod(self.r[t][g.bit_slots_t])
             np.take(loo.reshape(-1, loo.shape[-1]), g.bit_pos, axis=0, out=body[t], mode="clip")
+            del loo     # before the next gather: lowers the peak
             totals.append(total)
         self._totals = totals
         body *= self.prior
-        norm = np.maximum(body[0] + body[1], _FLOOR)
+        norm = body[0] + body[1]
+        np.maximum(norm, _FLOOR, out=norm)
         body /= norm
         np.maximum(body, _FLOOR, out=body)
 
@@ -240,11 +257,16 @@ def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip: float,
 
     Returns ``(estimates [B, n] uint8, converged [B] bool, iterations
     [B] int64)``.  A row stops at the first tentative estimate that
-    reproduces its syndrome and leaves the batch; the rows still left
-    after ``max_iter`` rounds keep their last estimate, unconverged.
-    When ``prior_flip < 1/2`` an all-zero syndrome never enters the
-    loop: every check message then favors 0, so the first round would
-    return the zero estimate anyway.
+    reproduces its syndrome; a row that has not after ``max_iter``
+    rounds keeps its last estimate, unconverged.  When ``prior_flip <
+    1/2`` an all-zero syndrome never enters the loop: every check
+    message then favors 0, so the first round would return the zero
+    estimate anyway.
+
+    The kernel iterates an active set of at most ``WIDTH`` rows.  Each
+    row counts its own rounds, and the slot of a row that stops is
+    refilled with the next queued syndrome, so the batch stays wide
+    until the queue runs out.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -252,35 +274,49 @@ def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip: float,
     syndromes = np.asarray(syndromes, dtype=np.uint8)
     if syndromes.ndim != 2:
         raise ValueError(f"syndromes must be a [B, m] array, got shape {syndromes.shape}")
-    ws = SpaWorkspace(graph, syndromes, prior_flip)
+    syndromes = syndromes & 1
     b = len(syndromes)
     estimates = np.zeros((b, graph.n), dtype=np.uint8)
     converged = np.zeros(b, dtype=bool)
     iterations = np.full(b, max_iter, dtype=np.int64)
-    active = np.arange(b)
+    queue = np.arange(b)
     if prior_flip < 0.5:
-        zero = ~ws.syndrome.any(axis=1)
+        zero = ~syndromes.any(axis=1)
         converged[zero] = True
         iterations[zero] = 1
-        ws.keep(~zero)
-        active = active[~zero]
-    estimate = estimates[active]
-    for it in range(1, max_iter + 1):
-        if not len(active):
-            break
+        queue = queue[~zero]
+    # built before the loop even when the queue is empty: it validates
+    # the prior and the syndrome length
+    active = queue[:WIDTH]
+    queue = queue[WIDTH:]
+    ws = SpaWorkspace(graph, syndromes[active], prior_flip)
+    age = np.zeros(len(active), dtype=np.int64)
+    while len(active):
         ws.horizontal_step()
         ws.vertical_step()
+        age += 1
         estimate = ws.tentative()
         ok = ws.satisfies(estimate)
-        if ok.any():
-            done = active[ok]
-            estimates[done] = estimate[ok]
-            converged[done] = True
-            iterations[done] = it
-            ws.keep(~ok)
-            active = active[~ok]
-            estimate = estimate[~ok]
-    estimates[active] = estimate
+        done = ok | (age == max_iter)
+        if not done.any():
+            continue
+        rows = active[done]
+        estimates[rows] = estimate[done]
+        converged[rows] = ok[done]
+        iterations[rows] = age[done]
+        slots = np.flatnonzero(done)
+        refill, queue = queue[:len(slots)], queue[len(slots):]
+        k = len(refill)
+        if k:
+            ws.admit(slots[:k], syndromes[refill])
+            active[slots[:k]] = refill
+            age[slots[:k]] = 0
+        if k < len(slots):
+            keep = np.ones(len(active), dtype=bool)
+            keep[slots[k:]] = False
+            ws.keep(keep)
+            active = active[keep]
+            age = age[keep]
     return estimates, converged, iterations
 
 

@@ -167,6 +167,12 @@ def test_simulate_bad_p():
     assert rc == 2
 
 
+def test_simulate_rejects_nonpositive_max_iter(capsys):
+    rc, _ = run_cli("simulate", "--code", "steane7", "--p", "0", "--max-iter", "0")
+    assert rc == 2
+    assert "max_iter must be at least 1" in capsys.readouterr().err
+
+
 def test_simulate_unknown_code():
     rc, _ = run_cli("simulate", "--code", "/does/not/exist", "--p", "0.01",
                     "--trials", "10")

@@ -1,9 +1,11 @@
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stabkit import codes, f2, qc_ldpc, sim
+from stabkit import codes, f2, pauli, qc_ldpc, sim
 from stabkit.codes import builtin
 from stabkit.pauli import PauliVec, symplectic_product, weight
 from stabkit.sim import (
@@ -142,6 +144,22 @@ def test_config_validation():
         SimConfig(code=builtin("fivequbit"), p_grid=(0.1,), trials=1)
 
 
+def test_config_rejects_nonpositive_max_iter():
+    st = builtin("steane7")
+    for max_iter in (0, -2):
+        with pytest.raises(ValueError, match="max_iter"):
+            SimConfig(code=st, p_grid=(0.0,), trials=1, max_iter=max_iter)
+
+
+def test_run_point_rejects_p_outside_unit_interval(monkeypatch):
+    cfg = SimConfig(code=builtin("steane7"), p_grid=(0.1,), trials=5)
+    # rejected before any trial runs
+    monkeypatch.setattr(sim, "_TrialRunner", None)
+    for p in (1.5, -0.2, 1.0):
+        with pytest.raises(ValueError, match=r"depolarizing probability .* outside \[0, 1\)"):
+            run_point(cfg, p)
+
+
 def test_config_rejects_nonpositive_workers():
     st = builtin("steane7")
     for workers in (0, -3):
@@ -149,17 +167,25 @@ def test_config_rejects_nonpositive_workers():
             SimConfig(code=st, p_grid=(0.1,), trials=1, workers=workers)
 
 
-def test_worker_threads_capped(monkeypatch):
-    """The calling thread takes one span; the pool holds the others, and
-    no more workers run than there are cores or trials."""
+def _record_pools(monkeypatch):
+    """Sizes of the process pools ``sim`` makes from now on."""
+    import concurrent.futures
+
     pools = []
 
-    class Pool(sim.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return pools
+
+
+def test_worker_processes_capped(monkeypatch):
+    """The calling process takes one span; the pool holds the others, and
+    no more workers run than there are cores or trials."""
+    pools = _record_pools(monkeypatch)
     base = dict(code=builtin("steane7"), p_grid=(0.02,), seed=4)
     serial = sweep(SimConfig(workers=1, trials=90, **base)).to_csv()
     assert pools == []
@@ -173,15 +199,50 @@ def test_worker_threads_capped(monkeypatch):
     assert pools == [2, 1]
 
 
+def test_workers_run_serially_without_fork(monkeypatch):
+    import multiprocessing
+
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    base = dict(code=builtin("steane7"), p_grid=(0.01, 0.02), trials=120, seed=8)
+    assert sweep(SimConfig(workers=4, **base)).to_csv() == sweep(SimConfig(**base)).to_csv()
+    assert pools == []
+
+
+def test_one_pool_serves_the_whole_grid(monkeypatch):
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    base = dict(code=builtin("steane7"), p_grid=(0.0, 0.01, 0.02, 0.03), trials=80, seed=2)
+    assert sweep(SimConfig(workers=2, **base)).to_csv() == sweep(SimConfig(**base)).to_csv()
+    assert pools == [1]
+
+
 def test_trial_spans_add_up():
     """Blocks and worker spans may cut the trials anywhere: every trial
     is seeded alone and decoded independently of its block."""
     code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()))
     runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.04,), trials=100, seed=6))
     whole = runner.count_errors(0.04, 0, 0, 100)
-    assert whole > 0
+    assert whole[0] > 0
     for cuts in ((0, 33, 100), (0, 1, 2, 64, 65, 100), (0, 50, 100)):
-        assert sum(runner.count_errors(0.04, 0, a, b) for a, b in zip(cuts, cuts[1:])) == whole
+        parts = [runner.count_errors(0.04, 0, a, b) for a, b in zip(cuts, cuts[1:])]
+        assert tuple(map(sum, zip(*parts))) == whole
+
+
+def test_chunk_memory_flat_in_trial_count():
+    code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()))
+    runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.04,), trials=1, seed=1))
+    runner.count_errors(0.04, 0, 0, 64)
+    peaks = []
+    for trials in (1024, 4096):
+        tracemalloc.start()
+        try:
+            runner.count_errors(0.04, 0, 0, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_syndrome_length_mismatch():
@@ -224,3 +285,45 @@ def test_sample_depolarizing_pinned_bits():
     for n, p, z, x in expect:
         e = sample_depolarizing(n, p, rng)
         assert (e.n, e.z, e.x) == (n, z, x)
+
+
+def _trial_failures(code, p, p_idx, trials, seed, mode):
+    """(block errors, of which not converged), one trial at a time
+    through ``decode``: the reference for the batched trial loop."""
+    css, n, f = code.css, code.n, 2.0 * p / 3.0
+    gz, gx = sim.SpaGraph(css.hz), sim.SpaGraph(css.hx)
+    passive = code.passive_gens()
+    harmless = pauli.paulis_to_matrix(passive) if passive else None
+    errors = not_converged = 0
+    for t in range(trials):
+        u = np.random.default_rng((seed, p_idx, t)).random(n)
+        ex, ez = sim._flips(u, p)
+        resx = sim.decode(gz, (gz.arr @ ex) % 2, f)
+        resz = sim.decode(gx, (gx.arr @ ez) % 2, f)
+        rx, rz = ex ^ resx.estimate, ez ^ resz.estimate
+        if not (rx.any() or rz.any()):
+            continue
+        if mode == "degenerate" and harmless is not None and f2.in_rowspace(
+                harmless, PauliVec(n, sim._pack(rz), sim._pack(rx)).packed()):
+            continue
+        errors += 1
+        not_converged += not (resx.converged and resz.converged)
+    return errors, not_converged
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+@pytest.mark.parametrize("name", ["ex1", "mackay"])
+def test_failure_taxonomy(pinned_codes, name, mode):
+    """Block errors split into not converged and converged to a wrong
+    coset, per trial as the one-syndrome decoder sees them, and the
+    same split from forked workers."""
+    code = pinned_codes[name]
+    cfg = SimConfig(code=code, p_grid=(0.01, 0.03), trials=100, seed=3, success_mode=mode)
+    points = sweep(cfg).points
+    for p_idx, pt in enumerate(points):
+        assert pt.not_converged + pt.converged_wrong == pt.block_errors
+        assert (pt.block_errors, pt.not_converged) == _trial_failures(
+            code, pt.p, p_idx, 100, 3, mode)
+    if name == "mackay":
+        assert points[1].not_converged > 0 and points[1].converged_wrong > 0
+    assert sweep(dataclasses.replace(cfg, workers=2)).points == points

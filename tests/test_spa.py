@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,36 @@ def test_decode_batch_rows_match_decode(seed, b, max_iter, prior, tree):
     syn = _random_syndromes(rng, h, b)
     est, conv, its = decode_batch(h, syn, prior, max_iter)
     assert est.shape == (b, h.cols) and est.dtype == np.uint8
+    graph = SpaGraph(h)
+    for i in range(b):
+        res = decode(graph, syn[i], prior, max_iter)
+        assert np.array_equal(res.estimate, est[i])
+        assert (res.converged, res.iterations) == (bool(conv[i]), int(its[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([spa.WIDTH - 1, spa.WIDTH + 1, 3 * spa.WIDTH + 5]),
+       st.integers(1, 5), st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.5, 0.7]))
+def test_refilled_rows_match_decode(seed, b, max_iter, prior):
+    """Rows retire mid-stream, by converging or at ``max_iter``, and
+    queued syndromes take their slots: every row still equals its
+    batch of one, and every row past the first ``WIDTH`` of the queue
+    is admitted into a freed slot."""
+    rng = np.random.default_rng(seed)
+    h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    syn = _random_syndromes(rng, h, b)
+    admitted = []
+    admit = SpaWorkspace.admit
+
+    def counting_admit(ws, slots, syndromes):
+        admitted.append(len(slots))
+        admit(ws, slots, syndromes)
+
+    with mock.patch.object(SpaWorkspace, "admit", counting_admit):
+        est, conv, its = decode_batch(h, syn, prior, max_iter)
+    queued = int(syn.any(axis=1).sum()) if prior < 0.5 else b
+    assert sum(admitted) == max(0, queued - spa.WIDTH)
     graph = SpaGraph(h)
     for i in range(b):
         res = decode(graph, syn[i], prior, max_iter)
