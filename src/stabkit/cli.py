@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import codes, f2, gf4, qc_ldpc, sgs, sim
@@ -19,13 +18,11 @@ from .codes import (
     build_eaqecc_binary,
     build_eaqecc_gf4,
     builtin,
-    css_sp_matrix,
     format_report,
     is_dual_containing,
-    make_report,
 )
 from .f2 import BitMatrix
-from .pauli import PauliVec, format_pauli, weight
+from .pauli import format_pauli, matrix_to_paulis, weight
 
 #: ``qcldpc --example`` choices: the quasi-cyclic named codes, plus
 #: ``mackay``, which ``--n/--m/--L/--seed`` parameterise
@@ -59,15 +56,10 @@ def _load_matrix_gf2(path: str) -> BitMatrix:
 
 def _cmd_construct(args) -> int:
     if args.field == "gf4":
-        h4 = gf4.parse_f4(_read_text(args.input))
-        code = build_eaqecc_gf4(h4, d_claimed=args.claimed_d)
-        hsp = gf4.f4_to_symplectic(h4)
+        code = build_eaqecc_gf4(gf4.parse_f4(_read_text(args.input)), d_claimed=args.claimed_d)
     else:
-        h = _load_matrix_gf2(args.input)
-        code = build_eaqecc_binary(h, d_claimed=args.claimed_d)
-        hsp = css_sp_matrix(h)
-    report = replace(make_report(code), dual_containing=is_dual_containing(hsp))
-    sys.stdout.write(format_report(code, report))
+        code = build_eaqecc_binary(_load_matrix_gf2(args.input), d_claimed=args.claimed_d)
+    sys.stdout.write(format_report(code))
     return 0
 
 
@@ -111,27 +103,25 @@ def _qcldpc_exponents(args):
 
 def _cmd_qcldpc(args) -> int:
     if args.example == "mackay":
-        h = qc_ldpc.make_ex_mackay(n=args.n, m=args.m, L=args.L, seed=args.seed)
-        if args.emit == "matrix":
-            out = f2.format_alist(h) if args.format == "alist" else f2.format_dense(h)
-            sys.stdout.write(out)
-            return 0
+        named = []
+        matrices = [qc_ldpc.make_ex_mackay(n=args.n, m=args.m, L=args.L, seed=args.seed)]
+    else:
+        named = _qcldpc_exponents(args)
+        matrices = [qc_ldpc.expand(e) for _, e in named]
+    if args.emit == "matrix":
+        fmt = f2.format_alist if args.format == "alist" else f2.format_dense
+        sys.stdout.write("".join(fmt(h) for h in matrices))
+        return 0
+
+    if args.example == "mackay":
+        h = matrices[0]
         code = build_eaqecc_binary(h, name="mackay")
         print(f"girth: {qc_ldpc.girth_exact(h)}")
         print(f"rank(H H^T): {f2.rank(f2.mat_mul(h, h.transpose()))}")
         print(f"computed: {code.params}")
         return 0
 
-    named = _qcldpc_exponents(args)
-    if args.emit == "matrix":
-        for _, e in named:
-            h = qc_ldpc.expand(e)
-            out = f2.format_alist(h) if args.format == "alist" else f2.format_dense(h)
-            sys.stdout.write(out)
-        return 0
-
-    for name, e in named:
-        h = qc_ldpc.expand(e)
+    for (name, e), h in zip(named, matrices):
         print(f"== {name}: r={e.r} J={e.J} L={e.L} "
               f"type-{'I' if e.is_type_i else 'II'} n={h.cols}")
         print(f"girth (exact): {qc_ldpc.girth_exact(h)}")
@@ -151,7 +141,7 @@ def _cmd_qcldpc(args) -> int:
               f"bound: {qc_ldpc.rank_bound(e)})")
 
     entry = NAMED.get(args.example)
-    code = entry.build() if entry else build_eaqecc_binary(qc_ldpc.expand(named[0][1]))
+    code = entry.build() if entry else build_eaqecc_binary(matrices[0])
     print(f"computed: {code.params}")
     if entry and entry.claimed:
         print(f"claimed:  {entry.claimed}")
@@ -188,12 +178,7 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_sgs(args) -> int:
-    m = _load_matrix_gf2(args.input)
-    if m.cols % 2:
-        raise ValueError("sgs input must have an even column count ((z|x) rows)")
-    n = m.cols // 2
-    vecs = [PauliVec.from_packed(m.row(i), n) for i in range(m.rows)]
-    dec = sgs.decompose(vecs, n=n)
+    dec = sgs.decompose(matrix_to_paulis(_load_matrix_gf2(args.input)))
     print(f"n={dec.n} c={dec.c} ell={dec.ell}")
     for i, (u, v) in enumerate(dec.pairs):
         print(f"pair {i + 1}: {format_pauli(u)}  {format_pauli(v)}")

@@ -22,6 +22,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import f2, gf4, qc_ldpc, sgs
 from .f2 import BitMatrix
@@ -29,9 +30,11 @@ from .gf4 import F4Matrix
 from .pauli import (
     PauliVec,
     format_pauli,
+    matrix_to_paulis,
     parse_pauli,
     paulis_to_matrix,
-    symplectic_product,
+    swap_halves,
+    symplectic_gram,
 )
 
 __all__ = [
@@ -123,13 +126,17 @@ class QuantumCode:
         tail = f";{self.r},{self.c}" if self.r else f";{self.c}"
         return f"[[{self.n},{self.k}{d}{tail}]]"
 
-    def _all_gens(self) -> list[PauliVec]:
+    def _flatten(self, *pair_groups) -> list[PauliVec]:
+        """The isotropic generators, then both halves of every pair of
+        ``pair_groups`` in order."""
         out = list(self.gens_i)
-        for u, v in self.gens_e:
-            out += [u, v]
-        for u, v in self.gens_g:
-            out += [u, v]
+        for pairs in pair_groups:
+            for pair in pairs:
+                out += pair
         return out
+
+    def _all_gens(self) -> list[PauliVec]:
+        return self._flatten(self.gens_e, self.gens_g)
 
     def generator_matrix(self) -> BitMatrix:
         """All generators (isotropic + both pair halves) as (z|x) rows."""
@@ -138,51 +145,51 @@ class QuantumCode:
     def measured_gens(self) -> list[PauliVec]:
         """Generators whose eigenvalues the receiver extracts: the
         isotropic set plus both halves of every entanglement pair."""
-        out = list(self.gens_i)
-        for u, v in self.gens_e:
-            out += [u, v]
-        return out
+        return self._flatten(self.gens_e)
 
     def passive_gens(self) -> list[PauliVec]:
         """Generators of the harmless group: isotropic set plus both
         halves of every gauge pair."""
-        out = list(self.gens_i)
-        for u, v in self.gens_g:
-            out += [u, v]
-        return out
+        return self._flatten(self.gens_g)
+
+    @cached_property
+    def _harmless_echelon(self) -> tuple[list[int], list[int]]:
+        return f2._echelon([g.packed() for g in self.passive_gens()], 2 * self.n)
+
+    def is_harmless(self, v: int) -> bool:
+        """Whether the packed (z|x) error ``v`` lies in span(isotropic ∪
+        gauge): a product of stabilizers and gauge operators, which
+        leaves the encoded state alone.  The span is eliminated on the
+        first call and kept for the code's lifetime."""
+        return f2._reduce(v, *self._harmless_echelon) == 0
 
     def _check_commutation(self):
         gens = self._all_gens()
-        if not gens:
+        rows = gens + [g for pair in self.logicals for g in pair]
+        if not rows:
             return
-        # G . Omega . G^T over packed rows: bit b of row a is the
-        # symplectic product of generators a and b, for b > a only
-        swapped = [g.x | (g.z << self.n) for g in gens]
-        packed = [g.packed() for g in gens]
-        # expected upper triangle: each pair's first member anticommutes
+        m = len(gens)
+        # one triangle over the generators followed by the logical pairs
+        tri = symplectic_gram(paulis_to_matrix(rows))
+        # among the generators, each pair's first member anticommutes
         # with the second and with nothing else
-        expected = [0] * len(gens)
-        for a in range(len(self.gens_i), len(gens), 2):
-            expected[a] = 1 << (a + 1)
-        for a, ga in enumerate(packed):
-            row = 0
-            for b in range(a + 1, len(gens)):
-                row |= ((ga & swapped[b]).bit_count() & 1) << b
-            diff = row ^ expected[a]
+        among_gens = (1 << m) - 1
+        for a in range(m):
+            expected = 1 << (a + 1) if a >= self.s and (a - self.s) % 2 == 0 else 0
+            diff = (tri[a] & among_gens) ^ expected
             if diff:
                 b = (diff & -diff).bit_length() - 1
                 raise ValueError(
                     f"generator commutation broken between #{a} and #{b}: "
                     f"{format_pauli(gens[a])} vs {format_pauli(gens[b])}"
                 )
-        for zbar, xbar in self.logicals:
-            zp, xp = zbar.packed(), xbar.packed()
-            if symplectic_product(zbar, xbar) != 1:
+        for z in range(m, len(tri), 2):
+            if not (tri[z] >> (z + 1)) & 1:
                 raise ValueError("logical pair must anticommute")
-            for sg in swapped:
-                if (zp & sg).bit_count() & 1:
+            for a in range(m):
+                if (tri[a] >> z) & 1:
                     raise ValueError("logical Z does not commute with a generator")
-                if (xp & sg).bit_count() & 1:
+                if (tri[a] >> (z + 1)) & 1:
                     raise ValueError("logical X does not commute with a generator")
 
 
@@ -212,13 +219,9 @@ def build_from_sp(
     (entanglement subgroup, one ebit each) and a commuting remainder
     (the stabilizer).
     """
-    if hsp.cols % 2:
-        raise ValueError("symplectic matrix needs an even column count")
-    n = hsp.cols // 2
-    vecs = [PauliVec.from_packed(hsp.row(i), n) for i in range(hsp.rows)]
-    dec = sgs.decompose(vecs, n=n)
+    dec = sgs.decompose(matrix_to_paulis(hsp))
     return QuantumCode(
-        n=n,
+        n=dec.n,
         gens_i=dec.isotropic,
         gens_e=dec.pairs,
         d_claimed=d_claimed,
@@ -271,16 +274,8 @@ def to_stabilizer_table(code: QuantumCode) -> str:
 
 
 def is_dual_containing(hsp: BitMatrix) -> bool:
-    """True iff every pair of rows is symplectically orthogonal."""
-    if hsp.cols % 2:
-        raise ValueError("symplectic matrix needs an even column count")
-    n = hsp.cols // 2
-    vecs = [PauliVec.from_packed(hsp.row(i), n) for i in range(hsp.rows)]
-    return all(
-        symplectic_product(vecs[a], vecs[b]) == 0
-        for a in range(len(vecs))
-        for b in range(a, len(vecs))
-    )
+    """True iff every pair of (z|x) rows is symplectically orthogonal."""
+    return not any(symplectic_gram(hsp))
 
 
 # -- distance -------------------------------------------------------------
@@ -343,13 +338,6 @@ def find_distance_violator(
         for li, m in enumerate(masks[q]):
             lookup.setdefault(m, []).append((q, li))
 
-    # echelon form of the harmless group, eliminated once for all candidates
-    harmless = None
-    if mode == "degenerate":
-        passive = code.passive_gens()
-        if passive:
-            harmless = f2._echelon([g.packed() for g in passive], 2 * n)
-
     for w in range(1, d):
         for head in itertools.combinations(range(n), w - 1):
             last = head[-1] if head else -1
@@ -372,7 +360,7 @@ def find_distance_violator(
                 for p in reversed(head):
                     hi, hl = divmod(hi, 3)
                     vec |= _letter_bits(p, hl, n)
-                if harmless is None or f2._reduce(vec, *harmless):
+                if mode == "strict" or not code.is_harmless(vec):
                     return PauliVec.from_packed(vec, n)
     return None
 
@@ -418,19 +406,19 @@ def extend_code(code: QuantumCode) -> QuantumCode:
     new rows are added: all-Z-ones and all-X-ones across all n+1 qubits.
     The net yield k - c drops by one and the distance cannot decrease.
     """
-    old = code.generator_matrix()
-    n = code.n
-    rows = []
-    for i in range(old.rows):
-        packed = old.row(i)
-        z = packed & ((1 << n) - 1)
-        x = packed >> n
-        rows.append(z | (x << (n + 1)))
-    all_ones = (1 << (n + 1)) - 1
-    rows.append(all_ones)                 # all-Z row
-    rows.append(all_ones << (n + 1))      # all-X row
-    hsp = BitMatrix(len(rows), 2 * (n + 1), tuple(rows))
-    return build_from_sp(hsp)
+    n = code.n + 1
+    ones = (1 << n) - 1
+    gens = [PauliVec(n, g.z, g.x) for g in code._all_gens()]
+    gens += [PauliVec(n, ones, 0), PauliVec(n, 0, ones)]    # all-Z and all-X rows
+    return build_from_sp(paulis_to_matrix(gens))
+
+
+def _centralizer(gens: BitMatrix) -> BitMatrix | None:
+    """(z|x) basis of every Pauli commuting with all rows of ``gens``:
+    the ordinary nullspace of the half-swapped rows (None when only the
+    identity commutes with them all)."""
+    n = gens.cols // 2
+    return f2.nullspace(BitMatrix(gens.rows, gens.cols, tuple(swap_halves(r, n) for r in gens.bits)))
 
 
 def puncture_code(code: QuantumCode) -> QuantumCode:
@@ -443,31 +431,12 @@ def puncture_code(code: QuantumCode) -> QuantumCode:
     """
     if code.n < 2:
         raise ValueError("cannot puncture a single-qubit code")
-    n = code.n
-    gens = code.generator_matrix()
-    # centralizer = ordinary nullspace of the half-swapped matrix
-    swapped = BitMatrix(
-        gens.rows,
-        2 * n,
-        tuple((row >> n) | ((row & ((1 << n) - 1)) << n) for row in gens.bits),
-    )
-    cent = f2.nullspace(swapped)
+    cent = _centralizer(code.generator_matrix())
     if cent is None:
         raise ValueError("trivial centralizer; nothing to puncture")
-    nn = n - 1
-    punctured = []
-    for i in range(cent.rows):
-        row = cent.row(i)
-        z = (row & ((1 << n) - 1)) >> 1
-        x = (row >> (n + 1))
-        punctured.append(z | (x << nn))
-    cmat = BitMatrix(len(punctured), 2 * nn, tuple(punctured))
-    swapped_c = BitMatrix(
-        cmat.rows,
-        2 * nn,
-        tuple((row >> nn) | ((row & ((1 << nn) - 1)) << nn) for row in cmat.bits),
-    )
-    new_checks = f2.nullspace(swapped_c)
+    nn = code.n - 1
+    punctured = [PauliVec(nn, p.z >> 1, p.x >> 1) for p in matrix_to_paulis(cent)]
+    new_checks = _centralizer(paulis_to_matrix(punctured))
     if new_checks is None:
         return QuantumCode(n=nn)  # no checks left: bare qubits
     return build_from_sp(new_checks)
@@ -803,33 +772,16 @@ def format_report(code: QuantumCode, report: CodeReport | None = None) -> str:
     if report.verified_d is not None:
         lines.append(f"verified distance: {report.verified_d}")
     c = code.c
-
-    def bob(idx: int | None, kind: str) -> str:
-        if c == 0:
-            return ""
-        side = ["I"] * c
-        if idx is not None:
-            side[idx] = kind
-        return "|" + "".join(side)
-
-    for label, rows in (("S_I", [(g, None, "") for g in code.gens_i]),):
+    idle = "|" + "I" * c if c else ""   # receiver side of every other row
+    flat = itertools.chain.from_iterable
+    for label, rows in (
+        ("S_I", [(g, idle) for g in code.gens_i]),
+        ("S_E", [(g, f"|{'I' * j}{kind}{'I' * (c - j - 1)}")
+                 for j, pair in enumerate(code.gens_e) for g, kind in zip(pair, "ZX")]),
+        ("S_G", [(g, idle) for g in flat(code.gens_g)]),
+        ("logicals", [(g, idle) for g in flat(code.logicals)]),
+    ):
         if rows:
             lines.append(f"{label}:")
-            for g, _, _ in rows:
-                lines.append(f"  {format_pauli(g)}{bob(None, 'I')}")
-    if code.gens_e:
-        lines.append("S_E:")
-        for j, (u, v) in enumerate(code.gens_e):
-            lines.append(f"  {format_pauli(u)}{bob(j, 'Z')}")
-            lines.append(f"  {format_pauli(v)}{bob(j, 'X')}")
-    if code.gens_g:
-        lines.append("S_G:")
-        for u, v in code.gens_g:
-            lines.append(f"  {format_pauli(u)}{bob(None, 'I')}")
-            lines.append(f"  {format_pauli(v)}{bob(None, 'I')}")
-    if code.logicals:
-        lines.append("logicals:")
-        for zbar, xbar in code.logicals:
-            lines.append(f"  {format_pauli(zbar)}{bob(None, 'I')}")
-            lines.append(f"  {format_pauli(xbar)}{bob(None, 'I')}")
+            lines += (f"  {format_pauli(g)}{side}" for g, side in rows)
     return "\n".join(lines) + "\n"

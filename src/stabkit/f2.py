@@ -21,7 +21,6 @@ __all__ = [
     "mat_mul",
     "in_rowspace",
     "nullspace",
-    "row_echelon",
     "parse_dense",
     "format_dense",
     "parse_alist",
@@ -65,10 +64,6 @@ class BitMatrix:
         packed = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
                        for row in arr)
         return cls(m, n, packed)
-
-    @classmethod
-    def from_ints(cls, bits, cols) -> "BitMatrix":
-        return cls(len(tuple(bits)), cols, tuple(int(b) for b in bits))
 
     @classmethod
     def zeros(cls, rows, cols) -> "BitMatrix":
@@ -172,14 +167,6 @@ def _echelon(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
         if level == len(rows):
             break
     return rows[:level], pivots
-
-
-def row_echelon(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form of ``m`` (input is never mutated)."""
-    reduced, pivots = _echelon(list(m.bits), m.cols)
-    if not reduced:
-        return BitMatrix.zeros(1, m.cols), pivots
-    return BitMatrix(len(reduced), m.cols, tuple(reduced)), pivots
 
 
 def rank(m: BitMatrix) -> int:

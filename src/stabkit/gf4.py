@@ -87,10 +87,6 @@ def gamma(a: int) -> tuple[int, int]:
     return _GAMMA[a]
 
 
-def gamma_inv(z: int, x: int) -> int:
-    return _GAMMA_INV[(z & 1, x & 1)]
-
-
 def trace_inner(a: int, b: int) -> int:
     """Trace of the Hermitian product conj(a) * b; a bit in {0, 1}."""
     return f4_trace(f4_mul(f4_conj(a), b))
@@ -123,9 +119,6 @@ class F4Matrix:
         return F4Matrix.from_rows(
             [[f4_mul(s, e) for e in row] for row in self.entries]
         )
-
-    def row_weight(self, i: int) -> int:
-        return sum(1 for e in self.entries[i] if e != F4_0)
 
     def __str__(self) -> str:
         return format_f4(self)

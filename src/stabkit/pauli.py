@@ -16,6 +16,8 @@ from .f2 import BitMatrix
 __all__ = [
     "PauliVec",
     "symplectic_product",
+    "swap_halves",
+    "symplectic_gram",
     "weight",
     "parse_pauli",
     "format_pauli",
@@ -47,16 +49,6 @@ class PauliVec:
             raise ValueError("z/x bits set beyond qubit count")
 
     @classmethod
-    def from_bits(cls, z_bits, x_bits) -> "PauliVec":
-        z = list(z_bits)
-        x = list(x_bits)
-        if len(z) != len(x):
-            raise ValueError("z and x must have equal length")
-        zi = sum((b & 1) << i for i, b in enumerate(z))
-        xi = sum((b & 1) << i for i, b in enumerate(x))
-        return cls(len(z), zi, xi)
-
-    @classmethod
     def from_packed(cls, packed: int, n: int) -> "PauliVec":
         """Split a 2n-bit (z|x) row: low n bits are z, high n bits are x."""
         mask = (1 << n) - 1
@@ -83,6 +75,27 @@ def symplectic_product(u: PauliVec, v: PauliVec) -> int:
     if u.n != v.n:
         raise ValueError(f"qubit count mismatch: {u.n} != {v.n}")
     return ((u.z & v.x).bit_count() + (v.z & u.x).bit_count()) & 1
+
+
+def swap_halves(packed: int, n: int) -> int:
+    """Exchange the z and x halves of a packed 2n-bit (z|x) row, so that
+    the symplectic product a . b is the parity of ``swap_halves(a, n) & b``."""
+    return (packed >> n) | ((packed & ((1 << n) - 1)) << n)
+
+
+def symplectic_gram(m: BitMatrix) -> list[int]:
+    """Upper triangle of G . Omega . G^T for the (z|x) rows G of ``m``:
+    bit b of entry a is the symplectic product of rows a and b, for b > a
+    only.  All entries are 0 exactly when the rows pairwise commute."""
+    n = _half_width(m)
+    swapped = [swap_halves(row, n) for row in m.bits]
+    out = []
+    for a, row_a in enumerate(m.bits):
+        tri = 0
+        for b in range(a + 1, m.rows):
+            tri |= ((row_a & swapped[b]).bit_count() & 1) << b
+        out.append(tri)
+    return out
 
 
 def weight(u: PauliVec) -> int:
@@ -149,9 +162,14 @@ def paulis_to_matrix(gens) -> BitMatrix:
     return BitMatrix(len(gens), 2 * n, tuple(g.packed() for g in gens))
 
 
-def matrix_to_paulis(m: BitMatrix) -> list[PauliVec]:
-    """Rows of a 2n-column (z|x) matrix as Paulis."""
+def _half_width(m: BitMatrix) -> int:
+    """Qubit count n of a 2n-column (z|x) matrix."""
     if m.cols % 2:
         raise ValueError("(z|x) matrix needs an even column count")
-    n = m.cols // 2
-    return [PauliVec.from_packed(m.row(i), n) for i in range(m.rows)]
+    return m.cols // 2
+
+
+def matrix_to_paulis(m: BitMatrix) -> list[PauliVec]:
+    """Rows of a 2n-column (z|x) matrix as Paulis."""
+    n = _half_width(m)
+    return [PauliVec.from_packed(row, n) for row in m.bits]

@@ -23,9 +23,10 @@ order), and makes every other vector commute with both via
     w  ->  w + (v . w) u + (u . w) v .
 
 A symplectic product a . b is the parity of swap(a) & b, where swap
-exchanges the z and x halves; swap(u) and swap(v) are formed once per
-round.  Vectors of the input span are kept at the front of the working
-list, so membership of u and v in the span is read off positionally.
+(``pauli.swap_halves``) exchanges the z and x halves; swap(u) and
+swap(v) are formed once per round.  Vectors of the input span are kept
+at the front of the working list, so membership of u and v in the span
+is read off positionally.
 """
 
 from __future__ import annotations
@@ -33,15 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .f2 import BitMatrix, _echelon
-from .pauli import PauliVec
+from .pauli import PauliVec, swap_halves
 
 __all__ = ["GroupDecomposition", "decompose", "symp_dim"]
-
-
-def _swap(a: int, n: int, mask: int) -> int:
-    """Exchange the z and x halves of a packed (z|x) vector, so that the
-    symplectic product a . b is the parity of ``_swap(a) & b``."""
-    return (a >> n) | ((a & mask) << n)
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     elif n is None:
         raise ValueError("empty input needs an explicit qubit count")
 
-    mask = (1 << n) - 1
     reduced, pivots = _echelon([v.packed() for v in vecs], 2 * n)
     m = len(reduced)
 
@@ -128,7 +122,7 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     m_rem = m
     for _ in range(n):
         u = work[0]
-        su = _swap(u, n, mask)
+        su = swap_halves(u, n)
         j = None
         for idx in range(1, len(work)):
             if (su & work[idx]).bit_count() & 1:
@@ -136,7 +130,7 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
                 break
         assert j is not None, "no symplectic partner found; basis invariant broken"
         v = work[j]
-        sv = _swap(v, n, mask)
+        sv = swap_halves(v, n)
 
         if j + 1 <= m_rem:  # partner inside the remaining span: hyperbolic pair
             work[j], work[1] = work[1], work[j]

@@ -5,7 +5,7 @@ p/3), the syndrome is decoded CSS-split by two independent sum-product
 runs with marginal flip prior 2p/3 (an X flip arises from Pauli X or Y,
 a Z flip from Z or Y), and the residual is scored either strictly
 (must vanish) or degenerately (must lie in the span of the isotropic
-and gauge generators).  Each block error is also classed as not
+and gauge generators, ``QuantumCode.is_harmless``).  Each block error is also classed as not
 converged (either half's decoder stopped at ``max_iter``) or converged
 to a wrong coset.
 
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import QuantumCode
-from .f2 import _echelon
 from .pauli import PauliVec, symplectic_product
 # ``decode`` is re-exported: code that wraps or inspects ``sim.decode``
 # (the benchmark tracer) keeps working although trials use decode_batch
@@ -78,6 +77,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for p in self.p_grid:
             _check_p(p)
         if self.max_iter < 1:
@@ -179,20 +180,8 @@ class _TrialRunner:
         self.graph_x = self.graph_z if code.css.hx is code.css.hz else SpaGraph(code.css.hx)
         self.hz_arr = self.graph_z.arr
         self.hx_arr = self.graph_x.arr
-        passive = code.passive_gens()
-        if passive:
-            rows, _ = _echelon([g.packed() for g in passive], 2 * code.n)
-            self.passive_echelon = rows
-        else:
-            self.passive_echelon = []
-
-    def _residual_harmless(self, v: int) -> bool:
-        """Whether the packed (z|x) residual lies in the passive span."""
-        for row in self.passive_echelon:
-            low = (row & -row).bit_length() - 1
-            if (v >> low) & 1:
-                v ^= row
-        return v == 0
+        if config.success_mode == "degenerate":
+            code.is_harmless(0)   # eliminate the harmless group before any fork
 
     def count_errors(self, p: float, p_idx: int, start: int, stop: int) -> tuple[int, int]:
         """``(block errors, of which not converged)`` among trials
@@ -234,7 +223,8 @@ class _TrialRunner:
         if cfg.success_mode == "degenerate":
             packed = np.packbits(np.concatenate([rz, rx], axis=1)[failed], axis=1,
                                  bitorder="little")
-            failed[failed] = [not self._residual_harmless(int.from_bytes(row.tobytes(), "little"))
+            harmless = cfg.code.is_harmless
+            failed[failed] = [not harmless(int.from_bytes(row.tobytes(), "little"))
                               for row in packed]
         return int(failed.sum()), int((failed & ~(cx & cz)).sum())
 

@@ -359,3 +359,41 @@ def test_simulate_output_pinned(name, mode):
                       "--seed", "5", "--mode", mode)
     assert rc == 0
     assert out == PINNED_SIMULATE[name]
+
+
+#: ``construct --claimed-d 2|3`` stdout, recorded before the redundant
+#: dual-containing recomputation left ``construct``: one dual-containing
+#: and one non-dual-containing input per field
+PINNED_CONSTRUCT = {
+    ("gf2", "3 7\n0001111\n0110011\n1010101\n", "3"):
+        "computed: [[7,1,3;0]]\ndual-containing: yes\nsingleton: ok\nhamming: ok\n"
+        "verified distance: 3\nS_I:\n  ZIZIZIZ\n  IZZIIZZ\n  IIIZZZZ\n  XIXIXIX\n"
+        "  IXXIIXX\n  IIIXXXX\n",
+    ("gf2", "2 5\n11010\n01101\n", "2"):
+        "computed: [[5,2,2;1]]\ndual-containing: no\nsingleton: ok\nhamming: ok\n"
+        "verified distance: 2\nS_I:\n  ZIZZZ|I\n  XIXXX|I\nS_E:\n  IZZIZ|Z\n  IXXIX|X\n",
+    ("gf4", "2 6\n1 0 0 1 w w\n0 1 0 w 1 w\n", "2"):
+        "computed: [[6,2,2;0]]\ndual-containing: yes\nsingleton: ok\nS_I:\n"
+        "  ZXIXIZ\n  XZIIXZ\n  ZIIZXX\n  IZIXZX\n",
+    ("gf4", "2 5\n1 w 1 0 0\n0 1 w 1 0\n", "2"):
+        "computed: [[5,2,2;1]]\ndual-containing: no\nsingleton: ok\nS_I:\n"
+        "  XZZXI|I\n  ZYYZI|I\nS_E:\n  ZIXXI|Z\n  XYXII|X\n",
+}
+
+
+@pytest.mark.parametrize("field, text, d", PINNED_CONSTRUCT)
+def test_construct_output_pinned(tmp_path, field, text, d):
+    path = tmp_path / "h.txt"
+    path.write_text(text)
+    rc, out = run_cli("construct", "--input", str(path), "--field", field, "--claimed-d", d)
+    assert rc == 0
+    assert out == PINNED_CONSTRUCT[field, text, d]
+
+
+@pytest.mark.parametrize("p", ["0.01", "0"])
+def test_simulate_rejects_negative_seed(p, capsys):
+    rc, out = run_cli("simulate", "--code", "steane7", "--p", p, "--trials", "10",
+                      "--seed", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import astuple
@@ -37,7 +38,7 @@ from stabkit.f2 import BitMatrix
 from stabkit.gf4 import F4_0, F4_W, F4Matrix
 from stabkit.pauli import PauliVec, parse_pauli, paulis_to_matrix, symplectic_product, weight
 
-from util import random_bitmatrix
+from util import random_bitmatrix, random_pauli_list
 
 
 # -- construction ----------------------------------------------------------
@@ -174,6 +175,112 @@ def test_constructor_rejects_logical_anticommuting_with_generator():
                     logicals=((parse_pauli("IZ"), parse_pauli("XX")),))
 
 
+def _first_commutation_fault(code_gens_i, code_gens_e):
+    """The (a, b) the constructor must name: the first pair, a < b, whose
+    symplectic product differs from the partition's pairing."""
+    flat = list(code_gens_i) + [g for pair in code_gens_e for g in pair]
+    partner = {len(code_gens_i) + 2 * j: len(code_gens_i) + 2 * j + 1
+               for j in range(len(code_gens_e))}
+    return next(((a, b) for a in range(len(flat)) for b in range(a + 1, len(flat))
+                 if symplectic_product(flat[a], flat[b]) != (partner.get(a) == b)), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 7), st.integers(1, 6), st.integers(0, 3))
+def test_constructor_names_the_pairwise_first_fault(seed, n, m, pairs):
+    rng = np.random.default_rng(seed)
+    vecs = random_pauli_list(rng, m, n)
+    if f2.rank(paulis_to_matrix(vecs)) < m:
+        return
+    pairs = min(pairs, m // 2)
+    split = m - 2 * pairs
+    gens_i = tuple(vecs[:split])
+    gens_e = tuple(zip(vecs[split::2], vecs[split + 1::2]))
+    fault = _first_commutation_fault(gens_i, gens_e)
+    if fault is None:
+        assert QuantumCode(n=n, gens_i=gens_i, gens_e=gens_e).s == split
+    else:
+        with pytest.raises(ValueError, match=rf"between #{fault[0]} and #{fault[1]}:"):
+            QuantumCode(n=n, gens_i=gens_i, gens_e=gens_e)
+
+
+@pytest.mark.parametrize("logical, message", [
+    (("ZZI", "XXI"), "logical pair must anticommute"),
+    (("XII", "ZII"), "logical Z does not commute"),
+    (("IZI", "IXI"), "logical X does not commute"),
+    (("ZII", "XXI"), None),
+])
+def test_constructor_checks_logicals_against_the_generators(logical, message):
+    gens_i = (parse_pauli("ZZZ"),)
+    logicals = ((parse_pauli(logical[0]), parse_pauli(logical[1])),)
+    if message is None:
+        assert QuantumCode(n=3, gens_i=gens_i, logicals=logicals).logicals == logicals
+    else:
+        with pytest.raises(ValueError, match=message):
+            QuantumCode(n=3, gens_i=gens_i, logicals=logicals)
+
+
+def test_constructor_checks_logicals_without_generators():
+    with pytest.raises(ValueError, match="logical pair must anticommute"):
+        QuantumCode(n=1, logicals=((parse_pauli("Z"), parse_pauli("Z")),))
+    assert QuantumCode(n=1, logicals=((parse_pauli("Z"), parse_pauli("X")),)).k == 1
+
+
+def test_constructor_rejects_logicals_of_another_length():
+    with pytest.raises(ValueError, match="different qubit counts"):
+        QuantumCode(n=2, gens_i=(parse_pauli("ZZ"),),
+                    logicals=((parse_pauli("Z"), parse_pauli("X")),))
+
+
+def _pairwise_dual_containing(hsp):
+    """The former definition: every pair of rows, as PauliVecs, has
+    symplectic product 0."""
+    n = hsp.cols // 2
+    vecs = [PauliVec.from_packed(hsp.row(i), n) for i in range(hsp.rows)]
+    return all(symplectic_product(vecs[a], vecs[b]) == 0
+               for a in range(len(vecs)) for b in range(a, len(vecs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8), st.integers(1, 8), st.booleans())
+def test_is_dual_containing_matches_pairwise_definition(seed, rows, n, css):
+    rng = np.random.default_rng(seed)
+    hsp = (css_sp_matrix(random_bitmatrix(rng, rows, n, 0.3)) if css
+           else paulis_to_matrix(random_pauli_list(rng, rows, n)))
+    assert is_dual_containing(hsp) == _pairwise_dual_containing(hsp)
+
+
+def test_is_dual_containing_rejects_odd_columns():
+    with pytest.raises(ValueError, match="even column count"):
+        is_dual_containing(BitMatrix(1, 3, (0b11,)))
+
+
+@pytest.mark.parametrize("name", list(codes.NAMED))
+def test_is_harmless_matches_rowspace_membership(name):
+    code = builtin(name)
+    passive = code.passive_gens()
+    rng = np.random.default_rng(len(name))
+    probes = [0] + [int.from_bytes(rng.bytes(code.n // 4 + 1), "little") % (1 << 2 * code.n)
+                    for _ in range(20)]
+    # members of the span, and members with one bit flipped
+    for _ in range(20):
+        v = 0
+        for g in passive:
+            v ^= g.packed() if rng.random() < 0.5 else 0
+        probes += [v, v ^ (1 << int(rng.integers(2 * code.n)))]
+    span = paulis_to_matrix(passive) if passive else None
+    for v in probes:
+        expect = f2.in_rowspace(span, v) if span is not None else v == 0
+        assert code.is_harmless(v) == expect
+
+
+def test_is_harmless_without_passive_generators():
+    code = QuantumCode(n=2, gens_e=((parse_pauli("ZI"), parse_pauli("XI")),))
+    assert code.passive_gens() == []
+    assert code.is_harmless(0)
+    assert not code.is_harmless(parse_pauli("ZI").packed())
+
+
 # -- distance ----------------------------------------------------------------
 
 def test_steane_strict_distance_three():
@@ -278,6 +385,13 @@ def test_extend_trivial_code():
     assert ext.n == 2
     # two added rows on top of the old generator
     assert ext.s + 2 * ext.c == f2.rank(ext.generator_matrix())
+
+
+def test_extend_code_without_generators():
+    """Only the two all-ones rows remain: ZZZZ and XXXX commute."""
+    ext = extend_code(QuantumCode(n=3))
+    assert ext.params == "[[4,2;0]]"
+    assert codes.to_stabilizer_table(ext).split() == ["ZZZZ", "XXXX"]
 
 
 def test_extend_distance_never_drops():
@@ -592,3 +706,62 @@ _BUILTIN_REPORTS = {
 @pytest.mark.parametrize("name", sorted(_BUILTIN_REPORTS))
 def test_builtin_reports_unchanged(name):
     assert astuple(make_report(_named_code(name))) == _BUILTIN_REPORTS[name]
+
+
+# -- derived-code pins ----------------------------------------------------------
+
+#: sha256 of ``to_stabilizer_table`` of each derived code, recorded before
+#: the derived codes re-indexed qubits through ``PauliVec`` fields;
+#: ``gauge_move`` moves pair 0 of every code with an entanglement pair
+PINNED_DERIVED = {
+    ("shor9", "extend"): "396f5e927b208c8c0bdc638d33861095f0250d1fab93c461f1572d8d398ff116",
+    ("shor9", "puncture"): "fcea5b4932dfff6195a32d0175bf9232bf1ab1171bad6d6e39fc76ead854ce9d",
+    ("steane7", "extend"): "4a7363736898db448be8769b5e448d837a38e22ff6a9d74f4edb2080c2ede0ab",
+    ("steane7", "puncture"): "6ba1aa948d969299db79a9a4fb0bf68fbd0f22434b71fe9fccefb7e50645d2a4",
+    ("ea8", "extend"): "d8d318063f3f56c90734c8a0a8a8f48624ad4771e695614f9a5104c6fe18d3a9",
+    ("ea8", "puncture"): "3599752dc3aa2c5c3cfa57395e6bcc1c06499b3697974a898f9ed89a6069da10",
+    ("ea8", "gauge"): "fa38a6bfb865a654ebba1243f273f36d1dbde91912d4664f0c556f3834ecc4df",
+    ("eaoq8", "extend"): "ed985f18de7a77dd3455ada3fc5f574df48dd75a195f785255b598c79d48a198",
+    ("eaoq8", "puncture"): "ac68aa78e996a6655af12d018576093cccd7955c76bfc6e1e9e21a7a13dd51b3",
+    ("eaoq8", "gauge"): "4424d2d897608e5a5bb94020fd3a8a84d1299931853981a4b759d26fd075338e",
+    ("bch63", "extend"): "68f8b02cfdf52dd814979d72f487da03b88b87bace6885abc063b4f5d4ae6914",
+    ("bch63", "puncture"): "dd35e973b54e59eb6a3cb8fab66936e2051fbf40c6d64e24ad754ad88d49b93a",
+    ("bch63", "gauge"): "78b599b36a503d13c3bd813211db728d3fa8eb4ac0aa43654cace0dd2a8a7c74",
+    ("q15", "extend"): "ba032d0e42b1a14d42c1adeb17f1be8092a9469f73ea2bd17ba84be6cafa9a3a",
+    ("q15", "puncture"): "111615b1b7ebf74717dd53d27ede542f6ab5d42b3558fd037bdc25b9f2492753",
+    ("q15", "gauge"): "08819e89ce1378c0422022278b32afcc1ab44d896ccc9078c0290737f3baa731",
+    ("fivequbit", "extend"): "3ff021349aa16476d0d500655e037723193bb3e74133f097a4b770b1a69bda0e",
+    ("fivequbit", "puncture"): "27a873a05dce331c1372db490f0cbfab2ab644e3732ccd328f291ef96b4a2701",
+    ("q15_traded", "extend"): "ba032d0e42b1a14d42c1adeb17f1be8092a9469f73ea2bd17ba84be6cafa9a3a",
+    ("q15_traded", "puncture"): "111615b1b7ebf74717dd53d27ede542f6ab5d42b3558fd037bdc25b9f2492753",
+    ("q15_traded", "gauge"): "5f3326c578e7f4774586bd50f9e7f11888e6caa579bf0f3b9fd9ee446fe32a02",
+    ("ex1", "extend"): "4bb092c2dcfd16fb5a02d327a84dd067be9f85cf17da898713126d93bf98d684",
+    ("ex1", "puncture"): "7264923965249340ef3c67d66fdc759b784046fff7c2ba87712cc9d275f8a3cd",
+    ("ex1", "gauge"): "174a79915ae5b36a93cae979fe42805de37988e35ba4874b71c3052a8847ff31",
+    ("ex2", "extend"): "977060d6a74a11faf72bb54949f263555640da6e52515c6de11d71bba415ddc7",
+    ("ex2", "puncture"): "f54e55dba65e96644bb136c0029b5fbac156ee07c5f3c38f732b5b4f390c3303",
+    ("ex2", "gauge"): "35541fd5a6ea977813f1ac74ab40ff91fae08c2f85a2fd4db3b3b7bbbd2ecdee",
+    ("mackay", "extend"): "046517255320f7c8826316eb57ba7dc16ca6f7958e207b5c879a30907c6d3f1f",
+    ("mackay", "puncture"): "7819a946da9ac25a6f07f6c7dd722e63409db057fddb91e79d2432b84b6c3e16",
+    ("hi", "extend"): "22e45d54f6dea224323e0335e57c10e1ca6fb6ce88a0524650aea86b419d15a0",
+    ("hi", "puncture"): "2303b505a6c720edb56466e9aea570b92546384a15bd9f3b5d038488d063eedd",
+}
+
+_DERIVE = {
+    "extend": extend_code,
+    "puncture": puncture_code,
+    "gauge": lambda code: gauge_move(code, 0),
+}
+
+
+def test_derived_pins_cover_every_applicable_named_code():
+    for name, entry in codes.NAMED.items():
+        code = entry.build()
+        expect = {"extend", "puncture"} | ({"gauge"} if code.gens_e else set())
+        assert {op for n, op in PINNED_DERIVED if n == name} == expect, name
+
+
+@pytest.mark.parametrize("name, op", PINNED_DERIVED)
+def test_derived_code_tables_pinned(name, op):
+    table = codes.to_stabilizer_table(_DERIVE[op](builtin(name)))
+    assert hashlib.sha256(table.encode()).hexdigest() == PINNED_DERIVED[name, op]

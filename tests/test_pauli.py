@@ -141,3 +141,43 @@ def test_stabilizer_table_fuzz_raises_only_value_error(text):
         codes.from_stabilizer_table(text)
     except ValueError:
         pass
+
+
+_pauli_rows = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, 2 ** n - 1), st.integers(0, 2 ** n - 1)),
+             min_size=1, max_size=12),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pauli_rows)
+def test_swap_halves_gives_the_symplectic_product(rows):
+    n, zx = rows
+    vecs = [PauliVec(n, z, x) for z, x in zx]
+    for u in vecs:
+        assert pauli.swap_halves(pauli.swap_halves(u.packed(), n), n) == u.packed()
+        for v in vecs:
+            assert (pauli.swap_halves(u.packed(), n) & v.packed()).bit_count() % 2 \
+                == symplectic_product(u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pauli_rows)
+def test_symplectic_gram_matches_pairwise_products(rows):
+    n, zx = rows
+    vecs = [PauliVec(n, z, x) for z, x in zx]
+    tri = pauli.symplectic_gram(pauli.paulis_to_matrix(vecs))
+    assert len(tri) == len(vecs)
+    for a in range(len(vecs)):
+        for b in range(len(vecs)):
+            expect = symplectic_product(vecs[a], vecs[b]) if b > a else 0
+            assert (tri[a] >> b) & 1 == expect
+        assert tri[a] >> len(vecs) == 0
+
+
+def test_odd_column_matrices_are_rejected_once():
+    odd = pauli.BitMatrix(1, 3, (0b101,))
+    for fn in (pauli.symplectic_gram, pauli.matrix_to_paulis):
+        with pytest.raises(ValueError, match="even column count"):
+            fn(odd)

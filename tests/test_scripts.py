@@ -76,6 +76,14 @@ def test_ordering_sweep_rejects_bad_input_before_sweeping(argv, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_ordering_sweep_rejects_negative_seed():
+    proc = run_script("ordering_sweep.py", "--trials", "20", "--seed", "-1", "--codes", "ex1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "ex1: seed must be non-negative, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_builtin_names_are_the_table_codes():
     assert codes.BUILTIN_NAMES == ("shor9", "steane7", "ea8", "eaoq8", "bch63", "q15",
                                    "fivequbit")

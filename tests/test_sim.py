@@ -160,6 +160,13 @@ def test_run_point_rejects_p_outside_unit_interval(monkeypatch):
             run_point(cfg, p)
 
 
+@pytest.mark.parametrize("p_grid", [(0.01,), (0.0,)])
+def test_config_rejects_negative_seed(p_grid):
+    """Rejected up front, also where a p = 0 grid would sample nothing."""
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimConfig(code=builtin("steane7"), p_grid=p_grid, trials=10, seed=-1)
+
+
 def test_config_rejects_nonpositive_workers():
     st = builtin("steane7")
     for workers in (0, -3):
