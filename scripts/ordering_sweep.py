@@ -9,6 +9,11 @@ that ordering.
 
 Every code is the one ``codes.NAMED`` builds (ex-MacKay from seed 0, as
 in ``simulate --code mackay``); ``--seed`` seeds only the trials.
+
+Each point's failure split and decoder effort go to stderr, one line
+per point: block errors that did not converge and that converged to a
+wrong coset, trials excused as degenerate, and the mean (per decoded
+row, two rows per trial) and maximum iteration counts.
 """
 
 import argparse
@@ -54,6 +59,13 @@ def main():
         print(f"# {name}: {cfg.code.params}  ({time.time() - t0:.1f}s, "
               f"mode={args.mode}, seed={args.seed})")
         sys.stdout.write(result.to_csv())
+        sys.stdout.flush()
+        for pt in result.points:
+            print(f"# {name} p={pt.p:g}: not_converged={pt.not_converged} "
+                  f"converged_wrong={pt.converged_wrong} "
+                  f"degenerate_saves={pt.degenerate_saves} "
+                  f"iterations mean={pt.iterations_total / (2 * pt.trials):.2f} "
+                  f"max={pt.iterations_max}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -11,15 +11,21 @@ incoming edge, the probability that the other bits of a check have even
 parity is (1 + prod dq) / 2, which equals the configuration sum over
 satisfying assignments.
 
-There is one kernel and it works on a batch: ``decode_batch`` runs up
+There is one kernel and it works on a stream: ``decode_stream`` runs up
 to ``WIDTH`` independent syndromes side by side, with the messages of
-all rows held edge-major (E Tanner-graph edges by B rows).  A row
-leaves as soon as it converges or reaches ``max_iter``, and the next
-queued syndrome takes its slot, so the kernel stays wide however long
-single rows run.  The products over the edges of each check (or bit)
-run on a padded slot-major [d, groups, B] gather, one contiguous
-multiply per slot and always in slot order, so a row's arithmetic does
-not depend on the rest of its batch.  ``decode`` is the batch of one.
+all rows held edge-major (E Tanner-graph edges by B rows) in two arrays
+that every iteration overwrites in place.  Each row carries its own
+flip prior.  A row leaves as soon as it converges or reaches
+``max_iter``, and the next queued syndrome takes its slot, from the
+same block or from the next one, which the kernel pulls lazily from a
+source of ``(syndromes, prior)`` blocks; results come back block by
+block, in order.  So the kernel stays wide however long single rows
+run, across blocks and priors alike.  The products over the edges of
+each check (or bit) run on a padded slot-major [d, groups, B] gather,
+one contiguous multiply per slot and always in slot order, so a row's
+arithmetic does not depend on the rest of its batch.
+``decode_batch`` is the stream of one block and ``decode`` the batch
+of one.
 
 ``exact_marginals`` is the brute-force oracle: true per-bit posteriors
 by enumerating every error pattern consistent with the syndrome.
@@ -27,6 +33,7 @@ by enumerating every error pattern consistent with the syndrome.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +41,10 @@ import numpy as np
 from .f2 import BitMatrix
 
 __all__ = ["SpaGraph", "SpaWorkspace", "DecodeResult", "decode", "decode_batch",
-           "exact_marginals"]
+           "decode_stream", "exact_marginals"]
 
 _FLOOR = 1e-300
-#: most syndromes ``decode_batch`` iterates at once; the kernel peaks at
+#: most syndromes ``decode_stream`` iterates at once; the kernel peaks at
 #: about 22 KB per row on a graph of 384 edges
 WIDTH = 64
 _Q_SENTINEL = ((1.0,), (0.0,))    # q0, q1 of the sentinel edge: dq = 1
@@ -115,42 +122,53 @@ class SpaGraph:
         self.check_bits = np.append(self.edge_bit, self.n)[self.check_slots_t]
 
 
+def _check_prior(prior: np.ndarray):
+    bad = prior[~((prior > 0.0) & (prior < 1.0))]
+    if bad.size:
+        raise ValueError(f"prior flip probability must be in (0, 1), got {bad.flat[0]}")
+
+
+def _check_length(syndromes: np.ndarray, graph: SpaGraph):
+    if syndromes.shape[1] != graph.m:
+        raise ValueError(f"syndrome length {syndromes.shape[1]} != check count {graph.m}")
+
+
 class SpaWorkspace:
-    """Message state of one decoding run over a batch of syndromes
-    (single-use).
+    """Message state of one decoding run over a batch of syndromes.
 
     A 2-D syndrome array [B, m] is a batch of B independent rows; the
     message arrays ``q0``, ``q1``, ``r0`` and ``r1`` are then [B, E].  Any
     other shape is raveled into one syndrome: a batch of one, for which
     ``pseudoposteriors``, ``tentative`` and ``satisfies`` drop the batch
-    axis.
+    axis.  ``prior_flip`` is one flip probability for every row or one
+    per row.
 
     In memory the messages are edge-major, ``q[t, e, b]`` for the 0- (t
     = 0) and 1-messages (t = 1), so a gather by edge moves whole batch
     rows.  Row E is a sentinel that pads the slot-major gathers: r is 1
-    there, and q is 1 and 0, so that dq = q0 - q1 is 1.
+    there, and q is 1 and 0, so that dq = q0 - q1 is 1.  The steps
+    overwrite ``q`` and ``r`` in place (the horizontal step reads q and
+    writes r, the vertical step reads r and writes q), so an iteration
+    allocates no message array; ``admit`` restarts rows in place too.
     """
 
-    def __init__(self, graph: SpaGraph, syndrome, prior_flip: float):
-        if not 0.0 < prior_flip < 1.0:
-            raise ValueError(f"prior flip probability must be in (0, 1), got {prior_flip}")
+    def __init__(self, graph: SpaGraph, syndrome, prior_flip):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         self.batched = syndrome.ndim == 2
         if not self.batched:
             syndrome = syndrome.reshape(1, -1)
         syndrome = syndrome & 1
-        if syndrome.shape[1] != graph.m:
-            raise ValueError(
-                f"syndrome length {syndrome.shape[1]} != check count {graph.m}"
-            )
+        _check_length(syndrome, graph)
+        b = len(syndrome)
         self.g = graph
         self.syndrome = syndrome
         self.sign = 1.0 - 2.0 * syndrome.T   # (-1)^z per check, [m, B]
-        self.p1 = prior_flip
-        self.p0 = 1.0 - prior_flip
-        self.prior = np.array([self.p0, self.p1])[:, None, None]
-        shape = (2, graph.n_edges + 1, len(syndrome))
-        self.q = self.prior * np.ones(shape)
+        # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
+        self.prior = np.empty((2, 1, b))
+        self.set_prior(np.arange(b), prior_flip)
+        shape = (2, graph.n_edges + 1, b)
+        self.q = np.empty(shape)
+        self.q[:, :-1] = self.prior
         self.q[:, -1] = _Q_SENTINEL
         self.r = np.ones(shape)
         self.r[:, :-1] = 0.0
@@ -160,14 +178,25 @@ class SpaWorkspace:
     q1 = property(lambda self: self.q[1, :-1].T)
     r0 = property(lambda self: self.r[0, :-1].T)
     r1 = property(lambda self: self.r[1, :-1].T)
+    p0 = property(lambda self: self.prior[0, 0])
+    p1 = property(lambda self: self.prior[1, 0])
+
+    def set_prior(self, slots: np.ndarray, prior_flip):
+        """Give the batch rows ``slots`` the flip probability
+        ``prior_flip`` (one for all or one per slot); ``admit`` starts
+        their messages from it."""
+        flip = np.asarray(prior_flip, dtype=float)
+        _check_prior(flip)
+        self.prior[1, 0, slots] = flip
+        self.prior[0, 0, slots] = 1.0 - flip
 
     def admit(self, slots: np.ndarray, syndromes: np.ndarray):
         """Restart the batch rows ``slots`` on new syndromes (a [k, m]
-        array): their messages go back to the prior."""
+        array): their messages go back to their prior."""
         syndromes = syndromes & 1
         self.syndrome[slots] = syndromes
         self.sign[:, slots] = 1.0 - 2.0 * syndromes.T
-        self.q[:, :-1, slots] = self.prior
+        self.q[:, :-1, slots] = self.prior[..., slots]
         self.r[:, :-1, slots] = 0.0
         self._totals = None
 
@@ -175,20 +204,18 @@ class SpaWorkspace:
         """Carry on with the batch rows selected by ``rows`` only."""
         self.syndrome = self.syndrome[rows]
         self.sign = self.sign[:, rows]
+        self.prior = self.prior[..., rows]
         self.q = self.q[..., rows]
         self.r = self.r[..., rows]
         self._totals = None
 
     def horizontal_step(self):
-        """Check-to-bit messages from the parity convolution."""
+        """Check-to-bit messages from the parity convolution, into r."""
         g = self.g
-        self.r = None       # replaced below; dropping it early lowers the peak
         self._totals = None
         loo, _ = _loo_prod((self.q[0] - self.q[1])[g.check_slots_t])
         loo *= self.sign
-        self.r = r = np.empty(self.q.shape)
-        r[:, -1] = 1.0
-        body = r[:, :-1]
+        body = self.r[:, :-1]
         dr = body[1]    # dr = prod dq over the other edges, then r1 in place
         np.take(loo.reshape(-1, loo.shape[-1]), g.check_pos, axis=0, out=dr, mode="clip")
         np.add(1.0, dr, out=body[0])
@@ -197,12 +224,10 @@ class SpaWorkspace:
         np.maximum(body, _FLOOR, out=body)
 
     def vertical_step(self):
-        """Bit-to-check messages, renormalized so q0 + q1 = 1 per edge."""
+        """Bit-to-check messages, renormalized so q0 + q1 = 1 per edge,
+        into q."""
         g = self.g
-        self.q = None
-        self.q = q = np.empty(self.r.shape)
-        q[:, -1] = _Q_SENTINEL
-        body = q[:, :-1]
+        body = self.q[:, :-1]
         totals = []
         for t in (0, 1):
             loo, total = _loo_prod(self.r[t][g.bit_slots_t])
@@ -250,47 +275,130 @@ class DecodeResult:
         object.__setattr__(self, "estimate", np.asarray(self.estimate, dtype=np.uint8))
 
 
-def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip: float,
-                 max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flooding-schedule sum-product decoding of a [B, m] batch of
-    syndromes, each row independent of the others.
+class _Block:
+    """One block of a stream: its queued syndromes and priors, and its
+    results as its rows finish."""
 
-    Returns ``(estimates [B, n] uint8, converged [B] bool, iterations
-    [B] int64)``.  A row stops at the first tentative estimate that
-    reproduces its syndrome; a row that has not after ``max_iter``
-    rounds keeps its last estimate, unconverged.  When ``prior_flip <
-    1/2`` an all-zero syndrome never enters the loop: every check
-    message then favors 0, so the first round would return the zero
-    estimate anyway.
+    def __init__(self, block_id: int, graph: SpaGraph, syndromes, prior_flip, max_iter: int):
+        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        if syndromes.ndim != 2:
+            raise ValueError(f"syndromes must be a [B, m] array, got shape {syndromes.shape}")
+        _check_length(syndromes, graph)
+        flip = np.asarray(prior_flip, dtype=float)
+        _check_prior(flip)
+        b = len(syndromes)
+        self.id = block_id
+        self.syndromes = syndromes & 1
+        self.flip = np.broadcast_to(flip, (b,))
+        self.estimates = np.zeros((b, graph.n), dtype=np.uint8)
+        self.converged = np.zeros(b, dtype=bool)
+        self.iterations = np.full(b, max_iter, dtype=np.int64)
+        # below 1/2 a zero syndrome is decoded without the loop: every
+        # check message then favors 0, so the first round would return
+        # the zero estimate anyway
+        zero = ~self.syndromes.any(axis=1) & (self.flip < 0.5)
+        self.converged[zero] = True
+        self.iterations[zero] = 1
+        self.queue = np.flatnonzero(~zero)
+        self.pending = len(self.queue)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.estimates, self.converged, self.iterations
+
+
+class _Feed:
+    """The kernel's side of a block stream: hands out queued rows,
+    pulling the next block only when the queued ones run out, takes
+    back finished rows, and releases finished blocks in stream order."""
+
+    def __init__(self, graph: SpaGraph, blocks, max_iter: int):
+        self.graph = graph
+        self.blocks = iter(blocks)
+        self.max_iter = max_iter
+        self.open: deque[_Block] = deque()    # not yet released, in order
+        self.queued: deque[_Block] = deque()  # with rows still to hand out
+        self.pulled = 0                       # blocks pulled so far
+
+    def take(self, k: int):
+        """Up to ``k`` queued rows as ``(block ids, rows, syndromes,
+        priors)``; fewer only when the stream has run dry."""
+        parts = []
+        while k:
+            if not self.queued:
+                item = next(self.blocks, None)
+                if item is None:
+                    break
+                syndromes, prior_flip = item
+                block = _Block(self.pulled, self.graph, syndromes, prior_flip, self.max_iter)
+                self.pulled += 1
+                self.open.append(block)
+                if len(block.queue):
+                    self.queued.append(block)
+                continue
+            block = self.queued[0]
+            rows, block.queue = block.queue[:k], block.queue[k:]
+            if not len(block.queue):
+                self.queued.popleft()
+            parts.append((block, rows))
+            k -= len(rows)
+        if not parts:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, np.zeros((0, self.graph.m), dtype=np.uint8), np.zeros(0)
+        return (np.concatenate([np.full(len(r), b.id) for b, r in parts]),
+                np.concatenate([r for _, r in parts]),
+                np.concatenate([b.syndromes[r] for b, r in parts]),
+                np.concatenate([b.flip[r] for b, r in parts]))
+
+    def finish(self, ids, rows, estimates, converged, iterations):
+        """Record the results of finished rows."""
+        first = self.open[0].id
+        for bid in np.unique(ids):
+            sel = ids == bid
+            block = self.open[bid - first]
+            r = rows[sel]
+            block.estimates[r] = estimates[sel]
+            block.converged[r] = converged[sel]
+            block.iterations[r] = iterations[sel]
+            block.pending -= len(r)
+
+    def ready(self):
+        """Release the leading run of finished blocks."""
+        while self.open and not self.open[0].pending:
+            yield self.open.popleft().result()
+
+
+def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
+    """Flooding-schedule sum-product decoding of a stream of blocks,
+    each ``(syndromes [B, m], prior_flip)`` with one flip probability
+    for the block or one per row.
+
+    Yields ``(estimates [B, n] uint8, converged [B] bool, iterations [B]
+    int64)`` per block, in stream order.  A row stops at the first
+    tentative estimate that reproduces its syndrome; a row that has not
+    after ``max_iter`` rounds keeps its last estimate, unconverged.  A
+    zero syndrome at a prior below 1/2 never enters the loop.
 
     The kernel iterates an active set of at most ``WIDTH`` rows.  Each
     row counts its own rounds, and the slot of a row that stops is
-    refilled with the next queued syndrome, so the batch stays wide
-    until the queue runs out.
+    refilled with the next queued row, whichever block it comes from,
+    so the batch stays wide until the stream runs out.  A block is
+    pulled only when its predecessors have no row left to queue, and
+    held until it and every block before it are done: each round
+    retires at most ``WIDTH`` rows, so at most ``WIDTH * max_iter`` rows
+    are pulled past the oldest running one.  Every row computes exactly
+    what it would alone.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     graph = h if isinstance(h, SpaGraph) else SpaGraph(h)
-    syndromes = np.asarray(syndromes, dtype=np.uint8)
-    if syndromes.ndim != 2:
-        raise ValueError(f"syndromes must be a [B, m] array, got shape {syndromes.shape}")
-    syndromes = syndromes & 1
-    b = len(syndromes)
-    estimates = np.zeros((b, graph.n), dtype=np.uint8)
-    converged = np.zeros(b, dtype=bool)
-    iterations = np.full(b, max_iter, dtype=np.int64)
-    queue = np.arange(b)
-    if prior_flip < 0.5:
-        zero = ~syndromes.any(axis=1)
-        converged[zero] = True
-        iterations[zero] = 1
-        queue = queue[~zero]
-    # built before the loop even when the queue is empty: it validates
-    # the prior and the syndrome length
-    active = queue[:WIDTH]
-    queue = queue[WIDTH:]
-    ws = SpaWorkspace(graph, syndromes[active], prior_flip)
-    age = np.zeros(len(active), dtype=np.int64)
+    return _stream(_Feed(graph, blocks, max_iter), max_iter)
+
+
+def _stream(feed: _Feed, max_iter: int):
+    ids, active, syn, flip = feed.take(WIDTH)
+    if len(active):
+        ws = SpaWorkspace(feed.graph, syn, flip)
+        age = np.zeros(len(active), dtype=np.int64)
     while len(active):
         ws.horizontal_step()
         ws.vertical_step()
@@ -298,26 +406,36 @@ def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip: float,
         estimate = ws.tentative()
         ok = ws.satisfies(estimate)
         done = ok | (age == max_iter)
-        if not done.any():
-            continue
-        rows = active[done]
-        estimates[rows] = estimate[done]
-        converged[rows] = ok[done]
-        iterations[rows] = age[done]
-        slots = np.flatnonzero(done)
-        refill, queue = queue[:len(slots)], queue[len(slots):]
-        k = len(refill)
-        if k:
-            ws.admit(slots[:k], syndromes[refill])
-            active[slots[:k]] = refill
-            age[slots[:k]] = 0
-        if k < len(slots):
-            keep = np.ones(len(active), dtype=bool)
-            keep[slots[k:]] = False
-            ws.keep(keep)
-            active = active[keep]
-            age = age[keep]
-    return estimates, converged, iterations
+        if done.any():
+            slots = np.flatnonzero(done)
+            feed.finish(ids[slots], active[slots], estimate[slots], ok[slots], age[slots])
+            new_ids, refill, syn, flip = feed.take(len(slots))
+            k = len(refill)
+            if k:
+                ws.set_prior(slots[:k], flip)
+                ws.admit(slots[:k], syn)
+                ids[slots[:k]] = new_ids
+                active[slots[:k]] = refill
+                age[slots[:k]] = 0
+            if k < len(slots):
+                keep = np.ones(len(active), dtype=bool)
+                keep[slots[k:]] = False
+                ws.keep(keep)
+                ids, active, age = ids[keep], active[keep], age[keep]
+            yield from feed.ready()
+    yield from feed.ready()
+
+
+def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip,
+                 max_iter: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``decode_stream`` on one block: sum-product decoding of a [B, m]
+    batch of syndromes, each row independent of the others, at one
+    flip probability ``prior_flip`` or one per row.
+
+    Returns ``(estimates [B, n] uint8, converged [B] bool, iterations
+    [B] int64)``.
+    """
+    return next(decode_stream(h, [(syndromes, prior_flip)], max_iter))
 
 
 def decode(h: BitMatrix | SpaGraph, syndrome, prior_flip: float,

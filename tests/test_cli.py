@@ -167,6 +167,12 @@ def test_simulate_bad_p():
     assert rc == 2
 
 
+def test_simulate_rejects_empty_grid(capsys):
+    rc, out = run_cli("simulate", "--code", "steane7", "--p", ",", "--trials", "5")
+    assert rc == 2 and out == ""
+    assert "p_grid must not be empty" in capsys.readouterr().err
+
+
 def test_simulate_rejects_nonpositive_max_iter(capsys):
     rc, _ = run_cli("simulate", "--code", "steane7", "--p", "0", "--max-iter", "0")
     assert rc == 2

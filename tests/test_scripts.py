@@ -53,6 +53,18 @@ def test_ordering_sweep_prints_one_csv_block_per_code():
     assert sum(ln.startswith("0.01,20,") for ln in lines) == 2
 
 
+def test_ordering_sweep_reports_each_point_on_stderr():
+    proc = run_script("ordering_sweep.py", "--trials", "30", "--p", "0.02,0.04",
+                      "--codes", "ex1,mackay", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    pattern = (r"# (\S+) p=(\S+): not_converged=\d+ converged_wrong=\d+ "
+               r"degenerate_saves=\d+ iterations mean=\d+\.\d\d max=\d+")
+    heads = [re.fullmatch(pattern, ln).groups() for ln in lines]
+    assert heads == [("ex1", "0.02"), ("ex1", "0.04"), ("mackay", "0.02"), ("mackay", "0.04")]
+    assert "mean=" not in proc.stdout
+
+
 def test_ordering_sweep_runs_the_simulate_codes():
     argv = ("--p", "0.01,0.03", "--trials", "40", "--seed", "3")
     proc = run_script("ordering_sweep.py", *argv, "--codes", "mackay")
@@ -67,6 +79,7 @@ def test_ordering_sweep_runs_the_simulate_codes():
     (("--codes", "ex1,fivequbit"),
      "fivequbit: simulation needs a code with classical CSS structure"),
     (("--p", "0.01,zzz"), "bad probability list '0.01,zzz'"),
+    (("--p", ","), "ex1: p_grid must not be empty"),
 ])
 def test_ordering_sweep_rejects_bad_input_before_sweeping(argv, message):
     proc = run_script("ordering_sweep.py", "--trials", "20", *argv)

@@ -83,6 +83,12 @@ def test_wilson_interval_basics():
         wilson_interval(1, 0)
 
 
+@pytest.mark.parametrize("hits", [5, -1])
+def test_wilson_interval_rejects_hits_outside_trials(hits):
+    with pytest.raises(ValueError, match=f"hits={hits}, trials=3"):
+        wilson_interval(hits, 3)
+
+
 def test_run_point_zero_probability():
     cfg = SimConfig(code=builtin("steane7"), p_grid=(0.0,), trials=200, seed=0)
     pt = run_point(cfg, 0.0, 0)
@@ -96,11 +102,10 @@ def test_steane_low_p_low_wer():
     assert pt.wer < 1e-2
 
 
-def test_sweep_empty_grid():
-    cfg = SimConfig(code=builtin("steane7"), p_grid=(), trials=10, seed=0)
-    res = sweep(cfg)
-    assert res.points == ()
-    assert res.to_csv() == "p,trials,block_errors,wer,ci_lo,ci_hi\n"
+def test_config_rejects_empty_grid():
+    """An empty grid would give a header-only CSV: rejected instead."""
+    with pytest.raises(ValueError, match="p_grid must not be empty"):
+        SimConfig(code=builtin("steane7"), p_grid=(), trials=10, seed=0)
 
 
 def test_sweep_deterministic_for_seed():
@@ -158,6 +163,16 @@ def test_run_point_rejects_p_outside_unit_interval(monkeypatch):
     for p in (1.5, -0.2, 1.0):
         with pytest.raises(ValueError, match=r"depolarizing probability .* outside \[0, 1\)"):
             run_point(cfg, p)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.0])
+def test_run_point_rejects_negative_p_idx(monkeypatch, p):
+    """Rejected before any trial is sampled, also at p = 0 where no
+    trial would be."""
+    cfg = SimConfig(code=builtin("steane7"), p_grid=(0.1,), trials=5)
+    monkeypatch.setattr(sim, "_TrialRunner", None)
+    with pytest.raises(ValueError, match="p_idx must be non-negative, got -1"):
+        run_point(cfg, p, p_idx=-1)
 
 
 @pytest.mark.parametrize("p_grid", [(0.01,), (0.0,)])
@@ -334,3 +349,54 @@ def test_failure_taxonomy(pinned_codes, name, mode):
     if name == "mackay":
         assert points[1].not_converged > 0 and points[1].converged_wrong > 0
     assert sweep(dataclasses.replace(cfg, workers=2)).points == points
+
+
+@pytest.mark.parametrize("name", ["ex2", "shor9"])
+def test_grid_stream_matches_per_point_runs(monkeypatch, name):
+    """One task per worker streams its span of every point through one
+    kernel: a grid of CHUNK + 7 trials per point gives the same points
+    for one and two workers, and each equals its own ``run_point``."""
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    cfg = SimConfig(code=codes.NAMED[name].build(), p_grid=(0.02, 0.0, 0.04),
+                    trials=sim.CHUNK + 7, seed=13)
+    points = sweep(cfg).points
+    assert sweep(dataclasses.replace(cfg, workers=2)).points == points
+    for p_idx, pt in enumerate(points):
+        assert run_point(cfg, pt.p, p_idx) == pt
+    assert points[1].iterations_total == points[1].iterations_max == 0
+    assert points[2].iterations_max > 1 and points[2].block_errors > 0
+
+
+def _trial_effort(code, p, p_idx, trials, seed):
+    """(total, max) decoder iterations over both CSS halves of every
+    trial, one syndrome at a time through ``decode``."""
+    css, n, f = code.css, code.n, 2.0 * p / 3.0
+    gz, gx = sim.SpaGraph(css.hz), sim.SpaGraph(css.hx)
+    its = []
+    for t in range(trials):
+        u = np.random.default_rng((seed, p_idx, t)).random(n)
+        ex, ez = sim._flips(u, p)
+        its.append(sim.decode(gz, (gz.arr @ ex) % 2, f).iterations)
+        its.append(sim.decode(gx, (gx.arr @ ez) % 2, f).iterations)
+    return sum(its), max(its)
+
+
+@pytest.mark.parametrize("name, p_grid", [("shor9", (0.05, 0.12)), ("ea8", (0.05, 0.12)),
+                                          ("ex1", (0.02, 0.04))])
+def test_point_observability(name, p_grid):
+    """Degenerate saves are the strict errors that degenerate scoring
+    excuses, and the iteration counts are those of every decoded row."""
+    code = codes.NAMED[name].build()
+    base = dict(code=code, p_grid=p_grid, trials=120, seed=4)
+    strict = sweep(SimConfig(success_mode="strict", **base)).points
+    degen = sweep(SimConfig(success_mode="degenerate", **base)).points
+    for p_idx, (s, d) in enumerate(zip(strict, degen)):
+        assert s.degenerate_saves == 0
+        assert d.degenerate_saves == s.block_errors - d.block_errors
+        effort = _trial_effort(code, s.p, p_idx, 120, 4)
+        assert (s.iterations_total, s.iterations_max) == effort
+        assert (d.iterations_total, d.iterations_max) == effort
+    if name != "ex1":
+        assert sum(d.degenerate_saves for d in degen) > 0
+    w2 = sweep(SimConfig(success_mode="degenerate", workers=2, **base)).points
+    assert w2 == degen

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from stabkit import qc_ldpc, spa
 from stabkit.codes import hamming_matrix
 from stabkit.f2 import BitMatrix
-from stabkit.spa import SpaGraph, SpaWorkspace, decode, decode_batch, exact_marginals
+from stabkit.spa import (SpaGraph, SpaWorkspace, decode, decode_batch, decode_stream,
+                        exact_marginals)
 
 from util import random_bitmatrix, random_tree_check_matrix
 
@@ -369,3 +371,87 @@ def test_batched_workspace_shapes():
     single.vertical_step()
     assert single.pseudoposteriors().shape == (7,)
     assert single.satisfies(single.tentative()) is True
+
+
+def test_steps_update_messages_in_place():
+    """The horizontal step writes r and the vertical step writes q into
+    the arrays the workspace already holds."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex2())
+    rng = np.random.default_rng(4)
+    errs = (rng.random((spa.WIDTH, h.cols)) < 0.03).astype(np.uint8)
+    ws = SpaWorkspace(SpaGraph(h), (errs @ h.to_array().T) % 2, 0.02)
+    q, r = ws.q, ws.r
+    for _ in range(3):
+        ws.horizontal_step()
+        ws.vertical_step()
+        assert ws.q is q and ws.r is r
+    ws.admit(np.arange(4), np.zeros((4, h.rows), dtype=np.uint8))
+    assert ws.q is q and ws.r is r
+
+
+PRIORS = [0.01, 0.05, 0.2, 0.45, 0.5, 0.7]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1),
+       st.lists(st.tuples(st.sampled_from([0, 1, 7, spa.WIDTH - 1, spa.WIDTH + 3]),
+                          st.booleans()), min_size=1, max_size=6),
+       st.integers(1, 5))
+def test_stream_rows_match_decode_at_their_own_prior(seed, shapes, max_iter):
+    """Blocks of any size, each with one prior or one per row, share
+    the kernel's slots: every row of every block, handed back in
+    stream order, is what ``decode`` gives it alone at its own prior."""
+    rng = np.random.default_rng(seed)
+    h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    graph = SpaGraph(h)
+    blocks = []
+    for b, per_row in shapes:
+        prior = (rng.choice(PRIORS, size=b) if per_row else float(rng.choice(PRIORS)))
+        blocks.append((_random_syndromes(rng, h, b), prior))
+    results = list(decode_stream(graph, iter(blocks), max_iter))
+    assert len(results) == len(blocks)
+    for (syn, prior), (est, conv, its) in zip(blocks, results):
+        assert est.shape == (len(syn), h.cols)
+        priors = np.broadcast_to(prior, (len(syn),))
+        for i in range(len(syn)):
+            res = decode(graph, syn[i], float(priors[i]), max_iter)
+            assert np.array_equal(res.estimate, est[i])
+            assert (res.converged, res.iterations) == (bool(conv[i]), int(its[i]))
+
+
+def test_stream_pulls_blocks_only_as_slots_free():
+    """The first block comes back from an endless stream: blocks are
+    pulled only to fill freed slots.  Each slot retires at most one row
+    per round, so while a row of the first block runs (at most
+    ``max_iter`` rounds after it entered) at most ``WIDTH`` rows per
+    round are pulled past it."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex2())
+    rng = np.random.default_rng(5)
+    errs = (rng.random((2 * spa.WIDTH, h.cols)) < 0.03).astype(np.uint8)
+    block = ((errs @ h.to_array().T) % 2, 0.02)
+    pulled = []
+
+    def source():
+        for i in itertools.count():
+            pulled.append(i)
+            yield block
+
+    max_iter = 3
+    stream = decode_stream(h, source(), max_iter)
+    first = next(stream)
+    assert len(pulled) * len(errs) <= len(errs) + spa.WIDTH * (max_iter + 1)
+    assert np.array_equal(next(stream)[0], first[0])
+
+
+def test_stream_validates_each_block():
+    h = hamming_matrix()
+    good = (np.zeros((2, 3), dtype=np.uint8), 0.1)
+    for bad, message in (((np.zeros((2, 3)), np.array([0.1, 1.5])), "got 1.5"),
+                         ((np.zeros((2, 4)), 0.1), "syndrome length 4 != check count 3"),
+                         ((np.zeros(3), 0.1), "must be a \\[B, m\\] array"),
+                         ((np.zeros((2, 3)), 0.0), "got 0.0")):
+        with pytest.raises(ValueError, match=message):
+            list(decode_stream(h, [good, bad]))
+    with pytest.raises(ValueError, match="max_iter"):
+        decode_stream(h, [good], max_iter=0)
+    assert list(decode_stream(h, [])) == []
