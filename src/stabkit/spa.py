@@ -121,6 +121,16 @@ class SpaGraph:
         # bits of each check, slot-major [dc, m], padded with n
         self.check_bits = np.append(self.edge_bit, self.n)[self.check_slots_t]
 
+    def syndromes(self, bits: np.ndarray) -> np.ndarray:
+        """Parities ``bits @ h.T mod 2`` of every row of ``bits`` (a [B,
+        n] uint8 array) as a [B, m] uint8 array: the XOR over each
+        check's bits, gathered by ``check_bits`` from the bits padded
+        with a zero at index n."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        ext = np.zeros((self.n + 1, len(bits)), dtype=np.uint8)
+        ext[:-1] = bits.T
+        return (np.bitwise_xor.reduce(ext[self.check_bits], axis=0) & 1).T
+
 
 def _check_prior(prior: np.ndarray):
     bad = prior[~((prior > 0.0) & (prior < 1.0))]
@@ -258,10 +268,7 @@ class SpaWorkspace:
     def satisfies(self, estimate: np.ndarray):
         """Whether each row of ``estimate`` reproduces its syndrome."""
         estimate = np.asarray(estimate, dtype=np.uint8).reshape(len(self.syndrome), -1)
-        ext = np.zeros((self.g.n + 1, len(estimate)), dtype=np.uint8)
-        ext[:-1] = estimate.T
-        parity = np.bitwise_xor.reduce(ext[self.g.check_bits], axis=0) & 1
-        ok = np.all(parity == self.syndrome.T, axis=0)
+        ok = np.all(self.g.syndromes(estimate) == self.syndrome, axis=1)
         return ok if self.batched else bool(ok[0])
 
 

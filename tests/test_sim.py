@@ -1,9 +1,12 @@
 import dataclasses
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabkit import codes, f2, pauli, qc_ldpc, sim
 from stabkit.codes import builtin
@@ -189,55 +192,178 @@ def test_config_rejects_nonpositive_workers():
             SimConfig(code=st, p_grid=(0.1,), trials=1, workers=workers)
 
 
-def _record_pools(monkeypatch):
-    """Sizes of the process pools ``sim`` makes from now on."""
-    import concurrent.futures
+def _record_forks(monkeypatch):
+    """Workers forked per ``sim`` run from now on: one entry per sweep
+    or ``run_point`` that forks any, like the pool sizes recorded
+    before the pool was replaced by bare forks."""
+    forks = []
+    real_fork, real_simulate = sim._fork, sim._simulate
 
-    pools = []
+    def fork(fn, *args):
+        forks[-1] += 1
+        return real_fork(fn, *args)
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def simulate(*args):
+        forks.append(0)
+        try:
+            return real_simulate(*args)
+        finally:
+            if not forks[-1]:
+                forks.pop()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return pools
+    monkeypatch.setattr(sim, "_fork", fork)
+    monkeypatch.setattr(sim, "_simulate", simulate)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_processes_capped(monkeypatch):
-    """The calling process takes one span; the pool holds the others, and
-    no more workers run than there are cores or trials."""
-    pools = _record_pools(monkeypatch)
+    """The calling process takes one span; forked workers take the
+    others, and no more workers run than there are cores or trials."""
+    forks = _record_forks(monkeypatch)
     base = dict(code=builtin("steane7"), p_grid=(0.02,), seed=4)
     serial = sweep(SimConfig(workers=1, trials=90, **base)).to_csv()
-    assert pools == []
+    assert forks == []
     assert sweep(SimConfig(workers=64, trials=90, **base)).to_csv() == serial
-    assert pools == ([os.cpu_count() - 1] if os.cpu_count() > 1 else [])
-    pools.clear()
+    assert forks == ([os.cpu_count() - 1] if os.cpu_count() > 1 else [])
+    forks.clear()
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
     assert sweep(SimConfig(workers=64, trials=90, **base)).to_csv() == serial
     sweep(SimConfig(workers=64, trials=2, **base))
     sweep(SimConfig(workers=64, trials=1, **base))
-    assert pools == [2, 1]
+    assert forks == [2, 1]
+    _assert_no_child_left()
 
 
 def test_workers_run_serially_without_fork(monkeypatch):
-    import multiprocessing
-
-    pools = _record_pools(monkeypatch)
+    forks = _record_forks(monkeypatch)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(sim.os, "fork")
     base = dict(code=builtin("steane7"), p_grid=(0.01, 0.02), trials=120, seed=8)
     assert sweep(SimConfig(workers=4, **base)).to_csv() == sweep(SimConfig(**base)).to_csv()
-    assert pools == []
+    assert forks == []
 
 
-def test_one_pool_serves_the_whole_grid(monkeypatch):
-    pools = _record_pools(monkeypatch)
+def test_one_fork_per_worker_serves_the_whole_grid(monkeypatch):
+    forks = _record_forks(monkeypatch)
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     base = dict(code=builtin("steane7"), p_grid=(0.0, 0.01, 0.02, 0.03), trials=80, seed=2)
     assert sweep(SimConfig(workers=2, **base)).to_csv() == sweep(SimConfig(**base)).to_csv()
-    assert pools == [1]
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def _split_tally(monkeypatch, child, parent=None):
+    """Make ``_TrialRunner.tally`` call ``child()`` in forked workers and
+    ``parent()`` (if given) in the calling process before tallying, on
+    a host of 3 cores."""
+    real, home = sim._TrialRunner.tally, os.getpid()
+
+    def tally(self, spans):
+        hook = child if os.getpid() != home else parent
+        if hook is not None:
+            hook()
+        return real(self, spans)
+
+    monkeypatch.setattr(sim._TrialRunner, "tally", tally)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+
+
+_W3 = dict(code=builtin("steane7"), p_grid=(0.01, 0.02), trials=60, seed=1, workers=3)
+
+
+def test_worker_exception_reaches_parent(monkeypatch):
+    def fail():
+        raise LookupError(f"span of process {os.getpid()}")
+
+    _split_tally(monkeypatch, fail)
+    with pytest.raises(LookupError, match="span of process") as info:
+        sweep(SimConfig(**_W3))
+    assert type(info.value) is LookupError
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    _assert_no_child_left()
+
+
+def test_dead_worker_raises_runtime_error(monkeypatch):
+    _split_tally(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with status 3 before sending a result"):
+        sweep(SimConfig(**_W3))
+    _assert_no_child_left()
+
+
+def test_parent_failure_kills_workers(monkeypatch, tmp_path):
+    """A failing calling-process span kills and reaps its workers: they
+    would sleep 30 s and then leave a file."""
+    pids = []
+    real_fork = sim._fork
+
+    def fork(fn, *args):
+        child = real_fork(fn, *args)
+        pids.append(child.pid)
+        return child
+
+    def sleep_then_mark():
+        time.sleep(30)
+        (tmp_path / str(os.getpid())).touch()
+
+    def fail():
+        raise ValueError("calling span failed")
+
+    _split_tally(monkeypatch, sleep_then_mark, fail)
+    monkeypatch.setattr(sim, "_fork", fork)
+    with pytest.raises(ValueError, match="calling span failed"):
+        sweep(SimConfig(**_W3))
+    assert len(pids) == 2
+    _assert_no_child_left()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweeps_leave_no_child(monkeypatch, mode, workers):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    cfg = SimConfig(code=builtin("steane7"), p_grid=(0.0, 0.05), trials=40, seed=3,
+                    success_mode=mode, workers=workers)
+    sweep(cfg)
+    _assert_no_child_left()
+    run_point(cfg, 0.05, 1)
+    _assert_no_child_left()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 96 - 1), st.integers(0, 2 ** 40 - 1), st.integers(0, 2 ** 33),
+       st.integers(1, 6), st.integers(1, 300))
+@example(0, 0, 0, 3, 1)
+@example(7, 1, 2 ** 32 - 3, 6, 128)
+@example(2 ** 32 - 1, 2 ** 32, 2 ** 33 - 2, 4, 5)
+@example(2 ** 96 - 1, 2 ** 40 - 1, 2 ** 33, 1, 300)
+def test_batched_seeding_matches_default_rng(seed, p_idx, start, count, n):
+    """Each row equals a generator seeded by the tuple, also where
+    seed, p_idx or the trial index take several 32-bit words."""
+    gen = np.random.Generator(np.random.PCG64())
+    u = sim._uniforms(gen, seed, p_idx, start, start + count, n)
+    assert u.shape == (count, n)
+    for t, row in zip(range(start, start + count), u):
+        assert np.array_equal(row, np.random.default_rng((seed, p_idx, t)).random(n))
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+def test_count_errors_across_the_word_boundary(pinned_codes, mode):
+    """Trials 2^32 - 3 .. 2^32 + 2: trial indices from 2^32 on seed
+    with two 32-bit words."""
+    code = pinned_codes["mackay"]
+    runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.05,), trials=1, seed=3,
+                                        success_mode=mode))
+    got = runner.count_errors(0.05, 1, 2 ** 32 - 3, 2 ** 32 + 3)
+    assert got == _trial_failures(code, 0.05, 1, 6, 3, mode, start=2 ** 32 - 3)
+    assert got[0] > 0
 
 
 def test_trial_spans_add_up():
@@ -309,15 +435,16 @@ def test_sample_depolarizing_pinned_bits():
         assert (e.n, e.z, e.x) == (n, z, x)
 
 
-def _trial_failures(code, p, p_idx, trials, seed, mode):
-    """(block errors, of which not converged), one trial at a time
-    through ``decode``: the reference for the batched trial loop."""
+def _trial_failures(code, p, p_idx, trials, seed, mode, start=0):
+    """(block errors, of which not converged) of trials ``start`` ..
+    ``start + trials - 1``, one trial at a time through ``decode``: the
+    reference for the batched trial loop."""
     css, n, f = code.css, code.n, 2.0 * p / 3.0
     gz, gx = sim.SpaGraph(css.hz), sim.SpaGraph(css.hx)
     passive = code.passive_gens()
     harmless = pauli.paulis_to_matrix(passive) if passive else None
     errors = not_converged = 0
-    for t in range(trials):
+    for t in range(start, start + trials):
         u = np.random.default_rng((seed, p_idx, t)).random(n)
         ex, ez = sim._flips(u, p)
         resx = sim.decode(gz, (gz.arr @ ex) % 2, f)

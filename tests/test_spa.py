@@ -455,3 +455,49 @@ def test_stream_validates_each_block():
     with pytest.raises(ValueError, match="max_iter"):
         decode_stream(h, [good], max_iter=0)
     assert list(decode_stream(h, [])) == []
+
+
+class _Dense:
+    """A check matrix as ``SpaGraph`` reads one, through ``to_array``;
+    unlike ``BitMatrix`` it may have no rows."""
+
+    def __init__(self, arr):
+        self.arr = arr
+
+    def to_array(self):
+        return self.arr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 7), st.integers(1, 12),
+       st.integers(0, 9), st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+def test_graph_syndromes_are_parities(seed, m, n, b, density):
+    """Empty checks, untouched bits and m = 0 included; entries other
+    than 0 and 1 count by their low bit, as in the uint8 product."""
+    rng = np.random.default_rng(seed)
+    arr = (rng.random((m, n)) < density).astype(np.uint8)
+    if m:
+        arr[rng.integers(0, m)] = 0             # an empty check
+    arr[:, rng.integers(0, n)] = 0              # an untouched bit
+    bits = rng.integers(0, 4, size=(b, n), dtype=np.uint8)
+    graph = SpaGraph(BitMatrix.from_rows(arr) if m else _Dense(arr))
+    syn = graph.syndromes(bits)
+    assert syn.dtype == np.uint8 and syn.shape == (b, m)
+    assert np.array_equal(syn, (bits @ arr.T) & 1)
+
+
+def test_graph_syndromes_on_named_css_codes():
+    from stabkit import codes
+
+    rng = np.random.default_rng(11)
+    seen = set()
+    for name, entry in codes.NAMED.items():
+        css = entry.build().css
+        if css is None:
+            continue
+        for h in (css.hz, css.hx):
+            arr = h.to_array()
+            bits = (rng.random((40, h.cols)) < rng.random((40, 1))).astype(np.uint8)
+            assert np.array_equal(SpaGraph(h).syndromes(bits), (bits @ arr.T) & 1)
+        seen.add(name)
+    assert {"steane7", "shor9", "ex1", "ex2", "mackay", "hi"} <= seen
