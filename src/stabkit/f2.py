@@ -102,11 +102,9 @@ class BitMatrix:
         return [(b >> j) & 1 for j in range(self.cols)]
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for i, b in enumerate(self.bits):
-            raw = np.frombuffer(b.to_bytes((self.cols + 7) // 8, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, bitorder="little")[: self.cols]
-        return out
+        nb = (self.cols + 7) // 8
+        raw = np.frombuffer(b"".join(b.to_bytes(nb, "little") for b in self.bits), dtype=np.uint8)
+        return np.unpackbits(raw.reshape(self.rows, nb), axis=1, bitorder="little", count=self.cols)
 
     # -- shape manipulation --------------------------------------------
 

@@ -15,7 +15,7 @@ gcd(d(X), X^r - 1).  They must agree; tests and reports cross-check.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,33 +343,62 @@ def dual_containing_qc(e: ExponentMatrix) -> bool:
 
 
 def girth_exact(h: BitMatrix) -> float:
-    """Girth of the bipartite check/bit graph; +inf when acyclic."""
-    arr = h.to_array()
-    m, n = arr.shape
-    total = m + n
-    adj: list[list[int]] = [[] for _ in range(total)]
-    for i, j in zip(*np.nonzero(arr)):
-        adj[int(i)].append(m + int(j))
-        adj[m + int(j)].append(int(i))
-    best = math.inf
-    for s in range(total):
-        dist_s = {s: 0}
-        parent_s = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist_s[u] + 2 > best:
-                break
-            for w in adj[u]:
-                if w not in dist_s:
-                    dist_s[w] = dist_s[u] + 1
-                    parent_s[w] = u
-                    queue.append(w)
-                elif parent_s[u] != w and parent_s[w] != u:
-                    best = min(best, dist_s[u] + dist_s[w] + 1)
-        if best == 4:
-            return 4
-    return best
+    """Girth of the bipartite check/bit graph; +inf when acyclic.
+
+    One level-synchronous breadth-first search runs from every check at
+    once.  Each vertex carries packed source masks: bit s of ``reached``
+    means check s has reached it, bit s of the frontier that s reached
+    it at the last level.  A level walks every edge into the other side
+    once, keeping ``once |= f`` and ``twice |= once & f`` over the
+    frontier masks f of a vertex's neighbours.
+
+    Exact: if vertex w is first reached from s at level d through two
+    frontier neighbours, the two shortest s-w paths differ in their last
+    edge, so their union holds a cycle no longer than 2d.  Conversely
+    every cycle of a bipartite graph passes through a check s, and on a
+    shortest cycle, of length 2k, graph distances equal distances along
+    the cycle, so the vertex opposite s is first reached at level k from
+    both of its cycle neighbours.  The first level d with such a vertex
+    is therefore girth / 2.  When a level reaches nothing new, the graph
+    has no cycle.
+    """
+    check_nbrs = []
+    bit_nbrs: list[list[int]] = [[] for _ in range(h.cols)]
+    for i, v in enumerate(h.bits):
+        row = []
+        while v:
+            low = v & -v
+            j = low.bit_length() - 1
+            row.append(j)
+            bit_nbrs[j].append(i)
+            v ^= low
+        check_nbrs.append(row)
+    # side 0 holds the checks, side 1 the bits; nbrs[side][w] lists the
+    # other side's neighbours of w
+    nbrs = (check_nbrs, bit_nbrs)
+    reached = ([1 << s for s in range(h.rows)], [0] * h.cols)
+    frontier = list(reached[0])
+    level = side = 0
+    while True:
+        level += 1
+        side ^= 1
+        seen = reached[side]
+        nxt = []
+        for w, ws in enumerate(nbrs[side]):
+            once = twice = 0
+            for u in ws:
+                f = frontier[u]
+                twice |= once & f
+                once |= f
+            old = seen[w]
+            if twice & ~old:
+                return 2 * level
+            new = once & ~old
+            seen[w] = old | new
+            nxt.append(new)
+        if not any(nxt):
+            return math.inf
+        frontier = nxt
 
 
 def hermitian_poly_product(e: ExponentMatrix) -> list[list[CircPoly]]:

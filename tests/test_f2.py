@@ -206,6 +206,16 @@ def test_transpose_matches_array_transpose(seed, rows, cols):
     assert np.array_equal(t.to_array(), m.to_array().T)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 70),
+       st.floats(0.0, 1.0))
+def test_to_array_matches_row_list(seed, rows, cols, density):
+    m = random_bitmatrix(np.random.default_rng(seed), rows, cols, density)
+    arr = m.to_array()
+    assert arr.dtype == np.uint8 and arr.shape == (rows, cols)
+    assert arr.tolist() == [m.row_list(i) for i in range(rows)]
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         BitMatrix(0, 3, ())

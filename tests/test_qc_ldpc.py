@@ -1,10 +1,12 @@
-from collections import Counter
+import math
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabkit import f2, qc_ldpc
+from stabkit import codes, f2, qc_ldpc
 from stabkit.f2 import BitMatrix
 from stabkit.qc_ldpc import (
     CircPoly,
@@ -35,7 +37,8 @@ from stabkit.qc_ldpc import (
     row_difference,
 )
 
-from util import mutated_text, random_bitmatrix, random_exponent_matrix
+from util import (mutated_text, random_bitmatrix, random_exponent_matrix,
+                  random_tree_check_matrix)
 
 
 def _type_i_intro():
@@ -194,6 +197,100 @@ def test_girth_predicate_examples():
     assert girth_ge_6(make_ex1())
     assert not girth_ge_6(_type_ii_intro())  # layer 1 is multiplicity even
     assert girth_ge_6(make_ex2())
+
+
+def _girth_oracle(h: BitMatrix) -> float:
+    """Girth by a separate breadth-first search from every vertex: a
+    non-tree edge (u, w) closes a cycle of length d(u) + d(w) + 1."""
+    arr = h.to_array()
+    m, n = arr.shape
+    total = m + n
+    adj: list[list[int]] = [[] for _ in range(total)]
+    for i, j in zip(*np.nonzero(arr)):
+        adj[int(i)].append(m + int(j))
+        adj[m + int(j)].append(int(i))
+    best = math.inf
+    for s in range(total):
+        dist_s = {s: 0}
+        parent_s = {s: -1}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist_s[u] + 2 > best:
+                break
+            for w in adj[u]:
+                if w not in dist_s:
+                    dist_s[w] = dist_s[u] + 1
+                    parent_s[w] = u
+                    queue.append(w)
+                elif parent_s[u] != w and parent_s[w] != u:
+                    best = min(best, dist_s[u] + dist_s[w] + 1)
+        if best == 4:
+            return 4
+    return best
+
+
+@st.composite
+def _girth_cases(draw):
+    """(kind, check matrix) with m, n <= 16: random at density 0.05-0.6
+    or a forest, with some rows and columns cleared.  Kind "duplicate"
+    then copies a column of weight >= 2 onto another: a 4-cycle."""
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.floats(0.05, 0.6))
+    kind = draw(st.sampled_from(("random", "duplicate", "forest")))
+    if kind == "forest":
+        # a tree with edges dropped at random stays acyclic
+        arr = random_tree_check_matrix(rng, n, m).to_array()
+        arr &= (rng.random((m, n)) >= density / 2).astype(np.uint8)
+    else:
+        arr = (rng.random((m, n)) < density).astype(np.uint8)
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    arr[sorted(zero_rows), :] = 0
+    arr[:, sorted(zero_cols)] = 0
+    if kind == "duplicate" and min(m, n) < 2:
+        kind = "random"
+    elif kind == "duplicate":
+        i1, i2 = rng.choice(m, size=2, replace=False)
+        j1, j2 = rng.choice(n, size=2, replace=False)
+        arr[[i1, i2], j1] = 1
+        arr[:, j2] = arr[:, j1]
+    return kind, BitMatrix.from_rows(arr)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_girth_cases())
+def test_girth_exact_matches_oracle(case):
+    kind, h = case
+    g, want = girth_exact(h), _girth_oracle(h)
+    assert g == want and str(g) == str(want)
+    if kind == "duplicate":
+        assert g == 4
+    elif kind == "forest":
+        assert g == math.inf
+
+
+def _named_qc_expansions():
+    return [(label, expand(e)) for entry in codes.NAMED.values() if entry.exponents
+            for label, e in entry.exponents()]
+
+
+@pytest.mark.parametrize("label,h", _named_qc_expansions() + [
+    (f"mackay{seed}", make_ex_mackay(seed=seed)) for seed in range(3)])
+def test_girth_exact_matches_oracle_on_named_checks(label, h):
+    assert girth_exact(h) == _girth_oracle(h)
+
+
+def test_girth_exact_n2048_ex1_analogue():
+    e = ExponentMatrix.from_lists(256, [
+        [1] * 8,
+        list(range(1, 9)),
+        list(range(1, 16, 2)),
+    ])
+    h = expand(e)
+    assert (h.rows, h.cols) == (768, 2048)
+    assert girth_exact(h) == 6
 
 
 def test_girth_exact_small_cases():
@@ -395,6 +492,21 @@ def test_make_ex_mackay():
 def test_make_ex_mackay_reject_4cycles_small():
     h = make_ex_mackay(12, 3, 4, seed=0, reject_4cycles=True)
     assert girth_exact(h) >= 6
+
+
+def test_make_ex_mackay_reject_4cycles_defaults_raise():
+    """Rows i and i + delta of [C, C^T], for delta != 0 a difference of
+    C's support, share a column in each half and so close a 4-cycle.
+    One of +-delta is at most 32 mod 64, so rows 0 and |delta| are both
+    among the 48 kept, and every sample is rejected."""
+    with pytest.raises(ValueError, match="no 4-cycle-free sample"):
+        make_ex_mackay(reject_4cycles=True)
+
+
+def test_make_ex_mackay_reject_4cycles_single_row():
+    h = make_ex_mackay(n=16, m=1, L=4, reject_4cycles=True)
+    assert (h.rows, h.cols) == (1, 16)
+    assert girth_exact(h) == math.inf
 
 
 def test_exponent_text_round_trip():
