@@ -463,40 +463,23 @@ def ungauge(code: QuantumCode) -> QuantumCode:
 
 # -- named codes ----------------------------------------------------------
 
-_SHOR_TABLE = """
-ZZIIIIIII
-IZZIIIIII
-IIIZZIIII
-IIIIZZIII
-IIIIIIZZI
-IIIIIIIZZ
-XXXIIIXXX
-XXXXXXIII
-"""
-
-_STEANE_TABLE = """
-IIIZZZZ
-IZZIIZZ
-ZIZIZIZ
-IIIXXXX
-IXXIIXX
-XIXIXIX
-"""
-
 _HAMMING_H = (
     (0, 0, 0, 1, 1, 1, 1),
     (0, 1, 1, 0, 0, 1, 1),
     (1, 0, 1, 0, 1, 0, 1),
 )
 
-_EA8_ISO = ["ZZIIIIII", "ZIZIIIII", "IIIZZIII", "IIIZIZII", "IIIIIIZZ", "XXXXXXII"]
-_EA8_PAIR = ("IIIIIIIZ", "XXXIIIXX")
-_EA8_LOGICALS = ("ZIIZIIIZ", "IIIXXXII")
-
-_EAOQ8_ISO = ["ZZIZZIII", "ZIZZIZII", "IIIIIIZZ", "XXXXXXII"]
+# generators of the Pauli-string codes, which ``_pauli_code`` builds
+_SHOR9 = ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+          "XXXIIIXXX", "XXXXXXIII")
+_STEANE7 = ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ", "IIIXXXX", "IXXIIXX", "XIXIXIX")
+_FIVEQUBIT = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+_EA8_ISO = ("ZZIIIIII", "ZIZIIIII", "IIIZZIII", "IIIZIZII", "IIIIIIZZ", "XXXXXXII")
+_EA8_PAIRS = (("IIIIIIIZ", "XXXIIIXX"),)
+_EA8_LOGICALS = (("ZIIZIIIZ", "IIIXXXII"),)
+# the operator regrouping of ea8: same pair and logicals, two gauge pairs
+_EAOQ8_ISO = ("ZZIZZIII", "ZIZZIZII", "IIIIIIZZ", "XXXXXXII")
 _EAOQ8_GAUGE = (("ZZIIIIII", "IXIIXIII"), ("IIIZIZII", "IIXIIXII"))
-
-_FIVEQUBIT_TABLE = "XZZXI IXZZX XIXZZ ZXIXZ"
 
 # [15,10,4] quaternary parity check; W denotes the conjugate w^2
 _Q15_H4 = """5 15
@@ -518,6 +501,7 @@ _Q15_TRADED_E = (
 )
 _Q15_TRADED_G = (("IZIYXXXIYYIXXXY", "ZXYXIXYXZYIXIIX"),)
 _Q15_TRADED_I = ("ZZYIZYXXYZIYZZI", "XXZIXZYYZXIZXXI")
+
 
 def hamming_matrix() -> BitMatrix:
     """Parity check of the dual-containing [7,4,3] Hamming code."""
@@ -544,17 +528,18 @@ def _pure_type_css(gens) -> CssPair | None:
     )
 
 
-def _table_code(table: str, logicals: tuple[str, str], d: int, name: str) -> QuantumCode:
-    gens = [parse_pauli(ln) for ln in table.split()]
-    zbar, xbar = parse_pauli(logicals[0]), parse_pauli(logicals[1])
-    return QuantumCode(
-        n=gens[0].n,
-        gens_i=tuple(gens),
-        d_claimed=d,
-        logicals=((zbar, xbar),),
-        css=_pure_type_css(gens),
-        name=name,
-    )
+def _pauli_code(name: str, d: int, iso, pairs=(), gauge=(), logicals=()) -> QuantumCode:
+    """The named code ``name``, of claimed distance ``d``, from Pauli
+    strings: isotropic generators ``iso``, entanglement ``pairs``,
+    ``gauge`` pairs and logical (Z, X) pairs.  Its CSS structure is
+    that of the measured generators, the isotropic ones and both halves
+    of each entanglement pair."""
+    gens_i = tuple(map(parse_pauli, iso))
+    gens_e, gens_g, logs = (tuple(tuple(map(parse_pauli, p)) for p in group)
+                            for group in (pairs, gauge, logicals))
+    measured = gens_i + tuple(g for pair in gens_e for g in pair)
+    return QuantumCode(n=gens_i[0].n, gens_i=gens_i, gens_e=gens_e, gens_g=gens_g,
+                       d_claimed=d, logicals=logs, css=_pure_type_css(measured), name=name)
 
 
 def bch63_matrix() -> BitMatrix:
@@ -605,24 +590,7 @@ def q15_traded() -> QuantumCode:
     """Gauge-traded variant of the q15 code: a searched symplectic pair
     moved from the entanglement to the gauge subgroup, trading one ebit
     for a gauge qubit at the cost of one unit of distance."""
-    return QuantumCode(
-        n=15,
-        gens_i=tuple(parse_pauli(s) for s in _Q15_TRADED_I),
-        gens_e=tuple((parse_pauli(a), parse_pauli(b)) for a, b in _Q15_TRADED_E),
-        gens_g=tuple((parse_pauli(a), parse_pauli(b)) for a, b in _Q15_TRADED_G),
-        d_claimed=3,
-        name="q15_traded",
-    )
-
-
-def _ea8_code(iso, gauge, name: str) -> QuantumCode:
-    """The eight-qubit one-ebit code, or with gauge pairs a regrouping of it."""
-    gens_i = tuple(parse_pauli(s) for s in iso)
-    pair = tuple(parse_pauli(s) for s in _EA8_PAIR)
-    return QuantumCode(n=8, gens_i=gens_i, gens_e=(pair,),
-                       gens_g=tuple((parse_pauli(a), parse_pauli(b)) for a, b in gauge),
-                       d_claimed=3, logicals=(tuple(parse_pauli(s) for s in _EA8_LOGICALS),),
-                       css=_pure_type_css(gens_i + pair), name=name)
+    return _pauli_code("q15_traded", 3, _Q15_TRADED_I, _Q15_TRADED_E, _Q15_TRADED_G)
 
 
 def _ex_hi() -> QuantumCode:
@@ -651,15 +619,21 @@ class NamedCode:
 #: and build nothing at import.
 NAMED: dict[str, NamedCode] = {
     "shor9": NamedCode(
-        lambda: _table_code(_SHOR_TABLE, ("ZZZZZZZZZ", "XXXXXXXXX"), 3, "shor9"),
+        lambda: _pauli_code("shor9", 3, _SHOR9, logicals=(("Z" * 9, "X" * 9),)),
         "[[9,1,3;0]]",
     ),
     "steane7": NamedCode(
-        lambda: _table_code(_STEANE_TABLE, ("ZZZZZZZ", "XXXXXXX"), 3, "steane7"),
+        lambda: _pauli_code("steane7", 3, _STEANE7, logicals=(("Z" * 7, "X" * 7),)),
         "[[7,1,3;0]]",
     ),
-    "ea8": NamedCode(lambda: _ea8_code(_EA8_ISO, (), "ea8"), "[[8,1,3;1]]"),
-    "eaoq8": NamedCode(lambda: _ea8_code(_EAOQ8_ISO, _EAOQ8_GAUGE, "eaoq8"), "[[8,1,3;2,1]]"),
+    "ea8": NamedCode(
+        lambda: _pauli_code("ea8", 3, _EA8_ISO, _EA8_PAIRS, logicals=_EA8_LOGICALS),
+        "[[8,1,3;1]]",
+    ),
+    "eaoq8": NamedCode(
+        lambda: _pauli_code("eaoq8", 3, _EAOQ8_ISO, _EA8_PAIRS, _EAOQ8_GAUGE, _EA8_LOGICALS),
+        "[[8,1,3;2,1]]",
+    ),
     "bch63": NamedCode(
         lambda: build_eaqecc_binary(bch63_matrix(), d_claimed=9, name="bch63"),
         "[[63,21,9;6]]",
@@ -669,7 +643,7 @@ NAMED: dict[str, NamedCode] = {
         "[[15,9,4;4]]",
     ),
     "fivequbit": NamedCode(
-        lambda: _table_code(_FIVEQUBIT_TABLE, ("ZZZZZ", "XXXXX"), 3, "fivequbit"),
+        lambda: _pauli_code("fivequbit", 3, _FIVEQUBIT, logicals=(("Z" * 5, "X" * 5),)),
         "[[5,1,3;0]]",
     ),
     "q15_traded": NamedCode(lambda: q15_traded(), None),

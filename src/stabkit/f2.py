@@ -2,6 +2,8 @@
 
 Rows are stored as Python integers (bit ``j`` of a row integer is the
 entry in column ``j``), so row operations are single big-int XORs.
+This module owns that layout: ``pack_rows`` and ``BitMatrix.to_array``
+are the one pair of conversions between packed rows and 0/1 arrays.
 Gaussian elimination always searches pivot columns left to right, which
 makes echelon forms, ranks and nullspace bases deterministic.
 
@@ -17,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "BitMatrix",
+    "pack_rows",
     "rank",
     "mat_mul",
     "in_rowspace",
@@ -61,9 +64,7 @@ class BitMatrix:
         m, n = arr.shape
         if cols is not None and cols != n:
             raise ValueError(f"declared cols {cols} != data cols {n}")
-        packed = tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                       for row in arr)
-        return cls(m, n, packed)
+        return cls(m, n, pack_rows(arr))
 
     @classmethod
     def zeros(cls, rows, cols) -> "BitMatrix":
@@ -80,7 +81,7 @@ class BitMatrix:
         n = r if r is not None else arr.size
         if arr.size != n:
             raise ValueError("first row length must equal the circulant size")
-        base = int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+        base = pack_rows([arr])[0]
         mask = (1 << n) - 1
         rows = []
         v = base
@@ -102,6 +103,7 @@ class BitMatrix:
         return [(b >> j) & 1 for j in range(self.cols)]
 
     def to_array(self) -> np.ndarray:
+        """[rows, cols] uint8 0/1 array; ``pack_rows`` is its inverse."""
         nb = (self.cols + 7) // 8
         raw = np.frombuffer(b"".join(b.to_bytes(nb, "little") for b in self.bits), dtype=np.uint8)
         return np.unpackbits(raw.reshape(self.rows, nb), axis=1, bitorder="little", count=self.cols)
@@ -109,9 +111,7 @@ class BitMatrix:
     # -- shape manipulation --------------------------------------------
 
     def transpose(self) -> "BitMatrix":
-        cols = np.packbits(self.to_array().T, axis=1, bitorder="little")
-        return BitMatrix(self.cols, self.rows,
-                         tuple(int.from_bytes(c.tobytes(), "little") for c in cols))
+        return BitMatrix(self.cols, self.rows, pack_rows(self.to_array().T))
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if other.cols != self.cols:
@@ -133,6 +133,13 @@ class BitMatrix:
 
     def __str__(self) -> str:
         return format_dense(self)
+
+
+def pack_rows(bits) -> tuple[int, ...]:
+    """Packed row ints of a 2-D 0/1 array: bit ``j`` of int ``i`` is
+    ``bits[i, j]``.  The inverse of ``BitMatrix.to_array``."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 # -- elimination core ---------------------------------------------------
@@ -238,7 +245,7 @@ def _pack_vector(v, cols: int) -> int:
     seq = np.asarray(v, dtype=np.uint8).ravel() & 1
     if seq.size != cols:
         raise ValueError(f"vector length {seq.size} != column count {cols}")
-    return int.from_bytes(np.packbits(seq, bitorder="little").tobytes(), "little")
+    return pack_rows([seq])[0]
 
 
 # -- text formats --------------------------------------------------------

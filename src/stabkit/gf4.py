@@ -133,11 +133,9 @@ def f4_to_symplectic(h4: F4Matrix) -> BitMatrix:
     symplectically orthogonal to every row of the result, and weights
     are preserved.
     """
-    m, n = h4.rows, h4.cols
-    stacked = [h4.scale(F4_W).entries[i] for i in range(m)]
-    stacked += [h4.scale(F4_WBAR).entries[i] for i in range(m)]
+    n = h4.cols
     rows = []
-    for f4_row in stacked:
+    for f4_row in h4.scale(F4_W).entries + h4.scale(F4_WBAR).entries:
         z = 0
         x = 0
         for j, e in enumerate(f4_row):
@@ -145,7 +143,7 @@ def f4_to_symplectic(h4: F4Matrix) -> BitMatrix:
             z |= zb << j
             x |= xb << j
         rows.append(z | (x << n))
-    return BitMatrix(2 * m, 2 * n, tuple(rows))
+    return BitMatrix(2 * h4.rows, 2 * n, tuple(rows))
 
 
 def parse_f4(text: str) -> F4Matrix:

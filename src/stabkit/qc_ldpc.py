@@ -557,12 +557,18 @@ def make_ex_mackay(n: int = 128, m: int = 48, L: int = 8, seed: int = 0,
 
     Circulants commute, so C C^T + C^T C = 0 and any row subset is
     self-orthogonal.  4-cycles are expected and kept unless
-    ``reject_4cycles`` asks for resampling.
+    ``reject_4cycles`` asks for resampling.  That fails at once when
+    L >= 4 and m > n/4: rows i and i + delta of [C, C^T], for delta a
+    difference of C's support, share a column in each half, and one of
+    +-delta mod n/2 is at most n/4, so every sample keeps a 4-cycle.
     """
     if n % 2 or m > n // 2:
         raise ValueError("need even n and m <= n/2")
     if L % 2:
         raise ValueError("row weight L must be even (C gets weight L/2)")
+    no_sample = "no 4-cycle-free sample found for these parameters"
+    if reject_4cycles and L >= 4 and 4 * m > n:
+        raise ValueError(no_sample)
     half = n // 2
     rng = np.random.default_rng(seed)
     for _ in range(1000):
@@ -574,7 +580,7 @@ def make_ex_mackay(n: int = 128, m: int = 48, L: int = 8, seed: int = 0,
         h = h0.submatrix(range(m))
         if not reject_4cycles or girth_exact(h) >= 6:
             return h
-    raise ValueError("no 4-cycle-free sample found for these parameters")
+    raise ValueError(no_sample)
 
 
 def make_ex_hi(J: int = 3, L: int = 8, P: int = 15, sigma: int = 2,

@@ -16,7 +16,7 @@ are stacked into uint8 [B, n] arrays and each CSS half gets its
 syndromes from ``SpaGraph.syndromes``, an XOR over the Tanner graph's
 check-to-bit gather.  The chunks of a whole span of the grid are
 sampled lazily and fed as blocks to one ``decode_stream`` kernel (both
-halves' syndromes stacked in one block when they share a check matrix,
+halves' syndromes stacked in one block of one stream when ``hz == hx``,
 one stream per half otherwise), each block with its own point's prior,
 so the rows of the next chunk, and of the next point, fill the slots
 that finishing rows free.  Residuals are packed into ints only for
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import QuantumCode
+from .f2 import pack_rows
 from .pauli import PauliVec, symplectic_product
 # ``decode`` is re-exported: code that wraps or inspects ``sim.decode``
 # (the benchmark tracer) keeps working although trials use decode_stream
@@ -268,17 +269,12 @@ def _uniforms(gen: np.random.Generator, seed: int, p_idx: int, start: int, stop:
     return u
 
 
-def _pack(bits: np.ndarray) -> int:
-    """Python int whose bit i is ``bits[i]`` (a 1-D 0/1 uint8 array)."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliVec:
     """i.i.d. depolarizing noise: identity w.p. 1-p, X/Y/Z each w.p. p/3."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     x_flip, z_flip = _flips(rng.random(n), p)
-    return PauliVec(n, _pack(z_flip), _pack(x_flip))
+    return PauliVec(n, *pack_rows([z_flip, x_flip]))
 
 
 def syndrome(code: QuantumCode, error: PauliVec) -> np.ndarray:
@@ -354,17 +350,10 @@ class _TrialRunner:
         self.n = code.n
         self.graph_z = SpaGraph(code.css.hz)   # Z-type checks detect X errors
         # X-type checks detect Z errors; one graph serves both halves
-        # when they share a check matrix, as every build_eaqecc_binary
-        # code does
-        self.graph_x = self.graph_z if code.css.hx is code.css.hz else SpaGraph(code.css.hx)
+        # when their check matrices are equal
+        self.graph_x = self.graph_z if code.css.hx == code.css.hz else SpaGraph(code.css.hx)
         if config.success_mode == "degenerate":
             code.is_harmless(0)   # eliminate the harmless group before any fork
-
-    def count_errors(self, p: float, p_idx: int, start: int, stop: int) -> tuple[int, int]:
-        """``(block errors, of which not converged)`` among trials
-        ``start .. stop-1``."""
-        tally = self.tally([(p_idx, p, start, stop)])[0]
-        return tally.errors, tally.not_converged
 
     def tally(self, spans) -> list[_Tally]:
         """One ``_Tally`` per ``(p_idx, p, start, stop)`` span, every
@@ -412,11 +401,9 @@ class _TrialRunner:
         failed = rx.any(axis=1) | rz.any(axis=1)
         saves = 0
         if self.config.success_mode == "degenerate":
-            packed = np.packbits(np.concatenate([rz, rx], axis=1)[failed], axis=1,
-                                 bitorder="little")
+            packed = pack_rows(np.concatenate([rz, rx], axis=1)[failed])
             harmless = self.config.code.is_harmless
-            failed[failed] = [not harmless(int.from_bytes(row.tobytes(), "little"))
-                              for row in packed]
+            failed[failed] = [not harmless(v) for v in packed]
             saves = len(packed) - int(failed.sum())
         return _Tally(int(failed.sum()), int((failed & ~(cx & cz)).sum()), saves,
                       int(ix.sum() + iz.sum()), int(max(ix.max(), iz.max())))

@@ -708,6 +708,33 @@ def test_builtin_reports_unchanged(name):
     assert astuple(make_report(_named_code(name))) == _BUILTIN_REPORTS[name]
 
 
+#: ``css`` of the Pauli-string codes as (hz rows over Z, hx rows over X):
+#: the pure-Z and pure-X measured generators, entanglement pairs included
+_PAULI_CSS = {
+    "shor9": (("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ"),
+              ("XXXIIIXXX", "XXXXXXIII")),
+    "steane7": (("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"), ("IIIXXXX", "IXXIIXX", "XIXIXIX")),
+    "ea8": (("ZZIIIIII", "ZIZIIIII", "IIIZZIII", "IIIZIZII", "IIIIIIZZ", "IIIIIIIZ"),
+            ("XXXXXXII", "XXXIIIXX")),
+    "eaoq8": (("ZZIZZIII", "ZIZZIZII", "IIIIIIZZ", "IIIIIIIZ"), ("XXXXXXII", "XXXIIIXX")),
+    "fivequbit": None,
+    "q15_traded": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAULI_CSS))
+def test_pauli_code_css(name):
+    css = _named_code(name).css
+    expect = _PAULI_CSS[name]
+    if expect is None:
+        assert css is None
+        return
+    assert (css.hz, css.hx) == tuple(
+        BitMatrix.from_rows([[ch != "I" for ch in r] for r in rows]) for rows in expect)
+    # steane7's halves are equal by value, so sim decodes them on one graph
+    assert (css.hz == css.hx) is (name == "steane7")
+
+
 # -- derived-code pins ----------------------------------------------------------
 
 #: sha256 of ``to_stabilizer_table`` of each derived code, recorded before

@@ -216,6 +216,23 @@ def test_to_array_matches_row_list(seed, rows, cols, density):
     assert arr.tolist() == [m.row_list(i) for i in range(rows)]
 
 
+_PACKED_ROWS = st.integers(1, 70).flatmap(lambda cols: st.tuples(
+    st.just(cols), st.lists(st.integers(0, 2 ** cols - 1), min_size=1, max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PACKED_ROWS)
+def test_pack_rows_inverts_to_array(cols_bits):
+    cols, bits = cols_bits
+    m = BitMatrix(len(bits), cols, tuple(bits))
+    assert f2.pack_rows(m.to_array()) == m.bits
+    assert f2.pack_rows(m.to_array().T) == m.transpose().bits
+
+
+def test_pack_rows_of_no_rows():
+    assert f2.pack_rows(np.zeros((0, 9), dtype=np.uint8)) == ()
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         BitMatrix(0, 3, ())

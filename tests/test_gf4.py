@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabkit import f2, gf4, sgs
 from stabkit.codes import css_sp_matrix, hamming_matrix, q15_matrix
@@ -104,6 +105,40 @@ def test_f4_to_symplectic_q15_shape_and_ebits():
     assert (hsp.rows, hsp.cols) == (10, 30)
     vecs = [PauliVec.from_packed(hsp.row(i), 15) for i in range(10)]
     assert sgs.symp_dim(vecs) == 4
+
+
+def _symplectic_oracle(h4: F4Matrix) -> np.ndarray:
+    """``f4_to_symplectic`` entry by entry: row k m + i is gamma of the
+    s-multiple of row i, s = w for k = 0 and W for k = 1, with column
+    j's (z, x) bits at columns j and n + j."""
+    m, n = h4.rows, h4.cols
+    out = np.zeros((2 * m, 2 * n), dtype=np.uint8)
+    for k, s in enumerate((F4_W, F4_WBAR)):
+        for i, row in enumerate(h4.entries):
+            for j, e in enumerate(row):
+                out[k * m + i, j], out[k * m + i, n + j] = gamma(f4_mul(s, e))
+    return out
+
+
+_F4_GRIDS = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(F4_ELEMENTS), min_size=n, max_size=n), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_F4_GRIDS)
+def test_f4_to_symplectic_matches_gamma_oracle(rows):
+    h4 = F4Matrix.from_rows(rows)
+    got = gf4.f4_to_symplectic(h4)
+    assert (got.rows, got.cols) == (2 * h4.rows, 2 * h4.cols)
+    assert np.array_equal(got.to_array(), _symplectic_oracle(h4))
+
+
+def test_f4_to_symplectic_scales_once_per_multiplier(monkeypatch):
+    calls = []
+    scale = F4Matrix.scale
+    monkeypatch.setattr(F4Matrix, "scale", lambda self, s: calls.append(s) or scale(self, s))
+    gf4.f4_to_symplectic(q15_matrix())
+    assert calls == [F4_W, F4_WBAR]
 
 
 def test_parse_format_round_trip():

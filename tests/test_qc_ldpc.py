@@ -503,6 +503,18 @@ def test_make_ex_mackay_reject_4cycles_defaults_raise():
         make_ex_mackay(reject_4cycles=True)
 
 
+@pytest.mark.parametrize("n, L", [(16, 4), (30, 4), (128, 8), (128, 6)])
+def test_make_ex_mackay_reject_4cycles_fails_fast(monkeypatch, n, L):
+    """m = n/4 + 1 kept rows always hold a 4-cycle: the call raises
+    before sampling, without a girth computation."""
+    def no_girth(h):
+        raise AssertionError("girth_exact called")
+
+    monkeypatch.setattr(qc_ldpc, "girth_exact", no_girth)
+    with pytest.raises(ValueError, match="no 4-cycle-free sample"):
+        make_ex_mackay(n=n, m=n // 4 + 1, L=L, reject_4cycles=True)
+
+
 def test_make_ex_mackay_reject_4cycles_single_row():
     h = make_ex_mackay(n=16, m=1, L=4, reject_4cycles=True)
     assert (h.rows, h.cols) == (1, 16)

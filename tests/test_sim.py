@@ -361,9 +361,10 @@ def test_count_errors_across_the_word_boundary(pinned_codes, mode):
     code = pinned_codes["mackay"]
     runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.05,), trials=1, seed=3,
                                         success_mode=mode))
-    got = runner.count_errors(0.05, 1, 2 ** 32 - 3, 2 ** 32 + 3)
-    assert got == _trial_failures(code, 0.05, 1, 6, 3, mode, start=2 ** 32 - 3)
-    assert got[0] > 0
+    got = runner.tally([(1, 0.05, 2 ** 32 - 3, 2 ** 32 + 3)])[0]
+    assert (got.errors, got.not_converged) == _trial_failures(code, 0.05, 1, 6, 3, mode,
+                                                              start=2 ** 32 - 3)
+    assert got.errors > 0
 
 
 def test_trial_spans_add_up():
@@ -371,22 +372,23 @@ def test_trial_spans_add_up():
     is seeded alone and decoded independently of its block."""
     code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()))
     runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.04,), trials=100, seed=6))
-    whole = runner.count_errors(0.04, 0, 0, 100)
-    assert whole[0] > 0
+    whole = runner.tally([(0, 0.04, 0, 100)])[0]
+    assert whole.errors > 0
     for cuts in ((0, 33, 100), (0, 1, 2, 64, 65, 100), (0, 50, 100)):
-        parts = [runner.count_errors(0.04, 0, a, b) for a, b in zip(cuts, cuts[1:])]
-        assert tuple(map(sum, zip(*parts))) == whole
+        parts = [runner.tally([(0, 0.04, a, b)])[0] for a, b in zip(cuts, cuts[1:])]
+        assert sum(t.errors for t in parts) == whole.errors
+        assert sum(t.not_converged for t in parts) == whole.not_converged
 
 
 def test_chunk_memory_flat_in_trial_count():
     code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex2()))
     runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.04,), trials=1, seed=1))
-    runner.count_errors(0.04, 0, 0, 64)
+    runner.tally([(0, 0.04, 0, 64)])
     peaks = []
     for trials in (1024, 4096):
         tracemalloc.start()
         try:
-            runner.count_errors(0.04, 0, 0, trials)
+            runner.tally([(0, 0.04, 0, trials)])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -453,7 +455,7 @@ def _trial_failures(code, p, p_idx, trials, seed, mode, start=0):
         if not (rx.any() or rz.any()):
             continue
         if mode == "degenerate" and harmless is not None and f2.in_rowspace(
-                harmless, PauliVec(n, sim._pack(rz), sim._pack(rx)).packed()):
+                harmless, PauliVec(n, *f2.pack_rows([rz, rx])).packed()):
             continue
         errors += 1
         not_converged += not (resx.converged and resz.converged)
@@ -492,6 +494,22 @@ def test_grid_stream_matches_per_point_runs(monkeypatch, name):
         assert run_point(cfg, pt.p, p_idx) == pt
     assert points[1].iterations_total == points[1].iterations_max == 0
     assert points[2].iterations_max > 1 and points[2].block_errors > 0
+
+
+def test_equal_css_halves_share_one_graph():
+    """Halves equal by value share one graph and one stacked stream,
+    although steane7 builds them as distinct objects; unequal halves,
+    as in shor9, get a graph each.  Either way each trial counts as in
+    the one-trial reference, which decodes with a graph per half."""
+    for name, shared in (("steane7", True), ("shor9", False)):
+        code = builtin(name)
+        runner = sim._TrialRunner(SimConfig(code=code, p_grid=(0.05,), trials=1, seed=3))
+        assert (runner.graph_x is runner.graph_z) is shared
+        got = runner.tally([(0, 0.05, 0, 300)])[0]
+        assert got.errors > 0
+        assert (got.errors, got.not_converged) == _trial_failures(code, 0.05, 0, 300, 3,
+                                                                  "degenerate")
+    assert builtin("steane7").css.hx is not builtin("steane7").css.hz
 
 
 def _trial_effort(code, p, p_idx, trials, seed):
