@@ -24,6 +24,8 @@ from .codes import (
 from .f2 import BitMatrix
 from .pauli import format_pauli, matrix_to_paulis, weight
 
+__all__ = ["main"]
+
 #: ``qcldpc --example`` choices: the quasi-cyclic named codes, plus
 #: ``mackay``, which ``--n/--m/--L/--seed`` parameterise
 _QCLDPC_EXAMPLES = tuple(name for name, entry in NAMED.items()
@@ -90,24 +92,34 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _qcldpc_exponents(args):
+def _qcldpc_source(args):
+    """(name, exponent matrix) pairs and check matrices of the one source
+    given; a flag that this source does not read is a ``ValueError``."""
+    if args.example and args.exponent:
+        raise ValueError("qcldpc takes --example or --exponent, not both")
+    mackay = {flag: getattr(args, flag) for flag in ("n", "m", "L", "seed")
+              if getattr(args, flag) is not None}
+    if args.example == "mackay":
+        if args.r is not None:
+            raise ValueError("--r does not apply to --example mackay")
+        # flags left unset take make_ex_mackay's defaults
+        return [], [qc_ldpc.make_ex_mackay(**mackay)]
+    if mackay:
+        raise ValueError(f"--{next(iter(mackay))} applies only to --example mackay")
     if args.example:
-        return NAMED[args.example].exponents()
-    if args.exponent:
-        e = qc_ldpc.parse_exponent(_read_text(args.exponent))
-        if args.r and args.r != e.r:
-            raise ValueError(f"--r {args.r} conflicts with file circulant size {e.r}")
-        return [(args.exponent, e)]
-    raise ValueError("qcldpc needs --example or --exponent")
+        named = NAMED[args.example].exponents()
+    elif args.exponent:
+        named = [(args.exponent, qc_ldpc.parse_exponent(_read_text(args.exponent)))]
+    else:
+        raise ValueError("qcldpc needs --example or --exponent")
+    for _, e in named:
+        if args.r is not None and args.r != e.r:
+            raise ValueError(f"--r {args.r} conflicts with circulant size {e.r}")
+    return named, [qc_ldpc.expand(e) for _, e in named]
 
 
 def _cmd_qcldpc(args) -> int:
-    if args.example == "mackay":
-        named = []
-        matrices = [qc_ldpc.make_ex_mackay(n=args.n, m=args.m, L=args.L, seed=args.seed)]
-    else:
-        named = _qcldpc_exponents(args)
-        matrices = [qc_ldpc.expand(e) for _, e in named]
+    named, matrices = _qcldpc_source(args)
     if args.emit == "matrix":
         fmt = f2.format_alist if args.format == "alist" else f2.format_dense
         sys.stdout.write("".join(fmt(h) for h in matrices))
@@ -210,10 +222,10 @@ def _build_parser() -> _CliParser:
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--emit", choices=("matrix", "report"), default="report")
     p.add_argument("--format", choices=("dense", "alist"), default="dense")
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--m", type=int, default=48)
-    p.add_argument("--L", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--L", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_qcldpc)
 
     p = sub.add_parser("simulate", help="depolarizing-channel Monte Carlo, CSV output")

@@ -38,6 +38,7 @@ from .pauli import (
 )
 
 __all__ = [
+    "CssPair",
     "QuantumCode",
     "CodeReport",
     "VerificationBudgetError",
@@ -60,6 +61,10 @@ __all__ = [
     "BUILTIN_NAMES",
     "NAMED",
     "NamedCode",
+    "hamming_matrix",
+    "bch63_matrix",
+    "q15_matrix",
+    "q15_traded",
     "make_report",
     "format_report",
 ]
@@ -545,39 +550,19 @@ def _pauli_code(name: str, d: int, iso, pairs=(), gauge=(), logicals=()) -> Quan
 def bch63_matrix() -> BitMatrix:
     """24 x 63 binary parity check of the [63,39,9] BCH code.
 
-    Rows are the binary expansions of the GF(2^6) power rows for
-    exponents 1, 3, 5, 7 (6 bits per symbol, low bit first); the field
-    is built modulo a^6 + a + 1.
+    Rows are the binary expansions of the GF(2^6) power rows
+    alpha^(j i), i = 0..62, for j = 1, 3, 5, 7 (6 bits per symbol, low
+    bit first).  GF(2^6) is GF(2)[a]/(a^6 + a + 1) with alpha = a, so
+    each symbol is the last one times a^j, reduced by ``qc_ldpc.poly_mod``.
     """
     modulus = 0b1000011  # a^6 + a + 1
-
-    def gf64_mul(a: int, b: int) -> int:
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & 0b1000000:
-                a ^= modulus
-        return acc
-
-    def gf64_pow(a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = gf64_mul(out, base)
-            base = gf64_mul(base, base)
-            e >>= 1
-        return out
-
-    alpha = 0b10
     rows = []
     for j in (1, 3, 5, 7):
-        symbols = [gf64_pow(alpha, (j * i) % 63) for i in range(63)]
-        for bit in range(6):
-            rows.append([(s >> bit) & 1 for s in symbols])
+        step = qc_ldpc.poly_mod(1 << j, modulus)
+        symbols = [1]
+        for _ in range(62):
+            symbols.append(qc_ldpc.poly_mod(qc_ldpc.poly_mul(symbols[-1], step), modulus))
+        rows += [[(s >> bit) & 1 for s in symbols] for bit in range(6)]
     return BitMatrix.from_rows(rows)
 
 

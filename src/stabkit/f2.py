@@ -76,19 +76,29 @@ class BitMatrix:
 
     @classmethod
     def circulant(cls, first_row, r=None) -> "BitMatrix":
-        """r x r circulant: row i is the first row cyclically shifted right i times."""
+        """r x r circulant of a 0/1 first row; see ``packed_circulant``."""
         arr = np.asarray(first_row, dtype=np.uint8) & 1
         n = r if r is not None else arr.size
         if arr.size != n:
             raise ValueError("first row length must equal the circulant size")
-        base = pack_rows([arr])[0]
-        mask = (1 << n) - 1
+        return cls.packed_circulant(pack_rows([arr])[0], n)
+
+    @classmethod
+    def packed_circulant(cls, first: int, n: int, blocks: int = 1) -> "BitMatrix":
+        """n x (blocks * n) matrix whose row i is the packed ``first`` with
+        each length-n block cyclically shifted right i times, so bit k of
+        a block lands in its column (i + k) mod n.  One block is the n x n
+        circulant, whose row i read as a polynomial over GF(2)[X]/(X^n - 1)
+        is X^i times the first row; more blocks give a quasi-cyclic block
+        row, one circulant per block."""
+        low = sum(1 << (l * n) for l in range(blocks))
+        high = low << (n - 1)  # the top bit of every block
         rows = []
-        v = base
+        v = first
         for _ in range(n):
             rows.append(v)
-            v = ((v << 1) | (v >> (n - 1))) & mask
-        return cls(n, n, tuple(rows))
+            v = ((v & ~high) << 1) | ((v & high) >> (n - 1))
+        return cls(n, blocks * n, tuple(rows))
 
     # -- element / row access ------------------------------------------
 

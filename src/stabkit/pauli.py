@@ -18,6 +18,8 @@ __all__ = [
     "symplectic_product",
     "swap_halves",
     "symplectic_gram",
+    "paulis_to_matrix",
+    "matrix_to_paulis",
     "weight",
     "parse_pauli",
     "format_pauli",

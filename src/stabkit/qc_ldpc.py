@@ -30,6 +30,7 @@ __all__ = [
     "poly_deg",
     "poly_mul",
     "poly_divmod",
+    "poly_mod",
     "poly_gcd",
     "circ_rank",
     "expand",
@@ -43,6 +44,7 @@ __all__ = [
     "rank_bound",
     "qc_f2_rank",
     "hermitian_rank_poly",
+    "hermitian_corank_poly",
     "expansion_rank_poly",
     "block_shift",
     "make_ex1",
@@ -138,8 +140,7 @@ class CircPoly:
         return CircPoly(self.r, out)
 
     def to_matrix(self) -> BitMatrix:
-        first = [(self.coeffs >> j) & 1 for j in range(self.r)]
-        return BitMatrix.circulant(first)
+        return BitMatrix.packed_circulant(self.coeffs, self.r)
 
     def is_zero(self) -> bool:
         return self.coeffs == 0
@@ -252,16 +253,14 @@ class ExponentMatrix:
 
 
 def expand(e: ExponentMatrix) -> BitMatrix:
-    """Jr x Lr bit matrix; the circulant for X^k puts row i's one at
-    column (i + k) mod r."""
+    """Jr x Lr bit matrix whose (j, l) block is the circulant of entry
+    (j, l)'s polynomial; X^k puts row i's one at column (i + k) mod r."""
     r = e.r
-    out_rows = [0] * (e.J * r)
-    for bj, row in enumerate(e.entries):
-        for bl, entry in enumerate(row):
-            for k in entry.exponents:
-                for i in range(r):
-                    out_rows[bj * r + i] |= 1 << (bl * r + (i + k) % r)
-    return BitMatrix(e.J * r, e.L * r, tuple(out_rows))
+    rows = []
+    for polys in e.poly_grid():
+        first = sum(p << (l * r) for l, p in enumerate(polys))
+        rows += BitMatrix.packed_circulant(first, r, e.L).bits
+    return BitMatrix(e.J * r, e.L * r, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -294,18 +293,6 @@ def row_difference(e: ExponentMatrix, i: int, j: int) -> DifferenceVector:
     return DifferenceVector(e.r, tuple(cols))
 
 
-def _proper_self_difference(e: ExponentMatrix, i: int) -> list[int]:
-    """Residues of row i against itself with the diagonal x - x terms
-    dropped; only these witness 4-cycles inside a single layer."""
-    out = []
-    for a in e.entries[i]:
-        for x in a.exponents:
-            for y in a.exponents:
-                if x != y:
-                    out.append((x - y) % e.r)
-    return out
-
-
 def is_multiplicity_even(d: DifferenceVector) -> bool:
     return all(v % 2 == 0 for v in Counter(d.residues()).values())
 
@@ -320,10 +307,13 @@ def girth_ge_6(e: ExponentMatrix) -> bool:
 
     Cross-layer: the full difference vector must be multiplicity free.
     Within a layer only the off-diagonal differences of binomial entries
-    can close a 4-cycle, so the structural zeros are dropped there.
+    can close a 4-cycle, so the structural zeros x - x are dropped there.
+    An entry's exponents are distinct and below r, so x - y = 0 mod r
+    only when x = y, and the non-zero residues are exactly the proper
+    ones.
     """
     for i in range(e.J):
-        self_res = _proper_self_difference(e, i)
+        self_res = [d for d in row_difference(e, i, i).residues() if d]
         if len(self_res) != len(set(self_res)):
             return False
         for j in range(i + 1, e.J):
@@ -403,8 +393,7 @@ def girth_exact(h: BitMatrix) -> float:
 
 def hermitian_poly_product(e: ExponentMatrix) -> list[list[CircPoly]]:
     """J x J grid of H(X) H(X)^T with the transpose rule X^k -> X^{r-k}."""
-    grid = [[CircPoly.from_exponents(e.r, ent.exponents) for ent in row]
-            for row in e.entries]
+    grid = [[CircPoly(e.r, p) for p in row] for row in e.poly_grid()]
     out = []
     for i in range(e.J):
         row = []
@@ -454,44 +443,33 @@ def qc_f2_rank(grid: list[list[int]], r: int) -> int:
     modulus = (1 << r) | 1
     M = [[poly_mod(p, modulus) for p in row] for row in grid]
     total = 0
-    while M and any(any(row) for row in M):
-        # move a minimal-degree nonzero entry to the pivot position
-        bi, bj = min(
-            ((i, j) for i, row in enumerate(M) for j, p in enumerate(row) if p),
-            key=lambda ij: poly_deg(M[ij[0]][ij[1]]),
-        )
-        M[0], M[bi] = M[bi], M[0]
-        for row in M:
-            row[0], row[bj] = row[bj], row[0]
-        while True:
+    while any(map(any, M)):
+        cells = [(i, j) for i, row in enumerate(M) for j, p in enumerate(row) if p]
+        while cells:
+            # move a minimal-degree nonzero entry (the first in row-major
+            # order on ties) to the pivot position
+            bi, bj = min(cells, key=lambda ij: poly_deg(M[ij[0]][ij[1]]))
+            M[0], M[bi] = M[bi], M[0]
+            for row in M:
+                row[0], row[bj] = row[bj], row[0]
             pivot = M[0][0]
-            dirty = False
             for i in range(1, len(M)):
                 if M[i][0]:
                     q, rem = poly_divmod(M[i][0], pivot)
                     M[i] = [poly_mod(a ^ poly_mul(q, b), modulus)
                             for a, b in zip(M[i], M[0])]
                     M[i][0] = rem
-                    dirty = dirty or rem != 0
             for j in range(1, len(M[0])):
                 if M[0][j]:
                     q, rem = poly_divmod(M[0][j], pivot)
                     for i in range(len(M)):
                         M[i][j] = poly_mod(M[i][j] ^ poly_mul(q, M[i][0]), modulus)
                     M[0][j] = rem
-                    dirty = dirty or rem != 0
-            if not dirty:
-                break
-            # a nonzero remainder has smaller degree: promote it
-            bi, bj = min(
-                ((i, j) for i, row in enumerate(M) for j, p in enumerate(row)
-                 if p and (i == 0 or j == 0)),
-                key=lambda ij: poly_deg(M[ij[0]][ij[1]]),
-            )
-            M[0], M[bi] = M[bi], M[0]
-            for row in M:
-                row[0], row[bj] = row[bj], row[0]
-        total += r - poly_deg(poly_gcd(M[0][0], modulus))
+            # a nonzero remainder has smaller degree than the pivot:
+            # promote the least of them and reduce again
+            cells = ([(0, j) for j in range(1, len(M[0])) if M[0][j]]
+                     + [(i, 0) for i in range(1, len(M)) if M[i][0]])
+        total += circ_rank(CircPoly(r, M[0][0]))
         M = [row[1:] for row in M[1:]]
     return total
 
@@ -517,13 +495,7 @@ def expansion_rank_poly(e: ExponentMatrix) -> int:
 def block_shift(v: int, r: int, L: int) -> int:
     """Simultaneous cyclic right-shift by one inside each length-r block
     of a packed L*r-bit vector; the quasi-cyclic code symmetry."""
-    mask = (1 << r) - 1
-    out = 0
-    for l in range(L):
-        blk = (v >> (l * r)) & mask
-        blk = ((blk << 1) | (blk >> (r - 1))) & mask
-        out |= blk << (l * r)
-    return out
+    return BitMatrix.packed_circulant(v, r, L).bits[1 % r]
 
 
 # -- the named constructions ----------------------------------------------
@@ -564,8 +536,8 @@ def make_ex_mackay(n: int = 128, m: int = 48, L: int = 8, seed: int = 0,
     """
     if n % 2 or m > n // 2:
         raise ValueError("need even n and m <= n/2")
-    if L % 2:
-        raise ValueError("row weight L must be even (C gets weight L/2)")
+    if L % 2 or not 2 <= L <= n:
+        raise ValueError(f"row weight L must be even and in 2..n (C gets weight L/2), got {L}")
     no_sample = "no 4-cycle-free sample found for these parameters"
     if reject_4cycles and L >= 4 and 4 * m > n:
         raise ValueError(no_sample)
@@ -573,9 +545,7 @@ def make_ex_mackay(n: int = 128, m: int = 48, L: int = 8, seed: int = 0,
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         support = rng.choice(half, size=L // 2, replace=False)
-        first = np.zeros(half, dtype=np.uint8)
-        first[support] = 1
-        c = BitMatrix.circulant(first)
+        c = BitMatrix.packed_circulant(sum(1 << int(k) for k in support), half)
         h0 = c.hstack(c.transpose())
         h = h0.submatrix(range(m))
         if not reject_4cycles or girth_exact(h) >= 6:

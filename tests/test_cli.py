@@ -318,6 +318,45 @@ def test_qcldpc_nonpositive_exponent_header_exit_code(tmp_path, header, capsys):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("--example mackay --L 0", "row weight L must be even and in 2..n"),
+    ("--example mackay --L -2", "row weight L must be even and in 2..n"),
+    ("--example ex1 --r 32", "--r 32 conflicts with circulant size 16"),
+    ("--example hi --r 16", "--r 16 conflicts with circulant size 15"),
+    ("--example ex1 --r 0", "--r 0 conflicts with circulant size 16"),
+    ("--example mackay --r 8", "--r does not apply to --example mackay"),
+    ("--example ex1 --n 64 --L 4", "--n applies only to --example mackay"),
+    ("--example ex2 --m 8", "--m applies only to --example mackay"),
+    ("--example hi --L 4", "--L applies only to --example mackay"),
+    ("--example ex1 --seed 0", "--seed applies only to --example mackay"),
+    ("--seed 3", "--seed applies only to --example mackay"),
+])
+def test_qcldpc_rejects_flags_its_source_does_not_read(argv, message, capsys):
+    rc, out = run_cli("qcldpc", *argv.split())
+    assert (rc, out) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_qcldpc_exponent_file_checks_r_and_mackay_flags(tmp_path, capsys):
+    path = tmp_path / "exp.txt"
+    path.write_text("5 1 2\n0 1+3\n")
+    for argv, message in [(["--r", "4"], "--r 4 conflicts with circulant size 5"),
+                          (["--n", "10"], "--n applies only to --example mackay"),
+                          (["--example", "ex1"], "--example or --exponent, not both")]:
+        rc, out = run_cli("qcldpc", "--exponent", str(path), *argv)
+        assert (rc, out) == (2, "")
+        assert message in capsys.readouterr().err
+    assert run_cli("qcldpc", "--exponent", str(path), "--r", "5", "--emit", "matrix")[0] == 0
+
+
+def test_qcldpc_mackay_flags_default_to_make_ex_mackay():
+    """Each unset flag takes make_ex_mackay's default."""
+    h = codes.qc_ldpc.make_ex_mackay(m=20, seed=2)
+    rc, out = run_cli("qcldpc", "--example", "mackay", "--m", "20", "--seed", "2",
+                      "--emit", "matrix")
+    assert (rc, out) == (0, f2.format_dense(h))
+
+
 #: sha256 of the full stdout of report commands, recorded before the named
 #: codes moved into one registry in ``codes``
 PINNED_REPORTS = {

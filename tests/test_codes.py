@@ -68,6 +68,44 @@ def test_build_binary_hamming_gives_steane_params():
     assert code.params == "[[7,1;0]]"
 
 
+def _bch63_oracle() -> BitMatrix:
+    """bch63_matrix's rows from a shift-and-add GF(64) multiply and a
+    square-and-multiply power modulo a^6 + a + 1."""
+    modulus = 0b1000011
+
+    def gf64_mul(a: int, b: int) -> int:
+        acc = 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a & 0b1000000:
+                a ^= modulus
+        return acc
+
+    def gf64_pow(a: int, e: int) -> int:
+        out = 1
+        base = a
+        while e:
+            if e & 1:
+                out = gf64_mul(out, base)
+            base = gf64_mul(base, base)
+            e >>= 1
+        return out
+
+    rows = []
+    for j in (1, 3, 5, 7):
+        symbols = [gf64_pow(0b10, (j * i) % 63) for i in range(63)]
+        for bit in range(6):
+            rows.append([(s >> bit) & 1 for s in symbols])
+    return BitMatrix.from_rows(rows)
+
+
+def test_bch63_matrix_matches_gf64_oracle():
+    assert bch63_matrix() == _bch63_oracle()
+
+
 def test_build_binary_bch():
     code = build_eaqecc_binary(bch63_matrix())
     assert (code.n, code.k, code.c) == (63, 21, 6)

@@ -26,6 +26,28 @@ def test_rank_circulant_even_support():
     assert f2.rank(m) == 2
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
+    lambda nb: st.lists(st.integers(0, 1), min_size=nb[0] * nb[1], max_size=nb[0] * nb[1])
+    .map(lambda bits: (nb[0], bits))))
+def test_packed_circulant_rolls_each_block(case):
+    """Row i rolls every length-n block of the first row right i places;
+    one block is ``BitMatrix.circulant``."""
+    n, first = case
+    blocks = np.reshape(first, (-1, n))
+    m = BitMatrix.packed_circulant(f2.pack_rows([first])[0], n, len(blocks))
+    assert m == BitMatrix.from_rows([np.roll(blocks, i, axis=1).ravel() for i in range(n)])
+    if len(blocks) == 1:
+        assert m == BitMatrix.circulant(first)
+
+
+@pytest.mark.parametrize("first, n, blocks", [
+    (0, 0, 1), (1, 0, 1), (0b100, 2, 1), (-1, 3, 1), (0, 3, 0), (0b10000, 2, 2)])
+def test_packed_circulant_rejects_bad_shape(first, n, blocks):
+    with pytest.raises(ValueError):
+        BitMatrix.packed_circulant(first, n, blocks)
+
+
 def test_mat_mul_identity_and_zero():
     rng = np.random.default_rng(0)
     m = random_bitmatrix(rng, 5, 5)

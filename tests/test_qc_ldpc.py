@@ -37,8 +37,8 @@ from stabkit.qc_ldpc import (
     row_difference,
 )
 
-from util import (mutated_text, random_bitmatrix, random_exponent_matrix,
-                  random_tree_check_matrix)
+from util import (exponent_matrices, mutated_text, random_bitmatrix,
+                  random_exponent_matrix, random_tree_check_matrix)
 
 
 def _type_i_intro():
@@ -130,6 +130,51 @@ def test_transpose_matches_matrix_transpose():
 
 
 # -- expansion -----------------------------------------------------------------
+
+def _expand_oracle(e: ExponentMatrix) -> BitMatrix:
+    """Per-bit expansion: X^k puts row i's one at column (i + k) mod r."""
+    r = e.r
+    out_rows = [0] * (e.J * r)
+    for bj, row in enumerate(e.entries):
+        for bl, entry in enumerate(row):
+            for k in entry.exponents:
+                for i in range(r):
+                    out_rows[bj * r + i] |= 1 << (bl * r + (i + k) % r)
+    return BitMatrix(e.J * r, e.L * r, tuple(out_rows))
+
+
+def _proper_self_difference(e: ExponentMatrix, i: int) -> list[int]:
+    """Residues of row i against itself with the diagonal x - x terms
+    dropped."""
+    out = []
+    for a in e.entries[i]:
+        for x in a.exponents:
+            for y in a.exponents:
+                if x != y:
+                    out.append((x - y) % e.r)
+    return out
+
+
+def _girth_ge_6_oracle(e: ExponentMatrix) -> bool:
+    for i in range(e.J):
+        self_res = _proper_self_difference(e, i)
+        if len(self_res) != len(set(self_res)):
+            return False
+        for j in range(i + 1, e.J):
+            if not is_multiplicity_free(row_difference(e, i, j)):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_matrices())
+def test_expand_and_girth_predicate_match_oracles(e):
+    h = expand(e)
+    assert h == _expand_oracle(e)
+    assert girth_ge_6(e) == _girth_ge_6_oracle(e)
+    assert expansion_rank_poly(e) == f2.rank(h)
+    assert hermitian_rank_poly(e) == f2.rank(f2.mat_mul(h, h.transpose()))
+
 
 def test_expand_monomial_zero_is_identity():
     e = ExponentMatrix.from_lists(3, [[0]])
@@ -429,6 +474,18 @@ def test_qc_shift_preserves_nullspace():
             ).is_zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 6), st.integers(0, 2 ** 120 - 1))
+def test_block_shift_matches_per_block_oracle(r, L, v):
+    v &= (1 << (r * L)) - 1
+    mask = (1 << r) - 1
+    want = 0
+    for l in range(L):
+        blk = (v >> (l * r)) & mask
+        want |= (((blk << 1) | (blk >> (r - 1))) & mask) << (l * r)
+    assert block_shift(v, r, L) == want
+
+
 # -- named constructions ----------------------------------------------------------
 
 def test_make_ex1_literal():
@@ -487,6 +544,14 @@ def test_make_ex_mackay():
     # deterministic for a fixed seed
     assert make_ex_mackay(128, 48, 8, seed=0).bits == h.bits
     assert make_ex_mackay(128, 48, 8, seed=1).bits != h.bits
+
+
+@pytest.mark.parametrize("L", [0, -2, 1, 3, 130])
+def test_make_ex_mackay_rejects_bad_row_weight(L):
+    """L = 0 used to give an all-zero H, L = -2 numpy's "negative
+    dimensions" error and L = 130 > n its "larger sample" error."""
+    with pytest.raises(ValueError, match=rf"row weight L must be even and in 2\.\.n .* got {L}$"):
+        make_ex_mackay(L=L)
 
 
 def test_make_ex_mackay_reject_4cycles_small():

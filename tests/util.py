@@ -25,15 +25,18 @@ def random_pauli_list(rng, count, n) -> list[PauliVec]:
     return out
 
 
-def random_exponent_matrix(rng, r_max=32) -> ExponentMatrix:
-    r = int(rng.integers(2, r_max + 1))
+def random_exponent_matrix(rng, r_max=32, r_min=2, type_i=False) -> ExponentMatrix:
+    """Random J x L exponent matrix, J in 1..4 and L in 2..8, with r in
+    r_min..r_max.  Type-II by default (zero, binomial and monomial
+    entries); ``type_i`` draws monomials only."""
+    r = int(rng.integers(r_min, r_max + 1))
     J = int(rng.integers(1, 5))
     L = int(rng.integers(2, 9))
     grid = []
     for _ in range(J):
         row = []
         for _ in range(L):
-            kind = rng.random()
+            kind = 1.0 if type_i else rng.random()
             if kind < 0.15:
                 row.append(ExponentEntry.zero())
             elif kind < 0.55 and r >= 2:
@@ -43,6 +46,14 @@ def random_exponent_matrix(rng, r_max=32) -> ExponentMatrix:
                 row.append(ExponentEntry.monomial(int(rng.integers(r))))
         grid.append(tuple(row))
     return ExponentMatrix(r, J, L, tuple(grid))
+
+
+@st.composite
+def exponent_matrices(draw, r_max=12):
+    """``random_exponent_matrix`` from a drawn seed, r from 1 up, Type-I
+    or Type-II."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_exponent_matrix(rng, r_max, r_min=1, type_i=draw(st.booleans()))
 
 
 def random_tree_check_matrix(rng, n_bits, n_checks) -> BitMatrix:
