@@ -119,6 +119,8 @@ def _qcldpc_source(args):
 
 
 def _cmd_qcldpc(args) -> int:
+    if args.format is not None and args.emit != "matrix":
+        raise ValueError("--format applies only to --emit matrix")
     named, matrices = _qcldpc_source(args)
     if args.emit == "matrix":
         fmt = f2.format_alist if args.format == "alist" else f2.format_dense
@@ -190,11 +192,12 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_sgs(args) -> int:
-    dec = sgs.decompose(matrix_to_paulis(_load_matrix_gf2(args.input)))
-    print(f"n={dec.n} c={dec.c} ell={dec.ell}")
-    for i, (u, v) in enumerate(dec.pairs):
+    vecs = matrix_to_paulis(_load_matrix_gf2(args.input))
+    pairs, isotropic = sgs.split_span(vecs)
+    print(f"n={vecs[0].n} c={len(pairs)} ell={len(isotropic)}")
+    for i, (u, v) in enumerate(pairs):
         print(f"pair {i + 1}: {format_pauli(u)}  {format_pauli(v)}")
-    for u in dec.isotropic:
+    for u in isotropic:
         print(f"isotropic: {format_pauli(u)}")
     return 0
 
@@ -221,7 +224,7 @@ def _build_parser() -> _CliParser:
     p.add_argument("--exponent", default=None)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--emit", choices=("matrix", "report"), default="report")
-    p.add_argument("--format", choices=("dense", "alist"), default="dense")
+    p.add_argument("--format", choices=("dense", "alist"), default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--L", type=int, default=None)

@@ -224,11 +224,12 @@ def build_from_sp(
     (entanglement subgroup, one ebit each) and a commuting remainder
     (the stabilizer).
     """
-    dec = sgs.decompose(matrix_to_paulis(hsp))
+    vecs = matrix_to_paulis(hsp)
+    pairs, isotropic = sgs.split_span(vecs)
     return QuantumCode(
-        n=dec.n,
-        gens_i=dec.isotropic,
-        gens_e=dec.pairs,
+        n=vecs[0].n,
+        gens_i=isotropic,
+        gens_e=pairs,
         d_claimed=d_claimed,
         css=css,
         name=name,

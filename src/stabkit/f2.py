@@ -4,8 +4,12 @@ Rows are stored as Python integers (bit ``j`` of a row integer is the
 entry in column ``j``), so row operations are single big-int XORs.
 This module owns that layout: ``pack_rows`` and ``BitMatrix.to_array``
 are the one pair of conversions between packed rows and 0/1 arrays.
-Gaussian elimination always searches pivot columns left to right, which
-makes echelon forms, ranks and nullspace bases deterministic.
+Elimination (``_echelon``) returns the reduced row-echelon form (RREF):
+each row is reduced by XOR against rows keyed by their lowest set bit
+until its lowest bit is new, and the basis is then back-substituted
+from the highest pivot down.  The RREF of a row space is unique, so
+echelon forms, ranks and nullspace bases are deterministic and equal
+to those of a column-by-column pivot search.
 
 Also provides the two text formats used throughout: a dense
 ``"ROWS COLS"``-headed 0/1 format and the MacKay "alist" sparse format.
@@ -156,32 +160,40 @@ def pack_rows(bits) -> tuple[int, ...]:
 
 
 def _echelon(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """In-place forward elimination; returns (reduced rows, pivot columns).
+    """Reduced row-echelon form of the rows' span; returns (reduced rows,
+    pivot columns), both in ascending pivot order.  ``cols`` is the row
+    width: no row has a bit at or beyond it.
 
-    Pivots are searched column by column in ascending order, and the
-    pivot row is fully reduced against (reduced row-echelon form), so the
-    output is unique for a given row space.
+    Each row is reduced against a basis keyed by lowest set bit until
+    its lowest bit is new (it joins the basis) or it reaches zero (it is
+    dropped).  Then, from the highest pivot down, each basis row is
+    cleared of the higher pivot columns by XOR with their rows, which
+    are already reduced, so no cleared column is set again.  The RREF
+    of a row space with ascending pivot columns is unique, so the output
+    is the same as that of pivoting column by column.
     """
-    rows = list(rows)
-    pivots: list[int] = []
-    level = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(level, len(rows)):
-            if (rows[i] >> col) & 1:
-                pivot = i
+    basis: dict[int, int] = {}
+    for w in rows:
+        while w:
+            low = w & -w
+            row = basis.get(low)
+            if row is None:
+                basis[low] = w
                 break
-        if pivot is None:
-            continue
-        rows[level], rows[pivot] = rows[pivot], rows[level]
-        for i in range(len(rows)):
-            if i != level and (rows[i] >> col) & 1:
-                rows[i] ^= rows[level]
-        pivots.append(col)
-        level += 1
-        if level == len(rows):
+            w ^= row
+        if len(basis) == cols:
             break
-    return rows[:level], pivots
+    pivot_mask = sum(basis)
+    for low in sorted(basis, reverse=True):
+        w = basis[low]
+        hits = (w & pivot_mask) ^ low
+        while hits:
+            high = hits & -hits
+            w ^= basis[high]
+            hits ^= high
+        basis[low] = w
+    lows = sorted(basis)
+    return [basis[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def rank(m: BitMatrix) -> int:

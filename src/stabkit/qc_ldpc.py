@@ -111,9 +111,13 @@ class CircPoly:
 
     @classmethod
     def from_exponents(cls, r: int, exponents) -> "CircPoly":
+        """Sum of X^e over ``exponents``, each in 0..r-1; an exponent
+        listed twice cancels."""
         c = 0
         for e in exponents:
-            c ^= 1 << (e % r)
+            if not 0 <= e < r:
+                raise ValueError(f"exponent {e} out of range for r={r}")
+            c ^= 1 << e
         return cls(r, c)
 
     def _match(self, other: "CircPoly"):
@@ -191,12 +195,7 @@ class ExponentEntry:
         return len(self.exponents) == 1
 
     def poly(self, r: int) -> int:
-        c = 0
-        for e in self.exponents:
-            if not 0 <= e < r:
-                raise ValueError(f"exponent {e} out of range for r={r}")
-            c ^= 1 << e
-        return c
+        return CircPoly.from_exponents(r, self.exponents).coeffs
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -536,6 +535,8 @@ def make_ex_mackay(n: int = 128, m: int = 48, L: int = 8, seed: int = 0,
     """
     if n % 2 or m > n // 2:
         raise ValueError("need even n and m <= n/2")
+    if m < 1:
+        raise ValueError(f"row count m must be at least 1, got {m}")
     if L % 2 or not 2 <= L <= n:
         raise ValueError(f"row weight L must be even and in 2..n (C gets weight L/2), got {L}")
     no_sample = "no 4-cycle-free sample found for these parameters"

@@ -15,7 +15,7 @@ the basis rows keyed by their lowest set bit, so the completion costs
 O(n^2) big-int XORs of 2n-bit rows rather than one elimination per
 candidate.
 
-The procedure then runs n rounds.  Each round takes the current leading
+The procedure then runs up to n rounds.  Each round takes the current leading
 vector u, finds the first remaining vector v that anticommutes with it
 (smallest index wins, so the output is deterministic for a given input
 order), and makes every other vector commute with both via
@@ -26,7 +26,14 @@ A symplectic product a . b is the parity of swap(a) & b, where swap
 (``pauli.swap_halves``) exchanges the z and x halves; swap(u) and
 swap(v) are formed once per round.  Vectors of the input span are kept
 at the front of the working list, so membership of u and v in the span
-is read off positionally.
+is read off positionally.  The rounds whose u lies in the input span
+come first; once the span is used up, every later round only builds
+``completion``.
+
+Only ``decompose`` runs those completion rounds, for ``full_basis()``.
+``split_span`` and ``symp_dim``, and through them the code builders and
+``cli sgs``, stop where the span is used up: on an [[n, k]] code that
+skips k of the n rounds.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from .f2 import BitMatrix, _echelon
 from .pauli import PauliVec, swap_halves
 
-__all__ = ["GroupDecomposition", "decompose", "symp_dim"]
+__all__ = ["GroupDecomposition", "decompose", "split_span", "symp_dim"]
 
 
 @dataclass(frozen=True)
@@ -78,13 +85,9 @@ class GroupDecomposition:
         return BitMatrix(len(rows), 2 * self.n, tuple(rows))
 
 
-def decompose(basis, n: int | None = None) -> GroupDecomposition:
-    """Symplectic Gram-Schmidt decomposition of span(basis).
-
-    ``basis`` is an iterable of equal-length PauliVec; it may be
-    linearly dependent (dependent vectors are dropped by a preliminary
-    echelonization).  ``n`` is only needed when ``basis`` is empty.
-    """
+def _packed(basis, n: int | None) -> tuple[list[int], int]:
+    """(z|x) rows of the PauliVec iterable ``basis`` and its qubit count;
+    ``n`` is only needed when ``basis`` is empty."""
     vecs = list(basis)
     if vecs:
         n = vecs[0].n
@@ -92,8 +95,15 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
             raise ValueError("generators act on different qubit counts")
     elif n is None:
         raise ValueError("empty input needs an explicit qubit count")
+    return [v.packed() for v in vecs], n
 
-    reduced, pivots = _echelon([v.packed() for v in vecs], 2 * n)
+
+def _gram_schmidt(rows: list[int], n: int, complete: bool):
+    """The Gram-Schmidt rounds over packed (z|x) ``rows``; returns
+    (pairs, isotropic, iso_partners, completion) as packed ints.  When
+    ``complete`` is false the rounds stop once the input span is used
+    up, so ``completion`` is empty."""
+    reduced, pivots = _echelon(rows, 2 * n)
     m = len(reduced)
 
     # extend to a basis of the full 2n-dimensional space: e_k joins when
@@ -120,7 +130,7 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     completion: list[tuple[int, int]] = []
 
     m_rem = m
-    for _ in range(n):
+    while work and (m_rem or complete):
         u = work[0]
         su = swap_halves(u, n)
         j = None
@@ -147,11 +157,23 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
             else:
                 completion.append((u, v))
 
-        work = [
-            w ^ (u if (sv & w).bit_count() & 1 else 0) ^ (v if (su & w).bit_count() & 1 else 0)
-            for w in rest
-        ]
+        # w + (v . w) u + (u . w) v, with the two product bits as the index
+        addend = (0, u, v, u ^ v)
+        work = [w ^ addend[(sv & w).bit_count() & 1 | ((su & w).bit_count() & 1) << 1] for w in rest]
 
+    return pairs, isotropic, iso_partners, completion
+
+
+def decompose(basis, n: int | None = None) -> GroupDecomposition:
+    """Symplectic Gram-Schmidt decomposition of span(basis), completed to
+    a full symplectic basis of (Z_2)^{2n}.
+
+    ``basis`` is an iterable of equal-length PauliVec; it may be
+    linearly dependent (dependent vectors are dropped by a preliminary
+    echelonization).  ``n`` is only needed when ``basis`` is empty.
+    """
+    rows, n = _packed(basis, n)
+    pairs, isotropic, iso_partners, completion = _gram_schmidt(rows, n, complete=True)
     as_pauli = lambda p: PauliVec.from_packed(p, n)
     return GroupDecomposition(
         n=n,
@@ -164,10 +186,23 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     )
 
 
+def split_span(basis, n: int | None = None) -> tuple[
+        tuple[tuple[PauliVec, PauliVec], ...], tuple[PauliVec, ...]]:
+    """``(pairs, isotropic)`` of ``decompose(basis, n)``: the hyperbolic
+    pairs and the isotropic part of span(basis), which is all a code
+    construction needs.  The rounds stop where the input span is used
+    up, so no completion to a basis of (Z_2)^{2n} is built."""
+    rows, n = _packed(basis, n)
+    pairs, isotropic, _, _ = _gram_schmidt(rows, n, complete=False)
+    as_pauli = lambda p: PauliVec.from_packed(p, n)
+    return (tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
+            tuple(as_pauli(u) for u in isotropic))
+
+
 def symp_dim(basis, n: int | None = None) -> int:
     """Half the dimension of the symplectic part of span(basis).
 
     For (z|x) rows coming from a CSS block matrix this equals
     rank(H H^T) over GF(2).
     """
-    return decompose(basis, n=n).c
+    return len(split_span(basis, n=n)[0])

@@ -442,3 +442,23 @@ def test_simulate_rejects_negative_seed(p, capsys):
     assert rc == 2
     assert out == ""
     assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--example ex1 --format alist", "--format applies only to --emit matrix"),
+    ("--example mackay --format dense", "--format applies only to --emit matrix"),
+    ("--example hi --emit report --format dense", "--format applies only to --emit matrix"),
+    ("--example mackay --m 0", "row count m must be at least 1, got 0"),
+    ("--example mackay --m -1", "row count m must be at least 1, got -1"),
+])
+def test_qcldpc_rejects_format_for_reports_and_nonpositive_m(argv, message, capsys):
+    rc, out = run_cli("qcldpc", *argv.split())
+    assert (rc, out) == (2, "")
+    assert message in capsys.readouterr().err
+
+
+def test_qcldpc_matrix_defaults_to_dense():
+    rc, out = run_cli("qcldpc", "--example", "ex1", "--emit", "matrix")
+    assert (rc, out) == run_cli("qcldpc", "--example", "ex1", "--emit", "matrix",
+                                "--format", "dense")
+    assert out == f2.format_dense(codes.qc_ldpc.expand(codes.qc_ldpc.make_ex1()))

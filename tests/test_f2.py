@@ -280,3 +280,89 @@ def test_parse_alist_fuzz_raises_only_value_error(text):
         f2.parse_alist(text)
     except ValueError:
         pass
+
+
+# -- lowest-bit elimination against the column-scan oracle -----------------
+
+
+def _oracle_echelon(rows, cols):
+    """Reference RREF: pivots searched column by column in ascending
+    order, each pivot row cleared from every other row."""
+    rows = list(rows)
+    pivots = []
+    level = 0
+    for col in range(cols):
+        pivot = None
+        for i in range(level, len(rows)):
+            if (rows[i] >> col) & 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[level], rows[pivot] = rows[pivot], rows[level]
+        for i in range(len(rows)):
+            if i != level and (rows[i] >> col) & 1:
+                rows[i] ^= rows[level]
+        pivots.append(col)
+        level += 1
+        if level == len(rows):
+            break
+    return rows[:level], pivots
+
+
+@st.composite
+def _row_lists(draw):
+    """(rows, cols): tall (more rows than columns) or wide, with widths
+    on both sides of 64-bit word edges; random, sparse, zero, duplicated
+    or dependent rows, or none."""
+    if draw(st.booleans()):
+        cols = draw(st.integers(1, 24))
+        count = draw(st.integers(cols, 3 * cols + 2))
+    else:
+        cols = draw(st.sampled_from([25, 63, 64, 65, 100, 127, 128, 129, 190]))
+        count = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(["random", "sparse", "zero", "duplicate", "dependent"]))
+    if kind == "sparse":
+        row = st.lists(st.integers(0, cols - 1), max_size=3).map(
+            lambda bits: sum({1 << b for b in bits}))
+    else:
+        row = st.integers(0, (1 << cols) - 1)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    if kind == "zero":
+        rows = [0] * count
+    elif kind in ("duplicate", "dependent") and rows:
+        picks = draw(st.lists(st.lists(st.sampled_from(rows), min_size=1,
+                                       max_size=1 if kind == "duplicate" else 4),
+                              min_size=1, max_size=count + 1))
+        for combo in picks:
+            acc = 0
+            for r in combo:
+                acc ^= r
+            rows.insert(draw(st.integers(0, len(rows))), acc)
+    return rows, cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_lists(), st.data())
+def test_echelon_matches_column_scan_oracle(case, data):
+    rows, cols = case
+    want_rows, want_pivots = _oracle_echelon(rows, cols)
+    assert f2._echelon(rows, cols) == (want_rows, want_pivots)
+    if not rows:
+        return
+    m = BitMatrix(len(rows), cols, tuple(rows))
+    assert f2.rank(m) == len(want_pivots)
+
+    w = data.draw(st.integers(0, (1 << cols) - 1))
+    span_member = 0
+    for r in data.draw(st.lists(st.sampled_from(rows), max_size=4)):
+        span_member ^= r
+    for v in (w, span_member):
+        assert f2.in_rowspace(m, v) == (f2._reduce(v, want_rows, want_pivots) == 0)
+    assert f2.in_rowspace(m, span_member)
+
+    free = [c for c in range(cols) if c not in want_pivots]
+    want_null = [(1 << f) | sum(1 << p for row, p in zip(want_rows, want_pivots) if (row >> f) & 1)
+                 for f in free]
+    null = f2.nullspace(m)
+    assert (null.bits if null is not None else ()) == tuple(want_null)

@@ -629,3 +629,20 @@ def test_entry_validation():
         ExponentEntry.binomial(3, 3)
     with pytest.raises(ValueError):
         ExponentEntry((1, 2, 3))
+
+
+@pytest.mark.parametrize("exponents, bad", [([5, 1], 5), ([4], 4), ([0, -1], -1)])
+def test_circpoly_from_exponents_rejects_out_of_range(exponents, bad):
+    """``from_exponents(4, [5, 1])`` used to reduce 5 mod 4 and cancel
+    it against 1, giving the zero polynomial."""
+    message = rf"^exponent {bad} out of range for r=4$"
+    with pytest.raises(ValueError, match=message):
+        CircPoly.from_exponents(4, exponents)
+    with pytest.raises(ValueError, match=message):
+        ExponentEntry.monomial(bad).poly(4)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_make_ex_mackay_rejects_nonpositive_m(m):
+    with pytest.raises(ValueError, match=rf"^row count m must be at least 1, got {m}$"):
+        make_ex_mackay(m=m)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import f2, gf4, qc_ldpc, sgs
+from stabkit import codes, f2, gf4, qc_ldpc, sgs
 from stabkit.codes import bch63_matrix, css_sp_matrix, hamming_matrix, q15_matrix
 from stabkit.f2 import BitMatrix
-from stabkit.pauli import PauliVec, paulis_to_matrix, symplectic_product
+from stabkit.pauli import PauliVec, matrix_to_paulis, paulis_to_matrix, symplectic_product
 
 from util import random_bitmatrix
 
@@ -289,3 +289,47 @@ def test_decompose_eliminates_once(monkeypatch):
     vecs, n = _sp_vecs(css_sp_matrix(bch63_matrix()))
     sgs.decompose(vecs, n=n)
     assert calls == [2 * n]
+
+
+# -- builders stop where the input span is used up -------------------------
+
+
+def _css_build_inputs():
+    """(label, hz, hx): the CSS pair of every NAMED code that has one,
+    which covers four of the build ladder's five binary inputs (bch63,
+    ex1, ex2, mackay), and the fifth, the r = 32 analogue of ex1
+    (n = 256)."""
+    out = []
+    for name, entry in codes.NAMED.items():
+        css = entry.build().css
+        if css is not None:
+            out.append((name, css.hz, css.hx))
+    ex256 = qc_ldpc.expand(qc_ldpc.ExponentMatrix.from_lists(
+        32, [[1] * 8, list(range(1, 9)), list(range(1, 16, 2))]))
+    return out + [("n256", ex256, ex256)]
+
+
+def test_build_runs_no_completion_round(monkeypatch):
+    """``build_from_sp`` runs the n - k rounds that use up the input span
+    and none of the k completion rounds; its pairs and isotropic part are
+    ``decompose``'s."""
+    rounds = []
+    real = sgs._gram_schmidt
+
+    def counting(rows, n, complete):
+        out = real(rows, n, complete)
+        pairs, isotropic, _, completion = out
+        rounds.append((complete, len(pairs) + len(isotropic), len(completion)))
+        return out
+
+    monkeypatch.setattr(sgs, "_gram_schmidt", counting)
+    inputs = _css_build_inputs()
+    assert len(inputs) >= 6
+    for label, hz, hx in inputs:
+        rounds.clear()
+        hsp = css_sp_matrix(hz, hx)
+        code = codes.build_from_sp(hsp, css=codes.CssPair(hz=hz, hx=hx))
+        dec = sgs.decompose(matrix_to_paulis(hsp))
+        assert code.k > 0, label
+        assert rounds == [(False, code.n - code.k, 0), (True, code.n - code.k, code.k)], label
+        assert (code.gens_e, code.gens_i) == (dec.pairs, dec.isotropic), label
