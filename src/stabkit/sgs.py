@@ -99,10 +99,10 @@ def _packed(basis, n: int | None) -> tuple[list[int], int]:
 
 
 def _gram_schmidt(rows: list[int], n: int, complete: bool):
-    """The Gram-Schmidt rounds over packed (z|x) ``rows``; returns
-    (pairs, isotropic, iso_partners, completion) as packed ints.  When
-    ``complete`` is false the rounds stop once the input span is used
-    up, so ``completion`` is empty."""
+    """The Gram-Schmidt rounds over packed (z|x) ``rows``; returns the
+    tuples (pairs, isotropic, iso_partners, completion) of PauliVec.
+    When ``complete`` is false the rounds stop once the input span is
+    used up, so ``completion`` is empty."""
     reduced, pivots = _echelon(rows, 2 * n)
     m = len(reduced)
 
@@ -159,9 +159,16 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
 
         # w + (v . w) u + (u . w) v, with the two product bits as the index
         addend = (0, u, v, u ^ v)
-        work = [w ^ addend[(sv & w).bit_count() & 1 | ((su & w).bit_count() & 1) << 1] for w in rest]
+        work = [w ^ addend[(sv & w).bit_count() & 1 | ((su & w).bit_count() & 1) << 1]
+                for w in rest]
 
-    return pairs, isotropic, iso_partners, completion
+    as_pauli = lambda p: PauliVec.from_packed(p, n)
+    return (
+        tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
+        tuple(map(as_pauli, isotropic)),
+        tuple(map(as_pauli, iso_partners)),
+        tuple((as_pauli(u), as_pauli(v)) for u, v in completion),
+    )
 
 
 def decompose(basis, n: int | None = None) -> GroupDecomposition:
@@ -174,15 +181,14 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     """
     rows, n = _packed(basis, n)
     pairs, isotropic, iso_partners, completion = _gram_schmidt(rows, n, complete=True)
-    as_pauli = lambda p: PauliVec.from_packed(p, n)
     return GroupDecomposition(
         n=n,
         c=len(pairs),
         ell=len(isotropic),
-        pairs=tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
-        isotropic=tuple(as_pauli(u) for u in isotropic),
-        iso_partners=tuple(as_pauli(v) for v in iso_partners),
-        completion=tuple((as_pauli(u), as_pauli(v)) for u, v in completion),
+        pairs=pairs,
+        isotropic=isotropic,
+        iso_partners=iso_partners,
+        completion=completion,
     )
 
 
@@ -194,9 +200,7 @@ def split_span(basis, n: int | None = None) -> tuple[
     up, so no completion to a basis of (Z_2)^{2n} is built."""
     rows, n = _packed(basis, n)
     pairs, isotropic, _, _ = _gram_schmidt(rows, n, complete=False)
-    as_pauli = lambda p: PauliVec.from_packed(p, n)
-    return (tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
-            tuple(as_pauli(u) for u in isotropic))
+    return pairs, isotropic
 
 
 def symp_dim(basis, n: int | None = None) -> int:
