@@ -15,25 +15,41 @@ the basis rows keyed by their lowest set bit, so the completion costs
 O(n^2) big-int XORs of 2n-bit rows rather than one elimination per
 candidate.
 
-The procedure then runs up to n rounds.  Each round takes the current leading
-vector u, finds the first remaining vector v that anticommutes with it
+The procedure then runs up to n rounds.  Each round takes the current
+leading vector u, finds the first remaining vector v that anticommutes with it
 (smallest index wins, so the output is deterministic for a given input
 order), and makes every other vector commute with both via
 
     w  ->  w + (v . w) u + (u . w) v .
 
 A symplectic product a . b is the parity of swap(a) & b, where swap
-(``pauli.swap_halves``) exchanges the z and x halves; swap(u) and
-swap(v) are formed once per round.  Vectors of the input span are kept
-at the front of the working list, so membership of u and v in the span
-is read off positionally.  The rounds whose u lies in the input span
-come first; once the span is used up, every later round only builds
-``completion``.
+(``pauli.swap_halves``) exchanges the z and x halves.  Vectors of the
+input span come first in the working order, so the rounds whose u lies
+in the input span come first; once the span is used up, every later
+round only builds ``completion``.
 
-Only ``decompose`` runs those completion rounds, for ``full_basis()``.
-``split_span`` and ``symp_dim``, and through them the code builders and
-``cli sgs``, stop where the span is used up: on an [[n, k]] code that
-skips k of the n rounds.
+The span rounds touch only the span rows.  Next to its (z|x) bits each
+span row carries, in the bits above 2n, its products with the extension
+vectors: bit k is the product with the extension vector that started as
+e_k.  The map above changes products by
+
+    w' . x'  =  w . x + (v . w)(u . x) + (u . w)(v . x) ,
+
+so one lookup on the two product bits updates a row and its products
+together.  An extension vector is then tracked by its id alone.  When
+no span row anticommutes with u, the partner is the first extension id
+in working order whose bit is set in u's products, and each span row
+with that bit set gains u, since it commutes with u.  This picks the
+same v and yields the same rows as updating every extension vector
+explicitly, so the pairs and the isotropic part are unchanged; on the
+n = 256 ladder input it skips 328 extension rows beside 184 span rows.
+
+Only ``decompose`` keeps the extension vectors themselves, for
+``iso_partners`` and for the completion rounds that ``full_basis()``
+needs; it updates them from the same product bits.  ``split_span`` and
+``symp_dim``, and through them the code builders and ``cli sgs``, stop
+where the span is used up: on an [[n, k]] code that skips k of the n
+rounds.
 """
 
 from __future__ import annotations
@@ -86,13 +102,18 @@ class GroupDecomposition:
 
 
 def _packed(basis, n: int | None) -> tuple[list[int], int]:
-    """(z|x) rows of the PauliVec iterable ``basis`` and its qubit count;
-    ``n`` is only needed when ``basis`` is empty."""
+    """(z|x) rows of the PauliVec iterable ``basis`` and its qubit count.
+    ``n`` is needed only when ``basis`` is empty; when given, it must be
+    positive and agree with the generators."""
     vecs = list(basis)
+    if n is not None and n < 1:
+        raise ValueError(f"qubit count n must be at least 1, got {n}")
     if vecs:
-        n = vecs[0].n
-        if any(v.n != n for v in vecs):
+        if any(v.n != vecs[0].n for v in vecs):
             raise ValueError("generators act on different qubit counts")
+        if n is not None and n != vecs[0].n:
+            raise ValueError(f"generators act on {vecs[0].n} qubits, but n={n} was given")
+        n = vecs[0].n
     elif n is None:
         raise ValueError("empty input needs an explicit qubit count")
     return [v.packed() for v in vecs], n
@@ -102,65 +123,99 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
     """The Gram-Schmidt rounds over packed (z|x) ``rows``; returns the
     tuples (pairs, isotropic, iso_partners, completion) of PauliVec.
     When ``complete`` is false the rounds stop once the input span is
-    used up, so ``completion`` is empty."""
-    reduced, pivots = _echelon(rows, 2 * n)
-    m = len(reduced)
+    used up, so ``iso_partners`` and ``completion`` are empty."""
+    wide = 2 * n
+    reduced, pivots = _echelon(rows, wide)
 
-    # extend to a basis of the full 2n-dimensional space: e_k joins when
-    # it does not reduce to zero against the span so far, whose rows are
-    # keyed by their lowest set bit (the pivot, for the echelon rows)
-    work = list(reduced)
-    span = dict(zip(pivots, reduced))
-    for k in range(2 * n):
-        if len(work) == 2 * n:
+    # extend to a basis of the full 2n-dimensional space: e_k joins, as
+    # extension id k, when it does not reduce to zero against the span so
+    # far, whose rows are keyed by their lowest set bit (the pivot, for
+    # the echelon rows)
+    ext: list[int] = []
+    basis = dict(zip(pivots, reduced))
+    for k in range(wide):
+        if len(reduced) + len(ext) == wide:
             break
-        cand = w = 1 << k
+        w = 1 << k
         while w:
             low = (w & -w).bit_length() - 1
-            row = span.get(low)
+            row = basis.get(low)
             if row is None:
-                span[low] = w
-                work.append(cand)
+                basis[low] = w
+                ext.append(k)
                 break
             w ^= row
+
+    # each span row w is held as w | g << 2n, where bit k of g is the
+    # product of w with the extension vector of id k (initially e_k, so g
+    # starts as swap(w)); the extension vectors themselves are kept only
+    # by ``decompose``, which outputs them as iso_partners and completion
+    mask = (1 << wide) - 1
+    span = [w | swap_halves(w, n) << wide for w in reduced]
+    xs = [1 << k for k in ext] if complete else None
 
     pairs: list[tuple[int, int]] = []
     isotropic: list[int] = []
     iso_partners: list[int] = []
-    completion: list[tuple[int, int]] = []
 
-    m_rem = m
-    while work and (m_rem or complete):
+    while span:
+        ru = span[0]
+        u, gu = ru & mask, ru >> wide
+        su = swap_halves(u, n)
+        # u . u = 0, so the first 1 is the first partner after u
+        prod_u = [(su & w).bit_count() & 1 for w in span]
+        if 1 in prod_u:  # partner inside the remaining span: hyperbolic pair
+            j = prod_u.index(1)
+            rv = span[j]
+            v, gv = rv & mask, rv >> wide
+            span[j], prod_u[j] = span[1], prod_u[1]
+            sv = swap_halves(v, n)
+            pairs.append((u, v))
+            # w + (v . w) u + (u . w) v, with the two product bits as the
+            # index; the same index gives g + (v . w) g_u + (u . w) g_v,
+            # the products of the new w with the updated extension vectors
+            addend = (0, ru, rv, ru ^ rv)
+            span = [w ^ addend[(sv & w).bit_count() & 1 | b << 1]
+                    for w, b in zip(span[2:], prod_u[2:])]
+            if xs is not None:
+                addend = (0, u, v, u ^ v)
+                xs = [x ^ addend[gv >> k & 1 | (gu >> k & 1) << 1] for k, x in zip(ext, xs)]
+        else:  # u commutes with the whole span: isotropic
+            # its partner is the first extension vector in work order that
+            # anticommutes with u, and the last one takes its slot
+            j = next(i for i, k in enumerate(ext) if gu >> k & 1)
+            partner = 1 << (wide + ext[j])
+            ext[j] = ext[-1]
+            ext.pop()
+            isotropic.append(u)
+            if xs is not None:
+                v = xs[j]
+                xs[j] = xs[-1]
+                xs.pop()
+                iso_partners.append(v)
+                sv = swap_halves(v, n)
+                addend = (0, u, v, u ^ v)
+                xs = [x ^ addend[(sv & x).bit_count() & 1 | (gu >> k & 1) << 1]
+                      for k, x in zip(ext, xs)]
+            # u . w = 0 on every span row, so w gains u exactly when it
+            # anticommutes with the partner, and g gains g_u with it
+            span = [w ^ ru if w & partner else w for w in span[1:]]
+
+    # decompose only: once the span is used up, the rounds over the
+    # extension vectors that are left complete the symplectic basis
+    completion: list[tuple[int, int]] = []
+    work = xs or []
+    while work:
         u = work[0]
         su = swap_halves(u, n)
-        j = None
-        for idx in range(1, len(work)):
-            if (su & work[idx]).bit_count() & 1:
-                j = idx
-                break
-        assert j is not None, "no symplectic partner found; basis invariant broken"
+        j = next(i for i in range(1, len(work)) if (su & work[i]).bit_count() & 1)
         v = work[j]
         sv = swap_halves(v, n)
-
-        if j + 1 <= m_rem:  # partner inside the remaining span: hyperbolic pair
-            work[j], work[1] = work[1], work[j]
-            rest = work[2:]
-            m_rem -= 2
-            pairs.append((u, v))
-        else:
-            work[j], work[-1] = work[-1], work[j]
-            rest = work[1:-1]
-            if m_rem >= 1:
-                m_rem -= 1
-                isotropic.append(u)
-                iso_partners.append(v)
-            else:
-                completion.append((u, v))
-
-        # w + (v . w) u + (u . w) v, with the two product bits as the index
+        work[j] = work[-1]
+        completion.append((u, v))
         addend = (0, u, v, u ^ v)
         work = [w ^ addend[(sv & w).bit_count() & 1 | ((su & w).bit_count() & 1) << 1]
-                for w in rest]
+                for w in work[1:-1]]
 
     as_pauli = lambda p: PauliVec.from_packed(p, n)
     return (
@@ -177,7 +232,8 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
 
     ``basis`` is an iterable of equal-length PauliVec; it may be
     linearly dependent (dependent vectors are dropped by a preliminary
-    echelonization).  ``n`` is only needed when ``basis`` is empty.
+    echelonization).  ``n`` is only needed when ``basis`` is empty; when
+    given it must be positive and match the generators, else ValueError.
     """
     rows, n = _packed(basis, n)
     pairs, isotropic, iso_partners, completion = _gram_schmidt(rows, n, complete=True)

@@ -333,3 +333,57 @@ def test_build_runs_no_completion_round(monkeypatch):
         assert code.k > 0, label
         assert rounds == [(False, code.n - code.k, 0), (True, code.n - code.k, code.k)], label
         assert (code.gens_e, code.gens_i) == (dec.pairs, dec.isotropic), label
+
+
+# -- split_span: the span rounds without explicit extension rows -----------
+
+
+def _assert_split_same_as_oracle(vecs, n):
+    want = _oracle_decompose(vecs, n)
+    assert sgs.split_span(vecs, n=n) == (want.pairs, want.isotropic)
+
+
+@st.composite
+def _isotropic_heavy_spans(draw):
+    """(vectors, n) with n <= 12 whose span is mostly isotropic: rows
+    inside one (z or x) half, which pairwise commute, plus up to two
+    arbitrary rows, so that most span rounds pick an extension partner."""
+    n = draw(st.integers(2, 12))
+    shift = draw(st.sampled_from([0, n]))
+    rows = [r << shift for r in draw(st.lists(st.integers(1, (1 << n) - 1), min_size=2,
+                                               max_size=n))]
+    rows += draw(st.lists(st.integers(0, (1 << (2 * n)) - 1), max_size=2))
+    return [PauliVec.from_packed(r, n) for r in draw(st.permutations(rows))], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_spans(), _isotropic_heavy_spans()))
+def test_split_span_matches_reeliminating_oracle(span):
+    vecs, n = span
+    _assert_split_same_as_oracle(vecs, n)
+
+
+def test_split_span_matches_oracle_on_build_inputs():
+    """Every NAMED code with a CSS pair and the n = 256 ladder input;
+    mackay and hi (c = 0) run isotropic rounds only."""
+    for _, hz, hx in _css_build_inputs():
+        _assert_split_same_as_oracle(*_sp_vecs(css_sp_matrix(hz, hx)))
+
+
+# -- the qubit count --------------------------------------------------------
+
+
+@pytest.mark.parametrize("fn", [sgs.decompose, sgs.split_span, sgs.symp_dim])
+def test_rejects_n_that_conflicts_with_the_generators(fn):
+    with pytest.raises(ValueError, match=r"generators act on 2 qubits, but n=5 was given"):
+        fn([PauliVec(2, 1, 0)], n=5)
+    assert fn([PauliVec(2, 1, 0)], n=2) == fn([PauliVec(2, 1, 0)])
+
+
+@pytest.mark.parametrize("fn", [sgs.decompose, sgs.split_span, sgs.symp_dim])
+@pytest.mark.parametrize("n", [0, -2])
+def test_rejects_nonpositive_n(fn, n):
+    with pytest.raises(ValueError, match=rf"qubit count n must be at least 1, got {n}"):
+        fn([], n=n)
+    with pytest.raises(ValueError, match=rf"qubit count n must be at least 1, got {n}"):
+        fn([PauliVec(2, 1, 0)], n=n)
