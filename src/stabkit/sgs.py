@@ -127,10 +127,11 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
     wide = 2 * n
     reduced, pivots = _echelon(rows, wide)
 
-    # extend to a basis of the full 2n-dimensional space: e_k joins, as
-    # extension id k, when it does not reduce to zero against the span so
-    # far, whose rows are keyed by their lowest set bit (the pivot, for
-    # the echelon rows)
+    # extend to a basis of the full 2n-dimensional space: e_k joins when
+    # it does not reduce to zero against the span so far, whose rows are
+    # keyed by their lowest set bit (the pivot, for the echelon rows).
+    # ``ext`` lists the extension vectors' ids, each as its starting value
+    # e_k, in work order
     ext: list[int] = []
     basis = dict(zip(pivots, reduced))
     for k in range(wide):
@@ -142,17 +143,17 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
             row = basis.get(low)
             if row is None:
                 basis[low] = w
-                ext.append(k)
+                ext.append(1 << k)
                 break
             w ^= row
 
     # each span row w is held as w | g << 2n, where bit k of g is the
-    # product of w with the extension vector of id k (initially e_k, so g
-    # starts as swap(w)); the extension vectors themselves are kept only
+    # product of w with the extension vector of id e_k (initially e_k
+    # itself, so g starts as swap(w)); the extension vectors are kept only
     # by ``decompose``, which outputs them as iso_partners and completion
     mask = (1 << wide) - 1
     span = [w | swap_halves(w, n) << wide for w in reduced]
-    xs = [1 << k for k in ext] if complete else None
+    xs = list(ext) if complete else None
 
     pairs: list[tuple[int, int]] = []
     isotropic: list[int] = []
@@ -179,12 +180,12 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
                     for w, b in zip(span[2:], prod_u[2:])]
             if xs is not None:
                 addend = (0, u, v, u ^ v)
-                xs = [x ^ addend[gv >> k & 1 | (gu >> k & 1) << 1] for k, x in zip(ext, xs)]
+                xs = [x ^ addend[bool(gv & e) | bool(gu & e) << 1] for e, x in zip(ext, xs)]
         else:  # u commutes with the whole span: isotropic
             # its partner is the first extension vector in work order that
             # anticommutes with u, and the last one takes its slot
-            j = next(i for i, k in enumerate(ext) if gu >> k & 1)
-            partner = 1 << (wide + ext[j])
+            j = next(i for i, e in enumerate(ext) if gu & e)
+            partner = ext[j] << wide
             ext[j] = ext[-1]
             ext.pop()
             isotropic.append(u)
@@ -195,8 +196,8 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
                 iso_partners.append(v)
                 sv = swap_halves(v, n)
                 addend = (0, u, v, u ^ v)
-                xs = [x ^ addend[(sv & x).bit_count() & 1 | (gu >> k & 1) << 1]
-                      for k, x in zip(ext, xs)]
+                xs = [x ^ addend[(sv & x).bit_count() & 1 | bool(gu & e) << 1]
+                      for e, x in zip(ext, xs)]
             # u . w = 0 on every span row, so w gains u exactly when it
             # anticommutes with the partner, and g gains g_u with it
             span = [w ^ ru if w & partner else w for w in span[1:]]
