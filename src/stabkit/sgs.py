@@ -1,37 +1,44 @@
 """Constructive symplectic Gram-Schmidt over (Z_2)^{2n}.
 
 Decomposes the span of a set of Pauli vectors into hyperbolic
-(anticommuting) pairs and a residual isotropic part, while completing
-the result to a full symplectic basis of the ambient space.  The pair
-count ``c`` is the number of ebits an entanglement-assisted code built
-on the input generators consumes; the isotropic generators become the
-commuting stabilizer.
+(anticommuting) pairs and a residual isotropic part; ``decompose`` also
+completes the result to a full symplectic basis of the ambient space.
+The pair count ``c`` is the number of ebits an entanglement-assisted
+code built on the input generators consumes; the isotropic generators
+become the commuting stabilizer.
 
 The input is brought to reduced row-echelon form once; that row order
-feeds the pairing below.  The span is then completed to a basis of
-(Z_2)^{2n} by appending each unit vector e_0, e_1, ... that does not
-lie in the span so far.  Membership is decided by reducing e_k against
-the basis rows keyed by their lowest set bit, so the completion costs
-O(n^2) big-int XORs of 2n-bit rows rather than one elimination per
-candidate.
+feeds the pairing below.  The span is extended to a basis of
+(Z_2)^{2n} by each unit vector e_0, e_1, ... that does not lie in the
+span so far.  These extension vectors have a closed form: e_k lies in
+span(input, e_0, ..., e_{k-1}) exactly when some vector of the input
+span has highest set bit k, so e_k joins exactly when k is not a pivot
+of a highest-set-bit echelon form of the input.
 
-The procedure then runs up to n rounds.  Each round takes the current
-leading vector u, finds the first remaining vector v that anticommutes with it
-(smallest index wins, so the output is deterministic for a given input
-order), and makes every other vector commute with both via
+Each round takes the current leading vector u, finds the first
+remaining vector v that anticommutes with it (smallest index wins, so
+the output is deterministic for a given input order), and makes every
+other vector commute with both via
 
     w  ->  w + (v . w) u + (u . w) v .
 
 A symplectic product a . b is the parity of swap(a) & b, where swap
-(``pauli.swap_halves``) exchanges the z and x halves.  Vectors of the
-input span come first in the working order, so the rounds whose u lies
-in the input span come first; once the span is used up, every later
-round only builds ``completion``.
+(``pauli.swap_halves``) exchanges the z and x halves.  The span rows
+come first in the working order and the extension vectors after them,
+so the rounds whose u lies in the input span come first.  A partner
+from the span takes the second slot; one from outside it takes the
+last slot.  Once the span is used up, every later round only builds
+``completion``.
 
-The span rounds touch only the span rows.  Next to its (z|x) bits each
-span row carries, in the bits above 2n, its products with the extension
-vectors: bit k is the product with the extension vector that started as
-e_k.  The map above changes products by
+Two engines run these rounds.  ``_rounds``, for ``decompose``, runs
+them over the explicit vectors until the basis is complete.
+``_split``, for ``split_span`` and ``symp_dim`` and through them the
+code builders and ``stabkit sgs``, stops where the span is used up (on
+an [[n, k]] code that skips k of the n rounds) and touches only the
+span rows.  Next to its (z|x) bits each span row carries, in the bits
+above 2n, its products with the extension vectors: bit k is the product
+with the extension vector that started as e_k.  The map above changes
+products by
 
     w' . x'  =  w . x + (v . w)(u . x) + (u . w)(v . x) ,
 
@@ -40,16 +47,9 @@ together.  An extension vector is then tracked by its id alone.  When
 no span row anticommutes with u, the partner is the first extension id
 in working order whose bit is set in u's products, and each span row
 with that bit set gains u, since it commutes with u.  This picks the
-same v and yields the same rows as updating every extension vector
-explicitly, so the pairs and the isotropic part are unchanged; on the
-n = 256 ladder input it skips 328 extension rows beside 184 span rows.
-
-Only ``decompose`` keeps the extension vectors themselves, for
-``iso_partners`` and for the completion rounds that ``full_basis()``
-needs; it updates them from the same product bits.  ``split_span`` and
-``symp_dim``, and through them the code builders and ``cli sgs``, stop
-where the span is used up: on an [[n, k]] code that skips k of the n
-rounds.
+same v and yields the same rows as ``_rounds``, so both engines give
+the same pairs and isotropic part; on the n = 256 ladder input
+``_split`` skips 328 extension rows beside 184 span rows.
 """
 
 from __future__ import annotations
@@ -119,56 +119,40 @@ def _packed(basis, n: int | None) -> tuple[list[int], int]:
     return [v.packed() for v in vecs], n
 
 
-def _gram_schmidt(rows: list[int], n: int, complete: bool):
-    """The Gram-Schmidt rounds over packed (z|x) ``rows``; returns the
-    tuples (pairs, isotropic, iso_partners, completion) of PauliVec.
-    When ``complete`` is false the rounds stop once the input span is
-    used up, so ``iso_partners`` and ``completion`` are empty."""
+def _start(rows: list[int], n: int) -> tuple[list[int], list[int]]:
+    """The echelon rows of span(rows) and the extension vectors that
+    complete them to a basis of (Z_2)^{2n}, as e_k in ascending k."""
+    reduced, _ = _echelon(rows, 2 * n)
+    # the rows of a highest-set-bit echelon form, keyed by bit_length
+    high: dict[int, int] = {}
+    for w in reduced:
+        while (top := w.bit_length()) in high:
+            w ^= high[top]
+        high[top] = w
+    return reduced, [1 << k for k in range(2 * n) if k + 1 not in high]
+
+
+def _split(rows: list[int], n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The span rounds over packed (z|x) ``rows``: (pairs, isotropic)."""
     wide = 2 * n
-    reduced, pivots = _echelon(rows, wide)
-
-    # extend to a basis of the full 2n-dimensional space: e_k joins when
-    # it does not reduce to zero against the span so far, whose rows are
-    # keyed by their lowest set bit (the pivot, for the echelon rows).
-    # ``ext`` lists the extension vectors' ids, each as its starting value
-    # e_k, in work order
-    ext: list[int] = []
-    basis = dict(zip(pivots, reduced))
-    for k in range(wide):
-        if len(reduced) + len(ext) == wide:
-            break
-        w = 1 << k
-        while w:
-            low = (w & -w).bit_length() - 1
-            row = basis.get(low)
-            if row is None:
-                basis[low] = w
-                ext.append(1 << k)
-                break
-            w ^= row
-
+    reduced, ext = _start(rows, n)
     # each span row w is held as w | g << 2n, where bit k of g is the
     # product of w with the extension vector of id e_k (initially e_k
-    # itself, so g starts as swap(w)); the extension vectors are kept only
-    # by ``decompose``, which outputs them as iso_partners and completion
+    # itself, so g starts as swap(w)); ``ext`` lists the ids in work order
     mask = (1 << wide) - 1
     span = [w | swap_halves(w, n) << wide for w in reduced]
-    xs = list(ext) if complete else None
-
     pairs: list[tuple[int, int]] = []
     isotropic: list[int] = []
-    iso_partners: list[int] = []
-
     while span:
         ru = span[0]
-        u, gu = ru & mask, ru >> wide
+        u = ru & mask
         su = swap_halves(u, n)
         # u . u = 0, so the first 1 is the first partner after u
         prod_u = [(su & w).bit_count() & 1 for w in span]
         if 1 in prod_u:  # partner inside the remaining span: hyperbolic pair
             j = prod_u.index(1)
             rv = span[j]
-            v, gv = rv & mask, rv >> wide
+            v = rv & mask
             span[j], prod_u[j] = span[1], prod_u[1]
             sv = swap_halves(v, n)
             pairs.append((u, v))
@@ -178,53 +162,55 @@ def _gram_schmidt(rows: list[int], n: int, complete: bool):
             addend = (0, ru, rv, ru ^ rv)
             span = [w ^ addend[(sv & w).bit_count() & 1 | b << 1]
                     for w, b in zip(span[2:], prod_u[2:])]
-            if xs is not None:
-                addend = (0, u, v, u ^ v)
-                xs = [x ^ addend[bool(gv & e) | bool(gu & e) << 1] for e, x in zip(ext, xs)]
         else:  # u commutes with the whole span: isotropic
             # its partner is the first extension vector in work order that
             # anticommutes with u, and the last one takes its slot
+            gu = ru >> wide
             j = next(i for i, e in enumerate(ext) if gu & e)
             partner = ext[j] << wide
             ext[j] = ext[-1]
             ext.pop()
             isotropic.append(u)
-            if xs is not None:
-                v = xs[j]
-                xs[j] = xs[-1]
-                xs.pop()
-                iso_partners.append(v)
-                sv = swap_halves(v, n)
-                addend = (0, u, v, u ^ v)
-                xs = [x ^ addend[(sv & x).bit_count() & 1 | bool(gu & e) << 1]
-                      for e, x in zip(ext, xs)]
             # u . w = 0 on every span row, so w gains u exactly when it
             # anticommutes with the partner, and g gains g_u with it
             span = [w ^ ru if w & partner else w for w in span[1:]]
+    return pairs, isotropic
 
-    # decompose only: once the span is used up, the rounds over the
-    # extension vectors that are left complete the symplectic basis
+
+def _rounds(rows: list[int], n: int):
+    """All n rounds over packed (z|x) ``rows`` and their extension
+    vectors: (pairs, isotropic, iso_partners, completion)."""
+    reduced, ext = _start(rows, n)
+    m = len(reduced)  # how many vectors of the input span are left
+    work = reduced + ext
+    pairs: list[tuple[int, int]] = []
+    isotropic: list[int] = []
+    iso_partners: list[int] = []
     completion: list[tuple[int, int]] = []
-    work = xs or []
     while work:
         u = work[0]
         su = swap_halves(u, n)
-        j = next(i for i in range(1, len(work)) if (su & work[i]).bit_count() & 1)
+        prod_u = [(su & w).bit_count() & 1 for w in work]
+        j = prod_u.index(1)
         v = work[j]
+        if j < m:  # partner inside the span: it takes the second slot
+            work[j], prod_u[j] = work[1], prod_u[1]
+            rest, prod_u = work[2:], prod_u[2:]
+            m -= 2
+            pairs.append((u, v))
+        else:  # partner outside the span: the last vector takes its slot
+            work[j], prod_u[j] = work[-1], prod_u[-1]
+            rest, prod_u = work[1:-1], prod_u[1:-1]
+            if m:
+                m -= 1
+                isotropic.append(u)
+                iso_partners.append(v)
+            else:
+                completion.append((u, v))
         sv = swap_halves(v, n)
-        work[j] = work[-1]
-        completion.append((u, v))
         addend = (0, u, v, u ^ v)
-        work = [w ^ addend[(sv & w).bit_count() & 1 | ((su & w).bit_count() & 1) << 1]
-                for w in work[1:-1]]
-
-    as_pauli = lambda p: PauliVec.from_packed(p, n)
-    return (
-        tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
-        tuple(map(as_pauli, isotropic)),
-        tuple(map(as_pauli, iso_partners)),
-        tuple((as_pauli(u), as_pauli(v)) for u, v in completion),
-    )
+        work = [w ^ addend[(sv & w).bit_count() & 1 | b << 1] for w, b in zip(rest, prod_u)]
+    return pairs, isotropic, iso_partners, completion
 
 
 def decompose(basis, n: int | None = None) -> GroupDecomposition:
@@ -237,15 +223,16 @@ def decompose(basis, n: int | None = None) -> GroupDecomposition:
     given it must be positive and match the generators, else ValueError.
     """
     rows, n = _packed(basis, n)
-    pairs, isotropic, iso_partners, completion = _gram_schmidt(rows, n, complete=True)
+    pairs, isotropic, iso_partners, completion = _rounds(rows, n)
+    as_pauli = lambda p: PauliVec.from_packed(p, n)
     return GroupDecomposition(
         n=n,
         c=len(pairs),
         ell=len(isotropic),
-        pairs=pairs,
-        isotropic=isotropic,
-        iso_partners=iso_partners,
-        completion=completion,
+        pairs=tuple((as_pauli(u), as_pauli(v)) for u, v in pairs),
+        isotropic=tuple(map(as_pauli, isotropic)),
+        iso_partners=tuple(map(as_pauli, iso_partners)),
+        completion=tuple((as_pauli(u), as_pauli(v)) for u, v in completion),
     )
 
 
@@ -256,14 +243,16 @@ def split_span(basis, n: int | None = None) -> tuple[
     construction needs.  The rounds stop where the input span is used
     up, so no completion to a basis of (Z_2)^{2n} is built."""
     rows, n = _packed(basis, n)
-    pairs, isotropic, _, _ = _gram_schmidt(rows, n, complete=False)
-    return pairs, isotropic
+    pairs, isotropic = _split(rows, n)
+    as_pauli = lambda p: PauliVec.from_packed(p, n)
+    return tuple((as_pauli(u), as_pauli(v)) for u, v in pairs), tuple(map(as_pauli, isotropic))
 
 
 def symp_dim(basis, n: int | None = None) -> int:
     """Half the dimension of the symplectic part of span(basis).
 
-    For (z|x) rows coming from a CSS block matrix this equals
-    rank(H H^T) over GF(2).
+    For the (z|x) rows of a CSS pair, ``css_sp_matrix(hz, hx)``, this
+    equals rank(hz hx^T) over GF(2); that is rank(H H^T) only when
+    hz = hx = H.
     """
     return len(split_span(basis, n=n)[0])

@@ -137,15 +137,24 @@ def test_isotropic_dimension_unique_across_orders():
 
 
 def test_css_inputs_match_gram_rank():
-    """100 random CSS block inputs: symp_dim equals rank(H H^T)."""
+    """symp_dim of css_sp_matrix(hz, hx) equals rank(hz hx^T): on 100
+    random inputs with hz = hx, 100 random distinct pairs, and the hi
+    pair, whose symp_dim is 0 while rank(hz hz^T) is 16."""
     rng = np.random.default_rng(31)
-    for _ in range(100):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(2, 11))
-        h = random_bitmatrix(rng, rows, cols)
-        hsp = css_sp_matrix(h)
-        vecs = [PauliVec.from_packed(hsp.row(i), cols) for i in range(hsp.rows)]
-        assert sgs.symp_dim(vecs) == f2.rank(f2.mat_mul(h, h.transpose()))
+    pairs = []
+    for distinct in (False, True):
+        for _ in range(100):
+            cols = int(rng.integers(2, 11))
+            hz = random_bitmatrix(rng, int(rng.integers(1, 7)), cols)
+            hx = random_bitmatrix(rng, int(rng.integers(1, 7)), cols) if distinct else hz
+            pairs.append((hz, hx))
+    hi = codes.NAMED["hi"].build().css
+    pairs.append((hi.hz, hi.hx))
+    for hz, hx in pairs:
+        vecs = [PauliVec.from_packed(r, hz.cols) for r in css_sp_matrix(hz, hx).bits]
+        assert sgs.symp_dim(vecs) == f2.rank(f2.mat_mul(hz, hx.transpose()))
+    assert sgs.symp_dim(matrix_to_paulis(css_sp_matrix(hi.hz, hi.hx))) == 0
+    assert f2.rank(f2.mat_mul(hi.hz, hi.hz.transpose())) == 16
 
 
 def test_dependent_input_rows_are_dropped():
@@ -277,7 +286,8 @@ def test_decompose_matches_oracle_on_paper_codes(name):
     _assert_same_as_oracle(*_sp_vecs(hsp))
 
 
-def test_decompose_eliminates_once(monkeypatch):
+@pytest.mark.parametrize("fn", [sgs.decompose, sgs.split_span])
+def test_decompose_eliminates_once(monkeypatch, fn):
     calls = []
     real = sgs._echelon
 
@@ -287,7 +297,7 @@ def test_decompose_eliminates_once(monkeypatch):
 
     monkeypatch.setattr(sgs, "_echelon", counting)
     vecs, n = _sp_vecs(css_sp_matrix(bch63_matrix()))
-    sgs.decompose(vecs, n=n)
+    fn(vecs, n=n)
     assert calls == [2 * n]
 
 
@@ -310,28 +320,27 @@ def _css_build_inputs():
 
 
 def test_build_runs_no_completion_round(monkeypatch):
-    """``build_from_sp`` runs the n - k rounds that use up the input span
-    and none of the k completion rounds; its pairs and isotropic part are
-    ``decompose``'s."""
-    rounds = []
-    real = sgs._gram_schmidt
+    """``build_from_sp`` never runs ``_rounds``, the engine that completes
+    the basis, so it skips the k completion rounds of ``decompose``; its
+    pairs and isotropic part are ``decompose``'s."""
+    calls = []
+    real = sgs._rounds
 
-    def counting(rows, n, complete):
-        out = real(rows, n, complete)
-        pairs, isotropic, _, completion = out
-        rounds.append((complete, len(pairs) + len(isotropic), len(completion)))
-        return out
+    def counting(rows, n):
+        calls.append(n)
+        return real(rows, n)
 
-    monkeypatch.setattr(sgs, "_gram_schmidt", counting)
+    monkeypatch.setattr(sgs, "_rounds", counting)
     inputs = _css_build_inputs()
     assert len(inputs) >= 6
     for label, hz, hx in inputs:
-        rounds.clear()
+        calls.clear()
         hsp = css_sp_matrix(hz, hx)
         code = codes.build_from_sp(hsp, css=codes.CssPair(hz=hz, hx=hx))
+        assert calls == [], label
         dec = sgs.decompose(matrix_to_paulis(hsp))
-        assert code.k > 0, label
-        assert rounds == [(False, code.n - code.k, 0), (True, code.n - code.k, code.k)], label
+        assert calls == [code.n], label
+        assert code.k > 0 and len(dec.completion) == code.k, label
         assert (code.gens_e, code.gens_i) == (dec.pairs, dec.isotropic), label
 
 
@@ -368,6 +377,50 @@ def test_split_span_matches_oracle_on_build_inputs():
     mackay and hi (c = 0) run isotropic rounds only."""
     for _, hz, hx in _css_build_inputs():
         _assert_split_same_as_oracle(*_sp_vecs(css_sp_matrix(hz, hx)))
+
+
+# -- the extension vectors in closed form ----------------------------------
+
+
+def _loop_extension_ids(rows, n):
+    """Reference for ``sgs._start``'s extension vectors: each unit vector
+    e_k joins when it does not reduce to zero against the span so far,
+    whose rows are keyed by their lowest set bit."""
+    wide = 2 * n
+    reduced, pivots = f2._echelon(rows, wide)
+    ext = []
+    basis = dict(zip(pivots, reduced))
+    for k in range(wide):
+        if len(reduced) + len(ext) == wide:
+            break
+        w = 1 << k
+        while w:
+            low = (w & -w).bit_length() - 1
+            row = basis.get(low)
+            if row is None:
+                basis[low] = w
+                ext.append(1 << k)
+                break
+            w ^= row
+    return ext
+
+
+def _assert_closed_form_ids(vecs, n):
+    rows = [v.packed() for v in vecs]
+    reduced, ext = sgs._start(rows, n)
+    assert reduced == f2._echelon(rows, 2 * n)[0]
+    assert ext == _loop_extension_ids(rows, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_spans(), _isotropic_heavy_spans()))
+def test_extension_ids_match_membership_loop(span):
+    _assert_closed_form_ids(*span)
+
+
+def test_extension_ids_match_membership_loop_on_build_inputs():
+    for _, hz, hx in _css_build_inputs():
+        _assert_closed_form_ids(*_sp_vecs(css_sp_matrix(hz, hx)))
 
 
 # -- the qubit count --------------------------------------------------------
