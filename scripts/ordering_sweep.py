@@ -12,8 +12,12 @@ in ``simulate --code mackay``); ``--seed`` seeds only the trials.
 
 Each point's failure split and decoder effort go to stderr, one line
 per point: block errors that did not converge and that converged to a
-wrong coset, trials excused as degenerate, and the mean (per decoded
-row, two rows per trial) and maximum iteration counts.
+wrong coset, trials excused as degenerate, the mean (per decoded row,
+two rows per trial) and maximum iteration counts, and the decoded rows
+ended early on an exact message cycle.  Such a row could never
+converge: it is trapped in a periodic orbit.  Comparing ``cycled``
+across codes tests the explanation that ex-MacKay's 4-cycles stall its
+decoder (MacKay, Mitchison and McFadden, IEEE TIT 50(10), 2004).
 """
 
 import argparse
@@ -65,7 +69,7 @@ def main():
                   f"converged_wrong={pt.converged_wrong} "
                   f"degenerate_saves={pt.degenerate_saves} "
                   f"iterations mean={pt.iterations_total / (2 * pt.trials):.2f} "
-                  f"max={pt.iterations_max}", file=sys.stderr)
+                  f"max={pt.iterations_max} cycled={pt.cycled}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -406,9 +406,18 @@ def hermitian_poly_product(e: ExponentMatrix) -> list[list[CircPoly]]:
 
 
 def rank_bound(e: ExponentMatrix) -> int:
-    """Upper bound on rank(H H^T): the layerwise circulant-rank sum,
-    tightened to J(r - L + 1) for even-row-weight Type-I matrices whose
-    off-diagonal products share a factor with X^r - 1."""
+    """Layer-sum estimate of rank(H H^T), which is no bound on it in
+    either direction: the sum over the block rows of the polynomial
+    product H H^T of each row's largest ``circ_rank``, or J(r - L + 1)
+    when that is smaller, for even-row-weight Type-I matrices whose
+    off-diagonal products share a factor with X^r - 1.
+
+    A block row's largest circulant rank bounds that row's rank from
+    below, while the rows' ranks sum to at least rank(H H^T), so the
+    sum of the maxima can fall on either side.  It reads 27 on ex1 and
+    ex2 (rank 18), but 12 on both matrices of ``make_ex_hi()`` (rank
+    16), and 4 on the r = 5 exponents [[2, 0, 0, 0], [0, 3, 2, 3]]
+    (rank 8).  ``hermitian_rank_poly`` gives the rank itself."""
     hat = hermitian_poly_product(e)
     layer_sum = sum(
         max(circ_rank(hat[i][j]) for j in range(e.J)) for i in range(e.J)

@@ -8,8 +8,9 @@ a Z flip from Z or Y), and the residual is scored either strictly
 and gauge generators, ``QuantumCode.is_harmless``).  Each block error
 is also classed as not converged (either half's decoder stopped at
 ``max_iter``) or converged to a wrong coset.  Each point also counts
-the trials that degenerate scoring excused, and the decoder iterations
-(total and most) of every decoded row.
+the trials that degenerate scoring excused, the decoder iterations
+(total and most) of every decoded row, and the decoded rows that the
+decoder ended early on an exact message cycle.
 
 Trials run in chunks of ``CHUNK`` = 4 kernel widths: the chunk's flips
 are stacked into uint8 [B, n] arrays and each CSS half gets its
@@ -130,6 +131,9 @@ class SimPoint:
     iterations_total: int = 0
     #: most iterations any decoded row took
     iterations_max: int = 0
+    #: decoded rows, both CSS halves, that the decoder ended early on
+    #: an exact message cycle (they count ``max_iter`` iterations)
+    cycled: int = 0
 
 
 @dataclass(frozen=True)
@@ -298,13 +302,15 @@ class _Tally:
     degenerate_saves: int = 0
     iterations_total: int = 0
     iterations_max: int = 0
+    cycled: int = 0
 
     def __add__(self, other: _Tally) -> _Tally:
         return _Tally(self.errors + other.errors,
                       self.not_converged + other.not_converged,
                       self.degenerate_saves + other.degenerate_saves,
                       self.iterations_total + other.iterations_total,
-                      max(self.iterations_max, other.iterations_max))
+                      max(self.iterations_max, other.iterations_max),
+                      self.cycled + other.cycled)
 
 
 def _tee(items, k: int) -> list:
@@ -385,9 +391,9 @@ class _TrialRunner:
             chunks, feed = _tee(chunks, 2)
             stacked = ((np.concatenate([c.sz, c.sx]), c.flip) for c in feed)
             stream = decode_stream(self.graph_z, stacked, max_iter)
-            for c, (est, conv, its) in zip(chunks, stream):
+            for c, rows in zip(chunks, stream):
                 b = len(c.sz)
-                yield c, ((est[:b], conv[:b], its[:b]), (est[b:], conv[b:], its[b:]))
+                yield c, (tuple(a[:b] for a in rows), tuple(a[b:] for a in rows))
         else:
             chunks, feed_z, feed_x = _tee(chunks, 3)
             xs = decode_stream(self.graph_z, ((c.sz, c.flip) for c in feed_z), max_iter)
@@ -395,7 +401,7 @@ class _TrialRunner:
             yield from ((c, halves) for c, *halves in zip(chunks, xs, zs))
 
     def _score(self, c: _Chunk, x_half, z_half) -> _Tally:
-        (dx, cx, ix), (dz, cz, iz) = x_half, z_half
+        (dx, cx, ix, yx), (dz, cz, iz, yz) = x_half, z_half
         rx = c.ex ^ dx
         rz = c.ez ^ dz
         failed = rx.any(axis=1) | rz.any(axis=1)
@@ -406,7 +412,8 @@ class _TrialRunner:
             failed[failed] = [not harmless(v) for v in packed]
             saves = len(packed) - int(failed.sum())
         return _Tally(int(failed.sum()), int((failed & ~(cx & cz)).sum()), saves,
-                      int(ix.sum() + iz.sum()), int(max(ix.max(), iz.max())))
+                      int(ix.sum() + iz.sum()), int(max(ix.max(), iz.max())),
+                      int(yx.sum() + yz.sum()))
 
 
 class _Child:
@@ -494,7 +501,8 @@ def _simulate(config: SimConfig, grid) -> tuple[SimPoint, ...]:
         lo, hi = wilson_interval(t.errors, trials)
         points.append(SimPoint(p, trials, t.errors, t.errors / trials, lo, hi,
                                t.not_converged, t.errors - t.not_converged,
-                               t.degenerate_saves, t.iterations_total, t.iterations_max))
+                               t.degenerate_saves, t.iterations_total, t.iterations_max,
+                               t.cycled))
     return tuple(points)
 
 

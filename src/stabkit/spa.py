@@ -27,12 +27,33 @@ arithmetic does not depend on the rest of its batch.
 ``decode_batch`` is the stream of one block and ``decode`` the batch
 of one.
 
+A row whose messages repeat exactly leaves early, with the result it
+would have after ``max_iter`` rounds.  The bit-to-check messages q
+after a round are the row's whole state: the next round's check
+messages r follow from q and the row's fixed syndrome signs, the next
+q from r and its fixed prior, and the tentative estimate from r and the
+prior.  So if q after round t equals q after round t - k bit for bit,
+every later round repeats the one k rounds before it, and the estimate
+of round a + k is that of round a for every a > t - k.  None of the
+estimates of rounds t - k + 1 .. t satisfied the syndrome (the row is
+still running), so the row never converges, and its estimate after
+``max_iter`` rounds is that of round t - ((t - max_iter) mod k).  The
+kernel keeps every row's last K = ``_RING`` estimates in a ring and
+finishes the row there: unconverged, at ``max_iter`` iterations.
+Detection costs little: each round in which some row is at least K
+rounds old, every row leaves one float fingerprint of q in a [K, B]
+ring; only a row at least K rounds old whose fingerprint matches one
+of its last K gets its q copied, and only a bit-for-bit compare of q
+with the copy, at a later round whose fingerprint matches the copy's,
+ends it.
+
 ``exact_marginals`` is the brute-force oracle: true per-bit posteriors
 by enumerating every error pattern consistent with the syndrome.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -48,6 +69,26 @@ _FLOOR = 1e-300
 #: about 22 KB per row on a graph of 384 edges
 WIDTH = 64
 _Q_SENTINEL = ((1.0,), (0.0,))    # q0, q1 of the sentinel edge: dq = 1
+#: rounds of fingerprints and estimates a stream keeps: the longest
+#: message cycle it ends a row on
+_RING = 8
+_IDLE = -_RING - 1    # the copy age of a row without a usable copy
+
+
+@functools.lru_cache(maxsize=None)
+def _weights(count: int) -> np.ndarray:
+    """Fixed weights in [0, 1), one per message row (the sentinel
+    included), for ``_fingerprint``."""
+    return np.random.default_rng(0).random(count)
+
+
+def _fingerprint(q: np.ndarray) -> np.ndarray:
+    """One float per row of the edge-major messages ``q`` [2, E + 1, B]:
+    its 1-messages under fixed pseudorandom weights.  Equal messages
+    give equal fingerprints, so a fingerprint that differs from an
+    earlier one rules a repeat out; one that matches only makes the row
+    a candidate for the exact compare."""
+    return _weights(q.shape[1]) @ q[1]
 
 
 def _padded_slots(groups: np.ndarray, count: int, n_edges: int) -> np.ndarray:
@@ -211,12 +252,15 @@ class SpaWorkspace:
         self._totals = None
 
     def keep(self, rows: np.ndarray):
-        """Carry on with the batch rows selected by ``rows`` only."""
+        """Carry on with the batch rows selected by ``rows`` (a boolean
+        mask over the batch) only.  ``compress`` keeps every array
+        C-ordered with the batch axis last; fancy indexing would put it
+        first in memory and make every later step stride over it."""
         self.syndrome = self.syndrome[rows]
-        self.sign = self.sign[:, rows]
-        self.prior = self.prior[..., rows]
-        self.q = self.q[..., rows]
-        self.r = self.r[..., rows]
+        self.sign = self.sign.compress(rows, axis=-1)
+        self.prior = self.prior.compress(rows, axis=-1)
+        self.q = self.q.compress(rows, axis=-1)
+        self.r = self.r.compress(rows, axis=-1)
         self._totals = None
 
     def horizontal_step(self):
@@ -300,6 +344,7 @@ class _Block:
         self.estimates = np.zeros((b, graph.n), dtype=np.uint8)
         self.converged = np.zeros(b, dtype=bool)
         self.iterations = np.full(b, max_iter, dtype=np.int64)
+        self.cycled = np.zeros(b, dtype=bool)
         # below 1/2 a zero syndrome is decoded without the loop: every
         # check message then favors 0, so the first round would return
         # the zero estimate anyway
@@ -309,8 +354,8 @@ class _Block:
         self.queue = np.flatnonzero(~zero)
         self.pending = len(self.queue)
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.estimates, self.converged, self.iterations
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.estimates, self.converged, self.iterations, self.cycled
 
 
 class _Feed:
@@ -356,8 +401,9 @@ class _Feed:
                 np.concatenate([b.syndromes[r] for b, r in parts]),
                 np.concatenate([b.flip[r] for b, r in parts]))
 
-    def finish(self, ids, rows, estimates, converged, iterations):
-        """Record the results of finished rows."""
+    def finish(self, ids, rows, estimates, converged, iterations, cycled=None):
+        """Record the results of finished rows; ``cycled`` flags those
+        ended on a message cycle (None: none was)."""
         first = self.open[0].id
         for bid in np.unique(ids):
             sel = ids == bid
@@ -366,6 +412,8 @@ class _Feed:
             block.estimates[r] = estimates[sel]
             block.converged[r] = converged[sel]
             block.iterations[r] = iterations[sel]
+            if cycled is not None:
+                block.cycled[r] = cycled[sel]
             block.pending -= len(r)
 
     def ready(self):
@@ -380,10 +428,11 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     for the block or one per row.
 
     Yields ``(estimates [B, n] uint8, converged [B] bool, iterations [B]
-    int64)`` per block, in stream order.  A row stops at the first
-    tentative estimate that reproduces its syndrome; a row that has not
-    after ``max_iter`` rounds keeps its last estimate, unconverged.  A
-    zero syndrome at a prior below 1/2 never enters the loop.
+    int64, cycled [B] bool)`` per block, in stream order.  A row stops
+    at the first tentative estimate that reproduces its syndrome; a row
+    that has not after ``max_iter`` rounds keeps its last estimate,
+    unconverged.  A zero syndrome at a prior below 1/2 never enters the
+    loop.
 
     The kernel iterates an active set of at most ``WIDTH`` rows.  Each
     row counts its own rounds, and the slot of a row that stops is
@@ -394,6 +443,15 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     retires at most ``WIDTH`` rows, so at most ``WIDTH * max_iter`` rows
     are pulled past the oldest running one.  Every row computes exactly
     what it would alone.
+
+    A row whose messages q after some round equal, bit for bit, its q
+    k <= ``_RING`` rounds earlier is periodic from there on, because q
+    is the row's whole state; it cannot converge any more, and it
+    leaves at once with the estimate that the phase of ``max_iter`` in
+    its period picks from its last k rounds.  So every result equals
+    that of the exit-free loop, and a fourth array per block, ``cycled
+    [B] bool``, flags the rows that left this way (each unconverged, at
+    ``max_iter`` iterations).
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -401,26 +459,112 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     return _stream(_Feed(graph, blocks, max_iter), max_iter)
 
 
+class _Cycles:
+    """Exact-cycle exits for the rows of one kernel.
+
+    Two rings are indexed by the global round s, at entry s % K (K =
+    ``_RING``), so every round writes one contiguous row of each:
+    ``fps`` [K, B] holds each row's fingerprint (NaN before the first)
+    and ``ests`` [K, n, B] its tentative estimate.  A row whose
+    fingerprint equals one of its last K gets the bits of its q copied
+    into ``snaps``, and the copy is compared bit for bit with q at each
+    of the next K rounds whose fingerprint equals the copy's,
+    ``snap_fp``.  A fingerprint match alone ends no row.
+
+    Most rows converge within a few rounds, so a round in which every
+    row is younger than K rounds is not recorded, and s counts recorded
+    rounds only.  A row is copied only at an age of K or more: every
+    later round of the row is then recorded, so k rounds back in the
+    rings is k rounds back in the row's life.
+    """
+
+    def __init__(self, b: int, n: int, max_iter: int):
+        self.max_iter = max_iter
+        self.round = 0
+        self.fps = np.full((_RING, b), np.nan)
+        self.ests = np.zeros((_RING, n, b), dtype=np.uint8)
+        self.since = np.full(b, _IDLE)     # age of the row's copy
+        self.snap_fp = np.full(b, np.nan)
+        self.snaps = {}                    # slot -> bits of the row's q at its copy
+
+    def admit(self, slots: np.ndarray):
+        self.since[slots] = _IDLE
+
+    def keep(self, rows: np.ndarray):
+        """As ``SpaWorkspace.keep``."""
+        self.fps = self.fps.compress(rows, axis=-1)
+        self.ests = self.ests.compress(rows, axis=-1)
+        self.since = self.since[rows]
+        self.snap_fp = self.snap_fp[rows]
+        slot = np.cumsum(rows) - 1
+        self.snaps = {int(slot[j]): c for j, c in self.snaps.items() if rows[j]}
+
+    def step(self, q: np.ndarray, estimate: np.ndarray, ok: np.ndarray,
+             age: np.ndarray) -> np.ndarray | None:
+        """Record the round just run, of rows at ``age`` with messages
+        ``q``, and return the rows, none of them ``ok``, whose q equals
+        their copy from k <= K rounds ago, or None if there are none.
+        Their rounds repeat with period k, so their rows of ``estimate``
+        are replaced by the estimate they would stop at after
+        ``max_iter`` rounds."""
+        if age.max() < _RING:
+            return None
+        s, self.round = self.round, self.round + 1
+        self.ests[s % _RING] = estimate.T
+        fp = _fingerprint(q)
+        check = (self.snap_fp == fp).nonzero()[0]
+        hits = (self.fps == fp).ravel().nonzero()[0]
+        self.fps[s % _RING] = fp
+        if not (len(check) or len(hits)):
+            return None
+        # few rows match in a round, so they are taken one at a time
+        ages, done, since = age.tolist(), ok.tolist(), self.since.tolist()
+        bits = q.view(np.uint64)
+        cycled = []
+        for j in check.tolist():
+            k = ages[j] - since[j]
+            if done[j] or k > _RING or not (bits[..., j] == self.snaps[j]).all():
+                continue
+            # est(a + k) = est(a) for every age a past the copy, so the
+            # estimate at max_iter is (age - max_iter) mod k rounds back
+            back = (ages[j] - self.max_iter) % k
+            estimate[j] = self.ests[(s - back) % _RING, :, j]
+            cycled.append(j)
+        for j in set((hits % len(ages)).tolist()):
+            if (_RING <= ages[j] < self.max_iter - 1 and ages[j] - since[j] > _RING
+                    and not done[j]):
+                self.snaps[j] = bits[..., j].copy()
+                self.snap_fp[j] = fp[j]
+                self.since[j] = ages[j]
+        return np.array(cycled) if cycled else None
+
+
 def _stream(feed: _Feed, max_iter: int):
     ids, active, syn, flip = feed.take(WIDTH)
     if len(active):
         ws = SpaWorkspace(feed.graph, syn, flip)
         age = np.zeros(len(active), dtype=np.int64)
+        cycles = _Cycles(len(active), feed.graph.n, max_iter)
     while len(active):
         ws.horizontal_step()
         ws.vertical_step()
         age += 1
         estimate = ws.tentative()
         ok = ws.satisfies(estimate)
+        cycled = cycles.step(ws.q, estimate, ok, age)
+        if cycled is not None:
+            age[cycled] = max_iter
         done = ok | (age == max_iter)
         if done.any():
             slots = np.flatnonzero(done)
-            feed.finish(ids[slots], active[slots], estimate[slots], ok[slots], age[slots])
+            feed.finish(ids[slots], active[slots], estimate[slots], ok[slots], age[slots],
+                        None if cycled is None else np.isin(slots, cycled))
             new_ids, refill, syn, flip = feed.take(len(slots))
             k = len(refill)
             if k:
                 ws.set_prior(slots[:k], flip)
                 ws.admit(slots[:k], syn)
+                cycles.admit(slots[:k])
                 ids[slots[:k]] = new_ids
                 active[slots[:k]] = refill
                 age[slots[:k]] = 0
@@ -428,6 +572,7 @@ def _stream(feed: _Feed, max_iter: int):
                 keep = np.ones(len(active), dtype=bool)
                 keep[slots[k:]] = False
                 ws.keep(keep)
+                cycles.keep(keep)
                 ids, active, age = ids[keep], active[keep], age[keep]
             yield from feed.ready()
     yield from feed.ready()
@@ -442,7 +587,7 @@ def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip,
     Returns ``(estimates [B, n] uint8, converged [B] bool, iterations
     [B] int64)``.
     """
-    return next(decode_stream(h, [(syndromes, prior_flip)], max_iter))
+    return next(decode_stream(h, [(syndromes, prior_flip)], max_iter))[:3]
 
 
 def decode(h: BitMatrix | SpaGraph, syndrome, prior_flip: float,

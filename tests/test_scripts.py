@@ -59,9 +59,11 @@ def test_ordering_sweep_reports_each_point_on_stderr():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     pattern = (r"# (\S+) p=(\S+): not_converged=\d+ converged_wrong=\d+ "
-               r"degenerate_saves=\d+ iterations mean=\d+\.\d\d max=\d+")
+               r"degenerate_saves=\d+ iterations mean=\d+\.\d\d max=\d+ cycled=(\d+)")
     heads = [re.fullmatch(pattern, ln).groups() for ln in lines]
-    assert heads == [("ex1", "0.02"), ("ex1", "0.04"), ("mackay", "0.02"), ("mackay", "0.04")]
+    assert [h[:2] for h in heads] == [("ex1", "0.02"), ("ex1", "0.04"),
+                                      ("mackay", "0.02"), ("mackay", "0.04")]
+    assert int(heads[3][2]) > 0
     assert "mean=" not in proc.stdout
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabkit import codes, f2, pauli, qc_ldpc, sim
+from stabkit import codes, f2, pauli, qc_ldpc, sim, spa
 from stabkit.codes import builtin
 from stabkit.pauli import PauliVec, symplectic_product, weight
 from stabkit.sim import (
@@ -545,3 +545,37 @@ def test_point_observability(name, p_grid):
         assert sum(d.degenerate_saves for d in degen) > 0
     w2 = sweep(SimConfig(success_mode="degenerate", workers=2, **base)).points
     assert w2 == degen
+
+
+def _trial_cycles(code, p, p_idx, trials, seed, max_iter):
+    """Rows of both CSS halves of every trial that ``decode_stream``
+    ends on an exact message cycle, the trials' syndromes fed as one
+    block per half."""
+    css, n, f = code.css, code.n, 2.0 * p / 3.0
+    gz, gx = sim.SpaGraph(css.hz), sim.SpaGraph(css.hx)
+    flips = [sim._flips(np.random.default_rng((seed, p_idx, t)).random(n), p)
+             for t in range(trials)]
+    count = 0
+    for graph, errs in ((gz, [ex for ex, _ in flips]), (gx, [ez for _, ez in flips])):
+        block = (graph.syndromes(np.array(errs)), f)
+        count += int(next(spa.decode_stream(graph, [block], max_iter))[3].sum())
+    return count
+
+
+@pytest.mark.parametrize("max_iter", [100, 37])
+def test_cycled_rows_counted_for_any_worker_count(monkeypatch, pinned_codes, max_iter):
+    """``cycled`` counts the decoded rows that the decoder ended on an
+    exact message cycle, as ``decode_stream`` flags them, and is the
+    same for one and two workers.  ex-MacKay's 4-cycles make many at
+    p = 0.04; the CSV is not affected."""
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    code = pinned_codes["mackay"]
+    cfg = SimConfig(code=code, p_grid=(0.01, 0.04), trials=150, seed=3, max_iter=max_iter)
+    points = sweep(cfg).points
+    two = sweep(dataclasses.replace(cfg, workers=2)).points
+    assert [pt.cycled for pt in two] == [pt.cycled for pt in points]
+    assert two == points
+    for p_idx, pt in enumerate(points):
+        assert pt.cycled == _trial_cycles(code, pt.p, p_idx, 150, 3, max_iter)
+        assert pt.cycled <= pt.iterations_total // max_iter
+    assert points[1].cycled > 0

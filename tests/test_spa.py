@@ -303,6 +303,106 @@ def test_decode_batch_matches_reference_on_random_checks(seed, max_iter, prior):
         assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
 
 
+def _mackay_rows(b, p, seed):
+    """ex-MacKay (seed 0), whose duplicate columns make 4-cycles, and
+    the syndromes of ``b`` flip patterns at rate ``p``."""
+    h = qc_ldpc.make_ex_mackay(seed=0)
+    errs = (np.random.default_rng(seed).random((b, h.cols)) < p).astype(np.uint8)
+    return h, (errs @ h.to_array().T) % 2
+
+
+def _assert_rows_match_reference(h, syn, prior, max_iter, rows):
+    """Every row of ``decode_stream``'s one block equals the exit-free
+    reference decoder; returns the rows' cycle flags."""
+    est, conv, its, cycled = next(decode_stream(SpaGraph(h), [(syn, prior)], max_iter))
+    for i in rows:
+        ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], prior, max_iter)
+        assert np.array_equal(ref_est, est[i]), (i, max_iter)
+        assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
+    assert not (cycled & conv).any() and (its[cycled] == max_iter).all()
+    return cycled
+
+
+@pytest.mark.parametrize("max_iter", [99, 100, 101])
+def test_cycle_exits_match_reference_on_mackay(max_iter):
+    """At p = 0.04 many ex-MacKay rows fall into an exact message cycle
+    of even period and are ended early.  Across three consecutive
+    ``max_iter`` the estimate each returns is taken at every phase of a
+    period-2 cycle, and equals the exit-free decoder's after
+    ``max_iter`` rounds."""
+    h, syn = _mackay_rows(96, 0.04, 17)
+    cycled = next(decode_stream(SpaGraph(h), [(syn, 0.04)], max_iter))[3]
+    assert cycled.sum() >= 5
+    # the cycled rows, and a few of the others
+    rows = np.union1d(np.flatnonzero(cycled), np.arange(8))
+    _assert_rows_match_reference(h, syn, 0.04, max_iter, rows)
+
+
+def test_forced_fingerprint_collisions_never_end_a_row_alone(monkeypatch):
+    """With every fingerprint equal, every row old enough to be copied
+    is copied and then compared at every round, so only the exact
+    compare of q keeps rows that do not repeat from ending.  Outputs,
+    over more rows than the kernel's width so that slots are refilled,
+    still equal the exit-free decoder's, and exact cycles are still
+    found."""
+    calls = []
+
+    def constant(q):
+        calls.append(q.shape[-1])
+        return np.zeros(q.shape[-1])
+
+    monkeypatch.setattr(spa, "_fingerprint", constant)
+    h, syn = _mackay_rows(spa.WIDTH + 40, 0.04, 18)
+    cycled = _assert_rows_match_reference(h, syn, 0.04, 40, range(len(syn)))
+    assert calls and cycled.any() and not cycled.all()
+
+
+def test_cycle_rings_stay_aligned_over_unrecorded_rounds():
+    """A round in which every row is younger than ``_RING`` is not
+    recorded.  Here a period-2 row repeats from age 2, but the only row
+    old enough to get rounds recorded leaves after the third: the
+    periodic row is copied only once it is ``_RING`` rounds old itself,
+    and it ends with the estimate of the phase that ``max_iter``
+    picks."""
+    k = spa._RING
+    max_iter = k + 3
+    rng = np.random.default_rng(3)
+    states = rng.random((2, 2, 3))          # the periodic row's q at even and odd ages
+    cycles = spa._Cycles(2, 1, max_iter)
+    age = np.array([k, 2])
+    for rnd in range(1, 3 * k):
+        q = np.empty((2, 3, 2))
+        q[..., 0] = rng.random((2, 3))      # slot 0 never repeats
+        q[..., 1] = states[age[1] % 2]
+        estimate = np.array([[9], [age[1] % 2]], dtype=np.uint8)
+        rows = cycles.step(q, estimate, np.zeros(2, dtype=bool), age)
+        if rows is not None:
+            assert list(rows) == [1] and age[1] == k + 2
+            assert estimate[1, 0] == max_iter % 2
+            break
+        if rnd == 3:                        # the old row leaves, a new one takes its slot
+            cycles.admit(np.array([0]))
+            age[0] = 0
+        age += 1
+    else:
+        pytest.fail("the periodic row never ended")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40),
+       st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.5, 0.7]), st.booleans())
+def test_cycle_exits_match_reference_on_random_checks(seed, max_iter, prior, collide):
+    """Small dense checks with unreachable syndromes cycle often; with
+    real or forced-equal fingerprints, every row equals the exit-free
+    decoder's."""
+    rng = np.random.default_rng(seed)
+    h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    syn = _random_syndromes(rng, h, 12)
+    fingerprint = (lambda q: np.zeros(q.shape[-1])) if collide else spa._fingerprint
+    with mock.patch.object(spa, "_fingerprint", fingerprint):
+        _assert_rows_match_reference(h, syn, prior, max_iter, range(len(syn)))
+
+
 def _kernel(graph, syndrome, prior, max_iter):
     """The iteration loop on one syndrome, straight through the
     workspace, with no shortcut for a zero syndrome."""
@@ -410,8 +510,9 @@ def test_stream_rows_match_decode_at_their_own_prior(seed, shapes, max_iter):
         blocks.append((_random_syndromes(rng, h, b), prior))
     results = list(decode_stream(graph, iter(blocks), max_iter))
     assert len(results) == len(blocks)
-    for (syn, prior), (est, conv, its) in zip(blocks, results):
+    for (syn, prior), (est, conv, its, cycled) in zip(blocks, results):
         assert est.shape == (len(syn), h.cols)
+        assert not (cycled & conv).any() and (its[cycled] == max_iter).all()
         priors = np.broadcast_to(prior, (len(syn),))
         for i in range(len(syn)):
             res = decode(graph, syn[i], float(priors[i]), max_iter)
