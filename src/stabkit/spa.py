@@ -25,7 +25,11 @@ each check (or bit) run on a padded slot-major [d, groups, B] gather,
 one contiguous multiply per slot and always in slot order, so a row's
 arithmetic does not depend on the rest of its batch.
 ``decode_batch`` is the stream of one block and ``decode`` the batch
-of one.
+of one.  The convergence test stays in the kernel's layout as well:
+estimates [n, B], their parities (``SpaGraph.parities``, the one
+parity routine) [m, B] against a check-major copy of the syndromes;
+only finished rows become [B, n] rows.  A refilled slot restarts its q
+only: the next horizontal step rewrites all of r before any read.
 
 A row whose messages repeat exactly leaves early, with the result it
 would have after ``max_iter`` rounds.  The bit-to-check messages q
@@ -162,15 +166,20 @@ class SpaGraph:
         # bits of each check, slot-major [dc, m], padded with n
         self.check_bits = np.append(self.edge_bit, self.n)[self.check_slots_t]
 
+    def parities(self, bits: np.ndarray) -> np.ndarray:
+        """The XOR over each check's bits, batch-last: [m, B] uint8 from
+        ``bits`` [n + 1, B] uint8 whose row n, the pad that
+        ``check_bits`` gathers, is zero."""
+        return np.bitwise_xor.reduce(bits[self.check_bits], axis=0)
+
     def syndromes(self, bits: np.ndarray) -> np.ndarray:
         """Parities ``bits @ h.T mod 2`` of every row of ``bits`` (a [B,
-        n] uint8 array) as a [B, m] uint8 array: the XOR over each
-        check's bits, gathered by ``check_bits`` from the bits padded
-        with a zero at index n."""
+        n] uint8 array) as a [B, m] uint8 array: ``parities`` of the
+        bits transposed and padded with a zero row."""
         bits = np.asarray(bits, dtype=np.uint8)
         ext = np.zeros((self.n + 1, len(bits)), dtype=np.uint8)
         ext[:-1] = bits.T
-        return (np.bitwise_xor.reduce(ext[self.check_bits], axis=0) & 1).T
+        return (self.parities(ext) & 1).T
 
 
 def _check_prior(prior: np.ndarray):
@@ -201,6 +210,8 @@ class SpaWorkspace:
     overwrite ``q`` and ``r`` in place (the horizontal step reads q and
     writes r, the vertical step reads r and writes q), so an iteration
     allocates no message array; ``admit`` restarts rows in place too.
+    The syndromes are kept check-major as well, ``checks[i, b]``, the
+    layout of ``decide``'s convergence test.
     """
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
@@ -208,12 +219,11 @@ class SpaWorkspace:
         self.batched = syndrome.ndim == 2
         if not self.batched:
             syndrome = syndrome.reshape(1, -1)
-        syndrome = syndrome & 1
         _check_length(syndrome, graph)
         b = len(syndrome)
         self.g = graph
-        self.syndrome = syndrome
-        self.sign = 1.0 - 2.0 * syndrome.T   # (-1)^z per check, [m, B]
+        self.checks = np.ascontiguousarray(syndrome.T & 1)
+        self.sign = 1.0 - 2.0 * self.checks   # (-1)^z per check, [m, B]
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
         self.prior = np.empty((2, 1, b))
         self.set_prior(np.arange(b), prior_flip)
@@ -231,6 +241,7 @@ class SpaWorkspace:
     r1 = property(lambda self: self.r[1, :-1].T)
     p0 = property(lambda self: self.prior[0, 0])
     p1 = property(lambda self: self.prior[1, 0])
+    syndrome = property(lambda self: self.checks.T)
 
     def set_prior(self, slots: np.ndarray, prior_flip):
         """Give the batch rows ``slots`` the flip probability
@@ -238,17 +249,35 @@ class SpaWorkspace:
         their messages from it."""
         flip = np.asarray(prior_flip, dtype=float)
         _check_prior(flip)
+        self._put_prior(slots, flip)
+
+    def _put_prior(self, slots: np.ndarray, flip: np.ndarray):
+        """``set_prior`` without the check, for priors already checked."""
         self.prior[1, 0, slots] = flip
         self.prior[0, 0, slots] = 1.0 - flip
 
     def admit(self, slots: np.ndarray, syndromes: np.ndarray):
         """Restart the batch rows ``slots`` on new syndromes (a [k, m]
-        array): their messages go back to their prior."""
-        syndromes = syndromes & 1
-        self.syndrome[slots] = syndromes
-        self.sign[:, slots] = 1.0 - 2.0 * syndromes.T
-        self.q[:, :-1, slots] = self.prior[..., slots]
-        self.r[:, :-1, slots] = 0.0
+        array): their q goes back to their prior.  Their r is left as it
+        is, because the next horizontal step rewrites all of r before
+        anything reads it; until then, ``pseudoposteriors`` of these
+        rows are stale."""
+        checks = syndromes.T & 1
+        self.checks[:, slots] = checks
+        self.sign[:, slots] = 1.0 - 2.0 * checks
+        body = self.q[:, :-1]
+        others = body.shape[-1] - len(slots)
+        if 2 * others < len(slots):
+            # a row is strided, so copying one costs about as much as
+            # writing every row contiguously: restart all and copy the
+            # others out and back when that is fewer row copies
+            kept = np.ones(body.shape[-1], dtype=bool)
+            kept[slots] = False
+            old = body[..., kept]
+            body[...] = self.prior
+            body[..., kept] = old
+        else:
+            body[..., slots] = self.prior[..., slots]
         self._totals = None
 
     def keep(self, rows: np.ndarray):
@@ -256,7 +285,7 @@ class SpaWorkspace:
         mask over the batch) only.  ``compress`` keeps every array
         C-ordered with the batch axis last; fancy indexing would put it
         first in memory and make every later step stride over it."""
-        self.syndrome = self.syndrome[rows]
+        self.checks = self.checks.compress(rows, axis=-1)
         self.sign = self.sign.compress(rows, axis=-1)
         self.prior = self.prior.compress(rows, axis=-1)
         self.q = self.q.compress(rows, axis=-1)
@@ -295,13 +324,17 @@ class SpaWorkspace:
         body /= norm
         np.maximum(body, _FLOOR, out=body)
 
-    def pseudoposteriors(self) -> np.ndarray:
-        """Per-bit flip probability from all incident checks."""
+    def _posteriors(self) -> np.ndarray:
+        """``pseudoposteriors`` batch-last, [n, B]."""
         totals = self._totals
         if totals is None:
             totals = [_loo_prod(r[self.g.bit_slots_t])[1] for r in self.r]
         tot0, tot1 = self.p0 * totals[0], self.p1 * totals[1]
-        post = (tot1 / np.maximum(tot0 + tot1, _FLOOR)).T
+        return tot1 / np.maximum(tot0 + tot1, _FLOOR)
+
+    def pseudoposteriors(self) -> np.ndarray:
+        """Per-bit flip probability from all incident checks."""
+        post = self._posteriors().T
         return post if self.batched else post[0]
 
     def tentative(self) -> np.ndarray:
@@ -314,6 +347,16 @@ class SpaWorkspace:
         estimate = np.asarray(estimate, dtype=np.uint8).reshape(len(self.syndrome), -1)
         ok = np.all(self.g.syndromes(estimate) == self.syndrome, axis=1)
         return ok if self.batched else bool(ok[0])
+
+    def decide(self) -> tuple[np.ndarray, np.ndarray]:
+        """``tentative`` and ``satisfies`` of every row in the kernel's
+        layout: the estimates as [n + 1, B] uint8 with a zero row n, the
+        input ``SpaGraph.parities`` takes, and whether each reproduces
+        its syndrome, [B] bool."""
+        post = self._posteriors()
+        est = np.zeros((len(post) + 1, post.shape[1]), dtype=np.uint8)
+        np.greater(post, 0.5, out=est[:-1].view(bool))
+        return est, (self.g.parities(est) == self.checks).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -396,17 +439,20 @@ class _Feed:
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self.graph.m), dtype=np.uint8), np.zeros(0)
-        return (np.concatenate([np.full(len(r), b.id) for b, r in parts]),
-                np.concatenate([r for _, r in parts]),
-                np.concatenate([b.syndromes[r] for b, r in parts]),
-                np.concatenate([b.flip[r] for b, r in parts]))
+        fields = [(np.full(len(r), b.id), r, b.syndromes[r], b.flip[r]) for b, r in parts]
+        if len(fields) == 1:   # the usual case
+            return fields[0]
+        return tuple(np.concatenate(f) for f in zip(*fields))
 
     def finish(self, ids, rows, estimates, converged, iterations, cycled=None):
         """Record the results of finished rows; ``cycled`` flags those
         ended on a message cycle (None: none was)."""
         first = self.open[0].id
-        for bid in np.unique(ids):
-            sel = ids == bid
+        if (ids == ids[0]).all():   # the usual case: rows of one block
+            parts = [(ids[0], slice(None))]
+        else:
+            parts = [(bid, ids == bid) for bid in np.unique(ids)]
+        for bid, sel in parts:
             block = self.open[bid - first]
             r = rows[sel]
             block.estimates[r] = estimates[sel]
@@ -549,8 +595,8 @@ def _stream(feed: _Feed, max_iter: int):
         ws.horizontal_step()
         ws.vertical_step()
         age += 1
-        estimate = ws.tentative()
-        ok = ws.satisfies(estimate)
+        est, ok = ws.decide()
+        estimate = est[:-1].T    # a [B, n] view: only finished rows are copied out
         cycled = cycles.step(ws.q, estimate, ok, age)
         if cycled is not None:
             age[cycled] = max_iter
@@ -562,7 +608,7 @@ def _stream(feed: _Feed, max_iter: int):
             new_ids, refill, syn, flip = feed.take(len(slots))
             k = len(refill)
             if k:
-                ws.set_prior(slots[:k], flip)
+                ws._put_prior(slots[:k], flip)    # checked by its _Block
                 ws.admit(slots[:k], syn)
                 cycles.admit(slots[:k])
                 ids[slots[:k]] = new_ids

@@ -558,6 +558,137 @@ def test_stream_validates_each_block():
     assert list(decode_stream(h, [])) == []
 
 
+def _nan_r_after_admit(admitted):
+    """``SpaWorkspace.admit`` patched to fill the admitted rows of r
+    with NaN after the real call, counting rows into ``admitted``: a
+    read of r before the next horizontal step rewrites it spreads NaN
+    into the row's messages and estimate."""
+    admit = SpaWorkspace.admit
+
+    def poisoned(ws, slots, syndromes):
+        admit(ws, slots, syndromes)
+        ws.r[:, :-1, slots] = np.nan
+        admitted.append(len(slots))
+
+    return mock.patch.object(SpaWorkspace, "admit", poisoned)
+
+
+def test_admitted_rows_never_read_r_before_the_horizontal_step():
+    h = qc_ldpc.expand(qc_ldpc.make_ex2())
+    errs = (np.random.default_rng(8).random((spa.WIDTH + 40, h.cols)) < 0.04).astype(np.uint8)
+    syn = (errs @ h.to_array().T) % 2
+    admitted = []
+    with _nan_r_after_admit(admitted):
+        _assert_rows_match_reference(h, syn, 0.04, 30, range(len(syn)))
+    assert sum(admitted) == int(syn.any(axis=1).sum()) - spa.WIDTH > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.sampled_from(PRIORS))
+def test_admitted_rows_never_read_r_on_random_checks(seed, max_iter, prior):
+    rng = np.random.default_rng(seed)
+    h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
+    syn = _random_syndromes(rng, h, 2 * spa.WIDTH + 20)
+    admitted = []
+    with _nan_r_after_admit(admitted):
+        _assert_rows_match_reference(h, syn, prior, max_iter, range(len(syn)))
+    queued = int(syn.any(axis=1).sum()) if prior < 0.5 else len(syn)
+    assert sum(admitted) == max(0, queued - spa.WIDTH)
+
+
+@pytest.mark.parametrize("k", [1, 42, 43, spa.WIDTH])
+def test_admit_restarts_the_admitted_rows_only(k):
+    """Past two thirds of the batch, ``admit`` restarts every row's q
+    and copies the others back; below, only the admitted rows.  Either
+    way the admitted rows get their prior and new syndrome, and every
+    other row keeps its messages and syndrome."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex1())
+    rng = np.random.default_rng(k)
+    ws = SpaWorkspace(SpaGraph(h), _random_syndromes(rng, h, spa.WIDTH),
+                      rng.choice(PRIORS, size=spa.WIDTH))
+    ws.horizontal_step()
+    ws.vertical_step()
+    q, sign, syndrome = ws.q.copy(), ws.sign.copy(), ws.syndrome.copy()
+    slots = np.sort(rng.choice(spa.WIDTH, k, replace=False))
+    new = _random_syndromes(rng, h, k)
+    ws.admit(slots, new)
+    q[:, :-1, slots] = ws.prior[..., slots]
+    sign[:, slots] = 1.0 - 2.0 * new.T
+    syndrome[slots] = new
+    assert np.array_equal(ws.q, q) and np.array_equal(ws.sign, sign)
+    assert np.array_equal(ws.syndrome, syndrome)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 7, spa.WIDTH]), st.integers(1, 4))
+def test_batch_last_convergence_test_is_satisfies_of_tentative(seed, b, rounds):
+    """``decide``, the stream's convergence test, agrees row by row
+    with ``satisfies(tentative())``, on checks with an empty row and an
+    untouched bit and at per-row priors on both sides of 1/2; and
+    ``syndromes``, the other caller of the parity core, still computes
+    ``bits @ h.T mod 2``."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(3, 12))
+    arr = (rng.random((m, n)) < 0.4).astype(np.uint8)
+    arr[rng.integers(0, m)] = 0
+    arr[:, rng.integers(0, n)] = 0
+    h = BitMatrix.from_rows(arr)
+    graph = SpaGraph(h)
+    ws = SpaWorkspace(graph, _random_syndromes(rng, h, b), rng.choice(PRIORS, size=b))
+    for _ in range(rounds):
+        ws.horizontal_step()
+        ws.vertical_step()
+        est, ok = ws.decide()
+        tentative = ws.tentative()
+        assert est.shape == (n + 1, b) and not est[-1].any()
+        assert np.array_equal(est[:-1].T, tentative)
+        assert np.array_equal(ok, ws.satisfies(tentative))
+    bits = rng.integers(0, 4, size=(b, n), dtype=np.uint8)
+    assert np.array_equal(graph.syndromes(bits), (bits @ arr.T) & 1)
+
+
+def test_one_take_and_one_finish_span_several_blocks():
+    """Blocks of 1, 5 all-zero, 2 ``WIDTH`` + 3 and 2 rows: the first
+    ``take`` hands out rows of the first and third blocks together, and
+    ``finish`` gets rows of both in one round.  A spy on the block ids
+    of every ``take`` and ``finish`` shows that events touching one
+    block and events touching several both ran; the blocks come back in
+    order, every row equal to the reference decoder's."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex2())
+    rng = np.random.default_rng(9)
+    prior, max_iter = 0.02, 20
+    blocks = []
+    for b in (1, 5, 2 * spa.WIDTH + 3, 2):
+        errs = (rng.random((b, h.cols)) < prior).astype(np.uint8)
+        blocks.append(((errs @ h.to_array().T) % 2, prior))
+    blocks[0][0][0] = h.to_array()[:, 0]     # a nonzero syndrome
+    blocks[1][0][:] = 0
+    several = {"take": set(), "finish": set()}
+    take, finish = spa._Feed.take, spa._Feed.finish
+
+    def spy_take(feed, k):
+        out = take(feed, k)
+        if len(out[0]):
+            several["take"].add(len(np.unique(out[0])) > 1)
+        return out
+
+    def spy_finish(feed, ids, *rest):
+        several["finish"].add(len(np.unique(ids)) > 1)
+        return finish(feed, ids, *rest)
+
+    with mock.patch.object(spa._Feed, "take", spy_take), \
+            mock.patch.object(spa._Feed, "finish", spy_finish):
+        results = list(decode_stream(h, iter(blocks), max_iter))
+    assert several == {"take": {False, True}, "finish": {False, True}}
+    assert len(results) == len(blocks)
+    for (syn, _), (est, conv, its, _) in zip(blocks, results):
+        assert est.shape == (len(syn), h.cols)
+        for i in range(len(syn)):
+            ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], prior, max_iter)
+            assert np.array_equal(ref_est, est[i])
+            assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
+
+
 class _Dense:
     """A check matrix as ``SpaGraph`` reads one, through ``to_array``;
     unlike ``BitMatrix`` it may have no rows."""
