@@ -30,6 +30,8 @@ from .gf4 import F4Matrix
 from .pauli import (
     PauliVec,
     format_pauli,
+    format_stabilizer_table,
+    load_stabilizer_table,
     matrix_to_paulis,
     parse_pauli,
     paulis_to_matrix,
@@ -264,8 +266,6 @@ def from_stabilizer_table(text: str, d_claimed: int | None = None) -> QuantumCod
     The listed generators need not commute; the symplectic
     Gram-Schmidt split decides which become entanglement pairs.
     """
-    from .pauli import load_stabilizer_table
-
     gens = load_stabilizer_table(text)
     if not gens:
         raise ValueError("stabilizer table holds no generators")
@@ -274,8 +274,6 @@ def from_stabilizer_table(text: str, d_claimed: int | None = None) -> QuantumCod
 
 def to_stabilizer_table(code: QuantumCode) -> str:
     """All generators of a code, one Pauli string per line."""
-    from .pauli import format_stabilizer_table
-
     return format_stabilizer_table(code._all_gens())
 
 

@@ -274,7 +274,8 @@ def _pack_vector(v, cols: int) -> int:
 
 
 def parse_dense(text: str) -> BitMatrix:
-    """Parse the dense format: line 1 ``"ROWS COLS"``, then ROWS lines of 0/1."""
+    """Parse the dense format: line 1 ``"ROWS COLS"``, then exactly ROWS
+    lines of 0/1."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
@@ -284,10 +285,10 @@ def parse_dense(text: str) -> BitMatrix:
     m, n = int(header[0]), int(header[1])
     if m < 1 or n < 1:
         raise ValueError(f"dense matrix dimensions must be positive, got {m}x{n}")
-    if len(lines) - 1 < m:
+    if len(lines) - 1 != m:
         raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
     rows = []
-    for ln in lines[1 : 1 + m]:
+    for ln in lines[1:]:
         compact = ln.replace(" ", "")
         if len(compact) != n or any(ch not in "01" for ch in compact):
             raise ValueError(f"bad dense row: {ln!r}")
@@ -319,8 +320,8 @@ def _alist_entries(lists, degrees, bound: int, what: str) -> list[tuple[int, int
 def parse_alist(text: str) -> BitMatrix:
     """Parse MacKay's alist format (1-based indices, N M header).
 
-    Both the n column lists and the m row lists must be present, and
-    they must describe the same matrix."""
+    Both the n column lists and the m row lists must be present, with
+    nothing after them, and they must describe the same matrix."""
     tokens_per_line = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
     if len(tokens_per_line) < 4:
         raise ValueError("alist file too short")
@@ -337,6 +338,11 @@ def parse_alist(text: str) -> BitMatrix:
             f"alist file truncated: {m} row lists expected, "
             f"found {len(tokens_per_line) - 4 - n}"
         )
+    if len(tokens_per_line) > 4 + n + m:
+        raise ValueError(
+            f"alist file too long: {n} column and {m} row lists expected, "
+            f"found {len(tokens_per_line) - 4} lists"
+        )
     col_deg, row_deg = tokens_per_line[2], tokens_per_line[3]
     if len(col_deg) != n:
         raise ValueError("alist column-degree list has wrong length")
@@ -346,7 +352,7 @@ def parse_alist(text: str) -> BitMatrix:
     for j, i in _alist_entries(tokens_per_line[4:4 + n], col_deg, m, "row"):
         rows[i] |= 1 << j
     listed = [0] * m
-    for i, j in _alist_entries(tokens_per_line[4 + n:4 + n + m], row_deg, n, "column"):
+    for i, j in _alist_entries(tokens_per_line[4 + n:], row_deg, n, "column"):
         listed[i] |= 1 << j
     for i, (a, b) in enumerate(zip(rows, listed)):
         if a != b:

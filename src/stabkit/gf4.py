@@ -147,7 +147,8 @@ def f4_to_symplectic(h4: F4Matrix) -> BitMatrix:
 
 
 def parse_f4(text: str) -> F4Matrix:
-    """Parse the GF(4) text format: ``"ROWS COLS"`` then rows of {0,1,w,W}."""
+    """Parse the GF(4) text format: ``"ROWS COLS"`` then exactly ROWS
+    rows of {0,1,w,W}."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty GF(4) matrix text")
@@ -157,10 +158,10 @@ def parse_f4(text: str) -> F4Matrix:
     m, n = int(header[0]), int(header[1])
     if m < 1 or n < 1:
         raise ValueError(f"GF(4) matrix dimensions must be positive, got {m}x{n}")
-    if len(lines) - 1 < m:
+    if len(lines) - 1 != m:
         raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
     entries = []
-    for ln in lines[1 : 1 + m]:
+    for ln in lines[1:]:
         symbols = ln.split() if " " in ln else list(ln)
         if len(symbols) != n:
             raise ValueError(f"bad GF(4) row length: {ln!r}")

@@ -615,8 +615,8 @@ def make_ex_hi(J: int = 3, L: int = 8, P: int = 15, sigma: int = 2,
 
 
 def parse_exponent(text: str) -> ExponentMatrix:
-    """Parse the exponent format: header "r J L", then J rows of entries
-    from {integer, e1+e2, -}."""
+    """Parse the exponent format: header "r J L", then exactly J rows of
+    entries from {integer, e1+e2, -}."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty exponent matrix text")
@@ -627,10 +627,10 @@ def parse_exponent(text: str) -> ExponentMatrix:
     for name, value in (("r", r), ("J", J), ("L", L)):
         if value < 1:
             raise ValueError(f"exponent header {name} must be positive, got {value}")
-    if len(lines) - 1 < J:
+    if len(lines) - 1 != J:
         raise ValueError(f"expected {J} exponent rows, found {len(lines) - 1}")
     rows = []
-    for ln in lines[1 : 1 + J]:
+    for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != L:
             raise ValueError(f"bad exponent row length: {ln!r}")

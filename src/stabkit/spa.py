@@ -25,11 +25,12 @@ each check (or bit) run on a padded slot-major [d, groups, B] gather,
 one contiguous multiply per slot and always in slot order, so a row's
 arithmetic does not depend on the rest of its batch.
 ``decode_batch`` is the stream of one block and ``decode`` the batch
-of one.  The convergence test stays in the kernel's layout as well:
-estimates [n, B], their parities (``SpaGraph.parities``, the one
-parity routine) [m, B] against a check-major copy of the syndromes;
-only finished rows become [B, n] rows.  A refilled slot restarts its q
-only: the next horizontal step rewrites all of r before any read.
+of one.  The convergence test, ``SpaWorkspace.decide``, stays in the
+kernel's layout as well: estimates [n, B], their parities
+(``SpaGraph.parities``, the one parity routine) [m, B] against a
+check-major copy of the syndromes; only finished rows become [B, n]
+rows.  A refilled slot restarts its q only: the next horizontal step
+rewrites all of r before any read.
 
 A row whose messages repeat exactly leaves early, with the result it
 would have after ``max_iter`` rounds.  The bit-to-check messages q
@@ -139,32 +140,28 @@ def _slot_of_edge(slots_t: np.ndarray, n_edges: int) -> np.ndarray:
 
 
 class SpaGraph:
-    """Reusable Tanner-graph indexing of a parity check matrix.
+    """Tanner-graph indexing of a parity check matrix ``arr`` [m, n].
 
-    ``check_slots`` [m, dc] and ``bit_slots`` [n, dv] list the edges of
-    every check and bit, padded with the sentinel edge id E; the
-    transposed ``*_slots_t`` gather edge-major messages [E + 1, B] into
-    the slot-major layout [d, groups, B], and ``*_pos`` take the
-    flattened result back to edges.
+    ``check_slots_t`` [dc, m] and ``bit_slots_t`` [dv, n] list the edges
+    of every check and bit, padded with the sentinel edge id E =
+    ``n_edges``: they gather edge-major messages [E + 1, B] into the
+    slot-major layout [d, groups, B], and ``check_pos`` and ``bit_pos``
+    take the flattened result back to edges.
     """
 
     def __init__(self, h: BitMatrix):
-        self.h = h
-        arr = h.to_array()
-        self.arr = arr
+        self.arr = arr = h.to_array()
         self.m, self.n = arr.shape
-        rows, cols = np.nonzero(arr)
-        self.edge_check = rows.astype(np.int64)
-        self.edge_bit = cols.astype(np.int64)
-        self.n_edges = len(rows)
-        self.check_slots = _padded_slots(self.edge_check, self.m, self.n_edges)
-        self.bit_slots = _padded_slots(self.edge_bit, self.n, self.n_edges)
-        self.check_slots_t = np.ascontiguousarray(self.check_slots.T)
-        self.bit_slots_t = np.ascontiguousarray(self.bit_slots.T)
+        edge_check, edge_bit = np.nonzero(arr)
+        self.n_edges = len(edge_check)
+        check_slots = _padded_slots(edge_check, self.m, self.n_edges)
+        bit_slots = _padded_slots(edge_bit, self.n, self.n_edges)
+        self.check_slots_t = np.ascontiguousarray(check_slots.T)
+        self.bit_slots_t = np.ascontiguousarray(bit_slots.T)
         self.check_pos = _slot_of_edge(self.check_slots_t, self.n_edges)
         self.bit_pos = _slot_of_edge(self.bit_slots_t, self.n_edges)
         # bits of each check, slot-major [dc, m], padded with n
-        self.check_bits = np.append(self.edge_bit, self.n)[self.check_slots_t]
+        self.check_bits = np.append(edge_bit, self.n)[self.check_slots_t]
 
     def parities(self, bits: np.ndarray) -> np.ndarray:
         """The XOR over each check's bits, batch-last: [m, B] uint8 from
@@ -196,37 +193,38 @@ def _check_length(syndromes: np.ndarray, graph: SpaGraph):
 class SpaWorkspace:
     """Message state of one decoding run over a batch of syndromes.
 
-    A 2-D syndrome array [B, m] is a batch of B independent rows; the
-    message arrays ``q0``, ``q1``, ``r0`` and ``r1`` are then [B, E].  Any
-    other shape is raveled into one syndrome: a batch of one, for which
-    ``pseudoposteriors``, ``tentative`` and ``satisfies`` drop the batch
-    axis.  ``prior_flip`` is one flip probability for every row or one
-    per row.
+    A 2-D syndrome array [B, m] is a batch of B independent rows; any
+    other shape is raveled into one syndrome, a batch of one.
+    ``prior_flip`` is one flip probability for every row or one per row.
+    ``pseudoposteriors`` are [B, n]; ``decide`` is the hard decision and
+    convergence test of every row.
 
-    In memory the messages are edge-major, ``q[t, e, b]`` for the 0- (t
-    = 0) and 1-messages (t = 1), so a gather by edge moves whole batch
-    rows.  Row E is a sentinel that pads the slot-major gathers: r is 1
-    there, and q is 1 and 0, so that dq = q0 - q1 is 1.  The steps
-    overwrite ``q`` and ``r`` in place (the horizontal step reads q and
-    writes r, the vertical step reads r and writes q), so an iteration
-    allocates no message array; ``admit`` restarts rows in place too.
+    The messages are edge-major and batch-last, ``q[t, e, b]`` [2, E +
+    1, B] for the 0- (t = 0) and 1-messages (t = 1), so a gather by edge
+    moves whole batch rows.  Row E is a sentinel that pads the
+    slot-major gathers: r is 1 there, and q is 1 and 0, so that dq = q0
+    - q1 is 1.  The steps overwrite ``q`` and ``r`` in place (the
+    horizontal step reads q and writes r, the vertical step reads r and
+    writes q), so an iteration allocates no message array; ``admit``
+    restarts rows in place too.
     The syndromes are kept check-major as well, ``checks[i, b]``, the
     layout of ``decide``'s convergence test.
     """
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
-        self.batched = syndrome.ndim == 2
-        if not self.batched:
+        if syndrome.ndim != 2:
             syndrome = syndrome.reshape(1, -1)
         _check_length(syndrome, graph)
         b = len(syndrome)
         self.g = graph
         self.checks = np.ascontiguousarray(syndrome.T & 1)
         self.sign = 1.0 - 2.0 * self.checks   # (-1)^z per check, [m, B]
+        flip = np.asarray(prior_flip, dtype=float)
+        _check_prior(flip)
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
         self.prior = np.empty((2, 1, b))
-        self.set_prior(np.arange(b), prior_flip)
+        self._put_prior(np.arange(b), flip)
         shape = (2, graph.n_edges + 1, b)
         self.q = np.empty(shape)
         self.q[:, :-1] = self.prior
@@ -235,24 +233,12 @@ class SpaWorkspace:
         self.r[:, :-1] = 0.0
         self._totals = None   # per-bit products of r, from the last vertical step
 
-    q0 = property(lambda self: self.q[0, :-1].T)
-    q1 = property(lambda self: self.q[1, :-1].T)
-    r0 = property(lambda self: self.r[0, :-1].T)
-    r1 = property(lambda self: self.r[1, :-1].T)
-    p0 = property(lambda self: self.prior[0, 0])
-    p1 = property(lambda self: self.prior[1, 0])
     syndrome = property(lambda self: self.checks.T)
 
-    def set_prior(self, slots: np.ndarray, prior_flip):
-        """Give the batch rows ``slots`` the flip probability
-        ``prior_flip`` (one for all or one per slot); ``admit`` starts
-        their messages from it."""
-        flip = np.asarray(prior_flip, dtype=float)
-        _check_prior(flip)
-        self._put_prior(slots, flip)
-
     def _put_prior(self, slots: np.ndarray, flip: np.ndarray):
-        """``set_prior`` without the check, for priors already checked."""
+        """Give the batch rows ``slots`` the flip probability ``flip``,
+        already checked (one for all or one per slot); ``admit`` starts
+        their messages from it."""
         self.prior[1, 0, slots] = flip
         self.prior[0, 0, slots] = 1.0 - flip
 
@@ -329,30 +315,20 @@ class SpaWorkspace:
         totals = self._totals
         if totals is None:
             totals = [_loo_prod(r[self.g.bit_slots_t])[1] for r in self.r]
-        tot0, tot1 = self.p0 * totals[0], self.p1 * totals[1]
+        tot0, tot1 = self.prior[0, 0] * totals[0], self.prior[1, 0] * totals[1]
         return tot1 / np.maximum(tot0 + tot1, _FLOOR)
 
     def pseudoposteriors(self) -> np.ndarray:
-        """Per-bit flip probability from all incident checks."""
-        post = self._posteriors().T
-        return post if self.batched else post[0]
-
-    def tentative(self) -> np.ndarray:
-        """Hard decision: flip where the posterior strictly exceeds 1/2
-        (ties favor the lower-weight error)."""
-        return (self.pseudoposteriors() > 0.5).view(np.uint8)
-
-    def satisfies(self, estimate: np.ndarray):
-        """Whether each row of ``estimate`` reproduces its syndrome."""
-        estimate = np.asarray(estimate, dtype=np.uint8).reshape(len(self.syndrome), -1)
-        ok = np.all(self.g.syndromes(estimate) == self.syndrome, axis=1)
-        return ok if self.batched else bool(ok[0])
+        """Per-bit flip probability from all incident checks, [B, n]."""
+        return self._posteriors().T
 
     def decide(self) -> tuple[np.ndarray, np.ndarray]:
-        """``tentative`` and ``satisfies`` of every row in the kernel's
-        layout: the estimates as [n + 1, B] uint8 with a zero row n, the
-        input ``SpaGraph.parities`` takes, and whether each reproduces
-        its syndrome, [B] bool."""
+        """The tentative estimate of every row and whether it reproduces
+        the row's syndrome, in the kernel's layout.  A bit flips where
+        its posterior strictly exceeds 1/2 (ties favor the lower-weight
+        error).  Returns the estimates as [n + 1, B] uint8 with a zero
+        row n, the input ``SpaGraph.parities`` takes, and the test, [B]
+        bool."""
         post = self._posteriors()
         est = np.zeros((len(post) + 1, post.shape[1]), dtype=np.uint8)
         np.greater(post, 0.5, out=est[:-1].view(bool))

@@ -254,6 +254,21 @@ def test_malformed_dense_reports_dense_error(tmp_path, capsys, text, message):
     assert "alist" not in err
 
 
+def test_two_matrices_back_to_back_exit_code(tmp_path, capsys):
+    """``qcldpc --example hi --emit matrix`` prints two dense matrices;
+    read back as one, the second one's rows are past the header."""
+    rc, text = run_cli("qcldpc", "--example", "hi", "--emit", "matrix")
+    assert rc == 0
+    rows = int(text.split()[0])
+    path = tmp_path / "hi.txt"
+    path.write_text(text)
+    rc, out = run_cli("construct", "--input", str(path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in out + err
+    assert f"expected {rows} matrix rows, found {2 * rows + 1}" in err
+
+
 @pytest.mark.parametrize("command, spaced, compact", [
     ("construct", "2 2\n1 0\n0 1\n", "2 2\n10\n01\n"),
     ("sgs", "1 2\n1 0\n", "1 2\n10\n"),

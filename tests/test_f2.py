@@ -155,6 +155,11 @@ def test_dense_parse_rejects_nonpositive_header():
             f2.parse_dense(text)
 
 
+def test_dense_parse_rejects_rows_past_the_header():
+    with pytest.raises(ValueError, match="expected 2 matrix rows, found 3"):
+        f2.parse_dense("2 2\n10\n01\n11\n")
+
+
 def test_alist_round_trip():
     rng = np.random.default_rng(4)
     m = random_bitmatrix(rng, 5, 9, density=0.3)
@@ -196,6 +201,12 @@ def test_alist_row_lists_required():
     lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
     with pytest.raises(ValueError, match="alist file truncated: 2 row lists"):
         f2.parse_alist("\n".join(lines[:-1]) + "\n")
+
+
+def test_alist_rejects_lists_past_the_header():
+    lines = _alist_lines([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="3 column and 2 row lists expected, found 6 lists"):
+        f2.parse_alist("\n".join(lines + ["1 3"]) + "\n")
 
 
 def test_alist_row_lists_must_agree():

@@ -161,6 +161,11 @@ def test_parse_rejects_nonpositive_header():
             gf4.parse_f4(text)
 
 
+def test_parse_rejects_rows_past_the_header():
+    with pytest.raises(ValueError, match="expected 2 rows, found 3"):
+        gf4.parse_f4("2 2\n1 w\n0 1\nW 1\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated_text(gf4.format_f4(F4Matrix.from_rows([[1, 0, F4_W, F4_WBAR], [0, F4_W, 1, 1]]))))
 def test_parse_f4_fuzz_raises_only_value_error(text):

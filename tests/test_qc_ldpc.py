@@ -609,6 +609,11 @@ def test_exponent_parse_rejects_nonpositive_shape(text, what):
         parse_exponent(text)
 
 
+def test_exponent_parse_rejects_rows_past_the_header():
+    with pytest.raises(ValueError, match="expected 1 exponent rows, found 2"):
+        parse_exponent("4 1 2\n0 1\n2 3\n")
+
+
 def test_from_lists_rejects_empty_grid():
     with pytest.raises(ValueError, match="no rows"):
         ExponentMatrix.from_lists(3, [])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from unittest import mock
 
@@ -91,7 +92,7 @@ def test_edge_normalization_invariant():
     for _ in range(5):
         ws.horizontal_step()
         ws.vertical_step()
-        assert np.abs(ws.q0 + ws.q1 - 1.0).max() < 1e-12
+        assert np.abs(ws.q[0, :-1] + ws.q[1, :-1] - 1.0).max() < 1e-12
         post = ws.pseudoposteriors()
         assert ((post >= 0) & (post <= 1)).all()
 
@@ -410,10 +411,10 @@ def _kernel(graph, syndrome, prior, max_iter):
     for it in range(1, max_iter + 1):
         ws.horizontal_step()
         ws.vertical_step()
-        est = ws.tentative()
-        if ws.satisfies(est):
-            return est, True, it
-    return est, False, max_iter
+        est, ok = ws.decide()
+        if ok[0]:
+            return est[:-1, 0], True, it
+    return est[:-1, 0], False, max_iter
 
 
 def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
@@ -463,14 +464,15 @@ def test_batched_workspace_shapes():
     ws = SpaWorkspace(g, np.zeros((4, 3), dtype=np.uint8), 0.1)
     ws.horizontal_step()
     ws.vertical_step()
-    assert ws.q0.shape == ws.r1.shape == (4, g.n_edges)
+    assert ws.q.shape == ws.r.shape == (2, g.n_edges + 1, 4)
     assert ws.pseudoposteriors().shape == (4, 7)
-    assert ws.satisfies(ws.tentative()).shape == (4,)
+    est, ok = ws.decide()
+    assert est.shape == (8, 4) and ok.shape == (4,)
     single = SpaWorkspace(g, [0, 0, 0], 0.1)
     single.horizontal_step()
     single.vertical_step()
-    assert single.pseudoposteriors().shape == (7,)
-    assert single.satisfies(single.tentative()) is True
+    assert single.pseudoposteriors().shape == (1, 7)
+    assert single.decide()[1].tolist() == [True]
 
 
 def test_steps_update_messages_in_place():
@@ -623,7 +625,8 @@ def test_admit_restarts_the_admitted_rows_only(k):
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 7, spa.WIDTH]), st.integers(1, 4))
 def test_batch_last_convergence_test_is_satisfies_of_tentative(seed, b, rounds):
     """``decide``, the stream's convergence test, agrees row by row
-    with ``satisfies(tentative())``, on checks with an empty row and an
+    with a reference (posteriors above 1/2, and their ``est @ h.T mod
+    2`` against the syndrome), on checks with an empty row and an
     untouched bit and at per-row priors on both sides of 1/2; and
     ``syndromes``, the other caller of the parity core, still computes
     ``bits @ h.T mod 2``."""
@@ -639,12 +642,45 @@ def test_batch_last_convergence_test_is_satisfies_of_tentative(seed, b, rounds):
         ws.horizontal_step()
         ws.vertical_step()
         est, ok = ws.decide()
-        tentative = ws.tentative()
+        tentative = (ws.pseudoposteriors() > 0.5).view(np.uint8)
         assert est.shape == (n + 1, b) and not est[-1].any()
         assert np.array_equal(est[:-1].T, tentative)
-        assert np.array_equal(ok, ws.satisfies(tentative))
+        assert np.array_equal(ok, ((tentative @ arr.T) % 2 == ws.syndrome).all(axis=1))
     bits = rng.integers(0, 4, size=(b, n), dtype=np.uint8)
     assert np.array_equal(graph.syndromes(bits), (bits @ arr.T) & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _named_graph(name):
+    h = (qc_ldpc.make_ex_mackay(seed=0) if name == "mackay"
+         else qc_ldpc.expand(qc_ldpc.make_ex2()))
+    return h, SpaGraph(h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["ex2", "mackay"]),
+       st.sampled_from([2, 9, spa.WIDTH]), st.integers(1, 7))
+def test_batch_of_one_equals_its_batch_row(seed, name, b, rounds):
+    """A row's arithmetic does not depend on its batch: a workspace
+    built on the one syndrome ``syn[j]`` gives, bit for bit, the
+    posteriors and decision of row j of a workspace built on the whole
+    batch, at per-row priors on both sides of 1/2, after every round."""
+    h, graph = _named_graph(name)
+    rng = np.random.default_rng(seed)
+    syn = _random_syndromes(rng, h, b)
+    prior = rng.choice(PRIORS, size=b)
+    whole = SpaWorkspace(graph, syn, prior)
+    alone = [SpaWorkspace(graph, syn[j], prior[j]) for j in range(b)]
+    for _ in range(rounds):
+        for ws in (whole, *alone):
+            ws.horizontal_step()
+            ws.vertical_step()
+        post = whole.pseudoposteriors()
+        est, ok = whole.decide()
+        for j, ws in enumerate(alone):
+            assert ws.pseudoposteriors().tobytes() == post[j].tobytes()
+            est_j, ok_j = ws.decide()
+            assert np.array_equal(est_j[:, 0], est[:, j]) and ok_j[0] == ok[j]
 
 
 def test_one_take_and_one_finish_span_several_blocks():
