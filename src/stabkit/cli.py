@@ -21,7 +21,6 @@ from .codes import (
     format_report,
     is_dual_containing,
 )
-from .f2 import BitMatrix
 from .pauli import format_pauli, matrix_to_paulis, weight
 
 __all__ = ["main"]
@@ -44,23 +43,12 @@ def _read_text(path: str) -> str:
     return p.read_text()
 
 
-def _load_matrix_gf2(path: str) -> BitMatrix:
-    text = _read_text(path)
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    # an alist's second line holds two integers (its largest column and
-    # row weights); a dense row is COLS 0/1 digits, perhaps spaced
-    if len(lines) > 1 and len(lines[1]) == 2:
-        row = "".join(lines[1])
-        if set(row) - {"0", "1"} or lines[0][-1] != str(len(row)):
-            return f2.parse_alist(text)
-    return f2.parse_dense(text)
-
-
 def _cmd_construct(args) -> int:
     if args.field == "gf4":
         code = build_eaqecc_gf4(gf4.parse_f4(_read_text(args.input)), d_claimed=args.claimed_d)
     else:
-        code = build_eaqecc_binary(_load_matrix_gf2(args.input), d_claimed=args.claimed_d)
+        code = build_eaqecc_binary(f2.parse_matrix(_read_text(args.input)),
+                                   d_claimed=args.claimed_d)
     sys.stdout.write(format_report(code))
     return 0
 
@@ -75,7 +63,7 @@ def _cmd_analyze(args) -> int:
         print(f"dual-containing: {'yes' if is_dual_containing(hsp) else 'no'}")
         print(f"ebits: {code.c}")
     else:
-        h = _load_matrix_gf2(args.input)
+        h = f2.parse_matrix(_read_text(args.input))
         code = build_eaqecc_binary(h)
         print(f"gf2 matrix: {h.rows} x {h.cols}, rank {f2.rank(h)}")
         hhT = f2.mat_mul(h, h.transpose())
@@ -168,7 +156,7 @@ def _cmd_simulate(args) -> int:
     elif args.field == "gf4":
         code = build_eaqecc_gf4(gf4.parse_f4(_read_text(args.code)))
     else:
-        code = build_eaqecc_binary(_load_matrix_gf2(args.code))
+        code = build_eaqecc_binary(f2.parse_matrix(_read_text(args.code)))
     try:
         p_grid = tuple(float(t) for t in args.p.split(",") if t != "")
     except ValueError as exc:
@@ -192,7 +180,7 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_sgs(args) -> int:
-    vecs = matrix_to_paulis(_load_matrix_gf2(args.input))
+    vecs = matrix_to_paulis(f2.parse_matrix(_read_text(args.input)))
     pairs, isotropic = sgs.split_span(vecs)
     print(f"n={vecs[0].n} c={len(pairs)} ell={len(isotropic)}")
     for i, (u, v) in enumerate(pairs):

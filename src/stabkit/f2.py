@@ -11,8 +11,9 @@ from the highest pivot down.  The RREF of a row space is unique, so
 echelon forms, ranks and nullspace bases are deterministic and equal
 to those of a column-by-column pivot search.
 
-Also provides the two text formats used throughout: a dense
-``"ROWS COLS"``-headed 0/1 format and the MacKay "alist" sparse format.
+Also provides the two text formats used throughout, a dense
+``"ROWS COLS"``-headed 0/1 format and the MacKay "alist" sparse format,
+and ``_headed``, the header reader of every headed format.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "nullspace",
     "parse_dense",
     "format_dense",
+    "parse_matrix",
     "parse_alist",
     "format_alist",
 ]
@@ -273,27 +275,59 @@ def _pack_vector(v, cols: int) -> int:
 # -- text formats --------------------------------------------------------
 
 
+def _lines(text: str) -> list[str]:
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+
+
+def _headed(text: str, what: str, names: tuple[str, ...], count: int,
+            rows: str) -> tuple[list[int], list[str]]:
+    """Header values and row lines of a headed text format: one positive
+    integer per entry of ``names``, then exactly ``values[count]``
+    non-blank lines.  ``what``, ``names`` and ``rows`` word the messages."""
+    lines = _lines(text)
+    if not lines:
+        raise ValueError(f"empty {what} text")
+    header = lines[0].split()
+    if len(header) != len(names):
+        raise ValueError(f"bad {what} header: {lines[0]!r}")
+    values = [int(t) for t in header]
+    for name, value in zip(names, values):
+        if value < 1:
+            raise ValueError(f"{what} {name} must be positive, got {value}")
+    if len(lines) - 1 != values[count]:
+        raise ValueError(f"expected {values[count]} {rows}, found {len(lines) - 1}")
+    return values, lines[1:]
+
+
+def _dense_row(line: str, cols: int) -> int | None:
+    """The packed row that ``line`` spells in the dense format, ``cols``
+    0/1 digits which may be separated by spaces; None if it spells
+    none."""
+    digits = line.replace(" ", "")
+    if len(digits) != cols or digits.strip("01"):
+        return None
+    return int(digits[::-1], 2)
+
+
 def parse_dense(text: str) -> BitMatrix:
     """Parse the dense format: line 1 ``"ROWS COLS"``, then exactly ROWS
-    lines of 0/1."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad dense header: {lines[0]!r}")
-    m, n = int(header[0]), int(header[1])
-    if m < 1 or n < 1:
-        raise ValueError(f"dense matrix dimensions must be positive, got {m}x{n}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        compact = ln.replace(" ", "")
-        if len(compact) != n or any(ch not in "01" for ch in compact):
-            raise ValueError(f"bad dense row: {ln!r}")
-        rows.append([int(ch) for ch in compact])
-    return BitMatrix.from_rows(rows)
+    lines of COLS 0/1 digits, which may be separated by spaces."""
+    (m, n), lines = _headed(text, "dense matrix", ("dimensions",) * 2, 0, "matrix rows")
+    rows = tuple(_dense_row(ln, n) for ln in lines)
+    if None in rows:
+        raise ValueError(f"bad dense row: {lines[rows.index(None)]!r}")
+    return BitMatrix(m, n, rows)
+
+
+def parse_matrix(text: str) -> BitMatrix:
+    """Parse either GF(2) text format: an alist if the second line is two
+    tokens that do not form a dense row (an alist's second line holds
+    its largest column and row weights), else a dense matrix."""
+    lines = _lines(text)
+    if (len(lines) > 1 and len(lines[1].split()) == 2
+            and _dense_row(lines[1], int(lines[0].split()[-1])) is None):
+        return parse_alist(text)
+    return parse_dense(text)
 
 
 def format_dense(m: BitMatrix) -> str:
@@ -322,7 +356,7 @@ def parse_alist(text: str) -> BitMatrix:
 
     Both the n column lists and the m row lists must be present, with
     nothing after them, and they must describe the same matrix."""
-    tokens_per_line = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()]
+    tokens_per_line = [[int(t) for t in ln.split()] for ln in _lines(text)]
     if len(tokens_per_line) < 4:
         raise ValueError("alist file too short")
     n, m = tokens_per_line[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import BitMatrix
+from .f2 import BitMatrix, _headed
 
 __all__ = [
     "F4_0",
@@ -149,19 +149,9 @@ def f4_to_symplectic(h4: F4Matrix) -> BitMatrix:
 def parse_f4(text: str) -> F4Matrix:
     """Parse the GF(4) text format: ``"ROWS COLS"`` then exactly ROWS
     rows of {0,1,w,W}."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty GF(4) matrix text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad GF(4) header: {lines[0]!r}")
-    m, n = int(header[0]), int(header[1])
-    if m < 1 or n < 1:
-        raise ValueError(f"GF(4) matrix dimensions must be positive, got {m}x{n}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
+    (_, n), lines = _headed(text, "GF(4) matrix", ("dimensions",) * 2, 0, "rows")
     entries = []
-    for ln in lines[1:]:
+    for ln in lines:
         symbols = ln.split() if " " in ln else list(ln)
         if len(symbols) != n:
             raise ValueError(f"bad GF(4) row length: {ln!r}")

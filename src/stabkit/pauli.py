@@ -125,16 +125,11 @@ def parse_pauli(s: str) -> PauliVec:
     return PauliVec(len(chars), z, x)
 
 
-def format_pauli(u: PauliVec, bob: int = 0) -> str:
-    """Render as an I/X/Y/Z string; ``bob`` > 0 inserts ``|`` before the
-    last ``bob`` qubits."""
+def format_pauli(u: PauliVec) -> str:
+    """Render as an I/X/Y/Z string."""
     chars = []
     for i in range(u.n):
         chars.append(_CHARS_INV[((u.z >> i) & 1, (u.x >> i) & 1)])
-    if bob:
-        if not 0 < bob < u.n:
-            raise ValueError("receiver qubit count out of range")
-        return "".join(chars[: u.n - bob]) + "|" + "".join(chars[u.n - bob:])
     return "".join(chars)
 
 
@@ -149,8 +144,8 @@ def load_stabilizer_table(text: str) -> list[PauliVec]:
     return out
 
 
-def format_stabilizer_table(gens, bob: int = 0) -> str:
-    return "\n".join(format_pauli(g, bob=bob) for g in gens) + "\n"
+def format_stabilizer_table(gens) -> str:
+    return "\n".join(format_pauli(g) for g in gens) + "\n"
 
 
 def paulis_to_matrix(gens) -> BitMatrix:

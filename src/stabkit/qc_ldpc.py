@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2 import BitMatrix
+from .f2 import BitMatrix, _headed
 
 __all__ = [
     "CircPoly",
@@ -617,20 +617,10 @@ def make_ex_hi(J: int = 3, L: int = 8, P: int = 15, sigma: int = 2,
 def parse_exponent(text: str) -> ExponentMatrix:
     """Parse the exponent format: header "r J L", then exactly J rows of
     entries from {integer, e1+e2, -}."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty exponent matrix text")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"bad exponent header: {lines[0]!r}")
-    r, J, L = (int(t) for t in header)
-    for name, value in (("r", r), ("J", J), ("L", L)):
-        if value < 1:
-            raise ValueError(f"exponent header {name} must be positive, got {value}")
-    if len(lines) - 1 != J:
-        raise ValueError(f"expected {J} exponent rows, found {len(lines) - 1}")
+    (r, _, L), lines = _headed(text, "exponent matrix", ("header r", "header J", "header L"),
+                               1, "exponent rows")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines:
         tokens = ln.split()
         if len(tokens) != L:
             raise ValueError(f"bad exponent row length: {ln!r}")

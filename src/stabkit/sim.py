@@ -150,13 +150,14 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% default)."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits must be in [0, trials], got hits={hits}, trials={trials}")
     phat = hits / trials
+    z = 1.959963984540054   # the standard normal quantile at 0.975
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom

@@ -140,7 +140,7 @@ def _slot_of_edge(slots_t: np.ndarray, n_edges: int) -> np.ndarray:
 
 
 class SpaGraph:
-    """Tanner-graph indexing of a parity check matrix ``arr`` [m, n].
+    """Tanner-graph indexing of a parity check matrix ``h`` [m, n].
 
     ``check_slots_t`` [dc, m] and ``bit_slots_t`` [dv, n] list the edges
     of every check and bit, padded with the sentinel edge id E =
@@ -150,7 +150,7 @@ class SpaGraph:
     """
 
     def __init__(self, h: BitMatrix):
-        self.arr = arr = h.to_array()
+        arr = h.to_array()
         self.m, self.n = arr.shape
         edge_check, edge_bit = np.nonzero(arr)
         self.n_edges = len(edge_check)
@@ -179,15 +179,22 @@ class SpaGraph:
         return (self.parities(ext) & 1).T
 
 
-def _check_prior(prior: np.ndarray):
-    bad = prior[~((prior > 0.0) & (prior < 1.0))]
+def _inputs(syndromes: np.ndarray, prior_flip, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's input, checked: ``syndromes`` (a 2-D array) as [B,
+    m] uint8 0/1 and ``prior_flip``, one flip probability in (0, 1) or
+    one per row, as [B] floats."""
+    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    if syndromes.shape[1] != m:
+        raise ValueError(f"syndrome length {syndromes.shape[1]} != check count {m}")
+    b = len(syndromes)
+    flip = np.asarray(prior_flip, dtype=float)
+    if flip.ndim > 1 or flip.size not in (1, b):
+        raise ValueError(f"prior_flip must be one value or one per row, got shape "
+                         f"{flip.shape} for {b} rows")
+    bad = flip[~((flip > 0.0) & (flip < 1.0))]
     if bad.size:
         raise ValueError(f"prior flip probability must be in (0, 1), got {bad.flat[0]}")
-
-
-def _check_length(syndromes: np.ndarray, graph: SpaGraph):
-    if syndromes.shape[1] != graph.m:
-        raise ValueError(f"syndrome length {syndromes.shape[1]} != check count {graph.m}")
+    return syndromes & 1, np.broadcast_to(flip, (b,))
 
 
 class SpaWorkspace:
@@ -215,13 +222,11 @@ class SpaWorkspace:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.ndim != 2:
             syndrome = syndrome.reshape(1, -1)
-        _check_length(syndrome, graph)
+        syndrome, flip = _inputs(syndrome, prior_flip, graph.m)
         b = len(syndrome)
         self.g = graph
-        self.checks = np.ascontiguousarray(syndrome.T & 1)
+        self.checks = np.ascontiguousarray(syndrome.T)
         self.sign = 1.0 - 2.0 * self.checks   # (-1)^z per check, [m, B]
-        flip = np.asarray(prior_flip, dtype=float)
-        _check_prior(flip)
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
         self.prior = np.empty((2, 1, b))
         self._put_prior(np.arange(b), flip)
@@ -236,9 +241,9 @@ class SpaWorkspace:
     syndrome = property(lambda self: self.checks.T)
 
     def _put_prior(self, slots: np.ndarray, flip: np.ndarray):
-        """Give the batch rows ``slots`` the flip probability ``flip``,
-        already checked (one for all or one per slot); ``admit`` starts
-        their messages from it."""
+        """Give the batch rows ``slots`` the flip probabilities ``flip``,
+        already checked, one per slot; ``admit`` starts their messages
+        from them."""
         self.prior[1, 0, slots] = flip
         self.prior[0, 0, slots] = 1.0 - flip
 
@@ -353,13 +358,9 @@ class _Block:
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if syndromes.ndim != 2:
             raise ValueError(f"syndromes must be a [B, m] array, got shape {syndromes.shape}")
-        _check_length(syndromes, graph)
-        flip = np.asarray(prior_flip, dtype=float)
-        _check_prior(flip)
+        self.syndromes, self.flip = _inputs(syndromes, prior_flip, graph.m)
         b = len(syndromes)
         self.id = block_id
-        self.syndromes = syndromes & 1
-        self.flip = np.broadcast_to(flip, (b,))
         self.estimates = np.zeros((b, graph.n), dtype=np.uint8)
         self.converged = np.zeros(b, dtype=bool)
         self.iterations = np.full(b, max_iter, dtype=np.int64)
@@ -635,12 +636,8 @@ def exact_marginals(h: BitMatrix, syndrome, prior_flip: float) -> np.ndarray:
     n = h.cols
     if n > 24:
         raise ValueError(f"exact enumeration capped at n = 24, got {n}")
-    if not 0.0 < prior_flip < 1.0:
-        raise ValueError("prior flip probability must be in (0, 1)")
+    syndrome, (prior_flip,) = _inputs(np.reshape(syndrome, (1, -1)), prior_flip, h.rows)
     arr = h.to_array()
-    syndrome = np.asarray(syndrome, dtype=np.uint8).ravel() & 1
-    if syndrome.size != h.rows:
-        raise ValueError("syndrome length mismatch")
     num = np.zeros(n)
     den = 0.0
     chunk = 1 << 20

@@ -201,6 +201,22 @@ def test_sgs_command(tmp_path):
     assert "n=7 c=0 ell=6" in out
 
 
+def test_sgs_prints_pairs(tmp_path):
+    path = tmp_path / "pair.txt"
+    path.write_text("2 4\n1000\n0010\n")
+    rc, out = run_cli("sgs", "--input", str(path))
+    assert rc == 0
+    assert out.splitlines() == ["n=2 c=1 ell=0", "pair 1: ZI  XI"]
+
+
+def test_simulate_gf4_code_without_css_structure(q15_file, capsys):
+    rc, out = run_cli("simulate", "--code", q15_file, "--field", "gf4", "--p", "0.01",
+                      "--trials", "5")
+    assert rc == 2
+    assert out == ""
+    assert "simulation needs a code with classical CSS structure" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     rc, _ = run_cli("frobnicate")
     assert rc == 1

@@ -1,6 +1,6 @@
 """Module layout rules: only ``stabkit.f2`` converts between packed ints
-and byte or bit arrays, and each module's ``__all__`` is its public
-surface."""
+and byte or bit arrays, only ``f2`` and ``pauli`` split text into lines,
+and each module's ``__all__`` is its public surface."""
 
 import importlib
 import inspect
@@ -21,6 +21,16 @@ def test_row_layout_conversions_live_in_f2_only():
     strays = [f"{path.relative_to(SRC)}: {name}"
               for path in sorted(SRC.rglob("*.py")) if path != f2
               for name in CONVERSIONS if name in path.read_text()]
+    assert strays == []
+
+
+def test_text_is_split_into_lines_in_f2_and_pauli_only():
+    """The headed formats and the alist are read in ``f2``, stabilizer
+    tables in ``pauli``; every other module hands them the text."""
+    owners = {SRC / "f2.py", SRC / "pauli.py"}
+    assert all("splitlines" in path.read_text() for path in owners)
+    strays = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+              if path not in owners and "splitlines" in path.read_text()]
     assert strays == []
 
 

@@ -84,7 +84,7 @@ def test_parse_receiver_separator():
     u = parse_pauli("XXXIIIXX|X")
     assert u.n == 9
     assert weight(u) == 6
-    assert format_pauli(u, bob=1) == "XXXIIIXX|X"
+    assert format_pauli(u) == "XXXIIIXXX"
 
 
 @settings(max_examples=80, deadline=None)

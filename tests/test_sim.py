@@ -449,8 +449,8 @@ def _trial_failures(code, p, p_idx, trials, seed, mode, start=0):
     for t in range(start, start + trials):
         u = np.random.default_rng((seed, p_idx, t)).random(n)
         ex, ez = sim._flips(u, p)
-        resx = sim.decode(gz, (gz.arr @ ex) % 2, f)
-        resz = sim.decode(gx, (gx.arr @ ez) % 2, f)
+        resx = sim.decode(gz, (css.hz.to_array() @ ex) % 2, f)
+        resz = sim.decode(gx, (css.hx.to_array() @ ez) % 2, f)
         rx, rz = ex ^ resx.estimate, ez ^ resz.estimate
         if not (rx.any() or rz.any()):
             continue
@@ -521,8 +521,8 @@ def _trial_effort(code, p, p_idx, trials, seed):
     for t in range(trials):
         u = np.random.default_rng((seed, p_idx, t)).random(n)
         ex, ez = sim._flips(u, p)
-        its.append(sim.decode(gz, (gz.arr @ ex) % 2, f).iterations)
-        its.append(sim.decode(gx, (gx.arr @ ez) % 2, f).iterations)
+        its.append(sim.decode(gz, (css.hz.to_array() @ ex) % 2, f).iterations)
+        its.append(sim.decode(gx, (css.hx.to_array() @ ez) % 2, f).iterations)
     return sum(its), max(its)
 
 

@@ -83,6 +83,14 @@ def test_exact_marginals_size_cap():
         exact_marginals(h, [0], 0.1)
 
 
+def test_exact_marginals_validation():
+    h = BitMatrix.from_rows([[1, 1]])
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\), got 0.0"):
+        exact_marginals(h, [1], 0.0)
+    with pytest.raises(ValueError, match="syndrome length 2 != check count 1"):
+        exact_marginals(h, [1, 0], 0.1)
+
+
 def test_edge_normalization_invariant():
     h = qc_ldpc.expand(qc_ldpc.make_ex2())
     rng = np.random.default_rng(0)
@@ -458,6 +466,21 @@ def test_decode_batch_validation():
     assert est.shape == (0, 7) and conv.shape == its.shape == (0,)
 
 
+@pytest.mark.parametrize("prior", [[0.1, 0.2], np.full((4, 1), 0.1)])
+def test_prior_is_one_value_or_one_per_row(prior):
+    """A prior of the wrong length or shape is rejected by name, with
+    the row count, by every entry to the kernel."""
+    h = hamming_matrix()
+    syn = np.zeros((4, 3), dtype=np.uint8)
+    message = r"prior_flip must be one value or one per row, got shape .* for 4 rows"
+    with pytest.raises(ValueError, match=message):
+        decode_batch(h, syn, prior)
+    with pytest.raises(ValueError, match=message):
+        list(decode_stream(h, [(syn[:1], 0.1), (syn, prior)]))
+    with pytest.raises(ValueError, match=message):
+        SpaWorkspace(SpaGraph(h), syn, prior)
+
+
 def test_batched_workspace_shapes():
     h = hamming_matrix()
     g = SpaGraph(h)
@@ -619,6 +642,22 @@ def test_admit_restarts_the_admitted_rows_only(k):
     syndrome[slots] = new
     assert np.array_equal(ws.q, q) and np.array_equal(ws.sign, sign)
     assert np.array_equal(ws.syndrome, syndrome)
+
+
+def test_kept_rows_keep_their_posteriors():
+    """After ``keep``, the posteriors are recomputed from r and the
+    prior of the kept rows, and equal, bit for bit, those the vertical
+    step's products gave before."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex1())
+    rng = np.random.default_rng(6)
+    ws = SpaWorkspace(SpaGraph(h), _random_syndromes(rng, h, spa.WIDTH),
+                      rng.choice(PRIORS, size=spa.WIDTH))
+    ws.horizontal_step()
+    ws.vertical_step()
+    post = ws.pseudoposteriors()
+    rows = rng.random(spa.WIDTH) < 0.5
+    ws.keep(rows)
+    assert ws.pseudoposteriors().tobytes() == post[rows].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
