@@ -279,6 +279,19 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
+def _ints(tokens: list[str], what: str, line: str) -> list[int]:
+    """The integers that ``tokens``, read from ``line`` of a ``what``
+    text, spell; a token that spells none is a ValueError that names
+    the format and quotes the line."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise ValueError(f"bad {what} line {line!r}: {t!r} is not an integer") from None
+    return out
+
+
 def _headed(text: str, what: str, names: tuple[str, ...], count: int,
             rows: str) -> tuple[list[int], list[str]]:
     """Header values and row lines of a headed text format: one positive
@@ -290,12 +303,13 @@ def _headed(text: str, what: str, names: tuple[str, ...], count: int,
     header = lines[0].split()
     if len(header) != len(names):
         raise ValueError(f"bad {what} header: {lines[0]!r}")
-    values = [int(t) for t in header]
+    values = _ints(header, what, lines[0])
     for name, value in zip(names, values):
         if value < 1:
             raise ValueError(f"{what} {name} must be positive, got {value}")
     if len(lines) - 1 != values[count]:
-        raise ValueError(f"expected {values[count]} {rows}, found {len(lines) - 1}")
+        raise ValueError(f"bad {what} row count: expected {values[count]} {rows}, "
+                         f"found {len(lines) - 1}")
     return values, lines[1:]
 
 
@@ -324,9 +338,10 @@ def parse_matrix(text: str) -> BitMatrix:
     tokens that do not form a dense row (an alist's second line holds
     its largest column and row weights), else a dense matrix."""
     lines = _lines(text)
-    if (len(lines) > 1 and len(lines[1].split()) == 2
-            and _dense_row(lines[1], int(lines[0].split()[-1])) is None):
-        return parse_alist(text)
+    if len(lines) > 1 and len(lines[1].split()) == 2:
+        (cols,) = _ints(lines[0].split()[-1:], "dense or alist matrix", lines[0])
+        if _dense_row(lines[1], cols) is None:
+            return parse_alist(text)
     return parse_dense(text)
 
 
@@ -356,9 +371,12 @@ def parse_alist(text: str) -> BitMatrix:
 
     Both the n column lists and the m row lists must be present, with
     nothing after them, and they must describe the same matrix."""
-    tokens_per_line = [[int(t) for t in ln.split()] for ln in _lines(text)]
+    lines = _lines(text)
+    tokens_per_line = [_ints(ln.split(), "alist", ln) for ln in lines]
     if len(tokens_per_line) < 4:
         raise ValueError("alist file too short")
+    if len(tokens_per_line[0]) != 2:
+        raise ValueError(f"bad alist header: {lines[0]!r}")
     n, m = tokens_per_line[0]
     if n < 1 or m < 1:
         raise ValueError("alist dimensions must be positive")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2 import BitMatrix, _headed
+from .f2 import BitMatrix, _headed, _ints
 
 __all__ = [
     "CircPoly",
@@ -629,10 +629,9 @@ def parse_exponent(text: str) -> ExponentMatrix:
             if t == "-":
                 row.append(None)
             elif "+" in t:
-                a, b = t.split("+", 1)
-                row.append((int(a), int(b)))
+                row.append(tuple(_ints(t.split("+", 1), "exponent matrix", ln)))
             else:
-                row.append(int(t))
+                row.extend(_ints([t], "exponent matrix", ln))
         rows.append(row)
     return ExponentMatrix.from_lists(r, rows)
 

@@ -9,12 +9,17 @@ it, or fails after ``max_iter`` rounds.
 The horizontal step uses the parity identity: with dq = q0 - q1 per
 incoming edge, the probability that the other bits of a check have even
 parity is (1 + prod dq) / 2, which equals the configuration sum over
-satisfying assignments.
+satisfying assignments.  The check's syndrome sign and the 1/2 ride in
+the product as one head factor, (-1)^z / 2, so r0 and r1 are 1/2 plus
+and minus that product, with the same bits as (1 +- (-1)^z prod dq) /
+2.
 
 There is one kernel and it works on a stream: ``decode_stream`` runs up
 to ``WIDTH`` independent syndromes side by side, with the messages of
-all rows held edge-major (E Tanner-graph edges by B rows) in two arrays
-that every iteration overwrites in place.  Each row carries its own
+all rows held batch-last in two arrays that every iteration overwrites
+in place: q edge-major (E Tanner-graph edges by B rows), r
+check-slot-major (dc slots of m checks by B rows), the layout in which
+the horizontal step computes it.  Each row carries its own
 flip prior.  A row leaves as soon as it converges or reaches
 ``max_iter``, and the next queued syndrome takes its slot, from the
 same block or from the next one, which the kernel pulls lazily from a
@@ -71,7 +76,7 @@ __all__ = ["SpaGraph", "SpaWorkspace", "DecodeResult", "decode", "decode_batch",
 
 _FLOOR = 1e-300
 #: most syndromes ``decode_stream`` iterates at once; the kernel peaks at
-#: about 22 KB per row on a graph of 384 edges
+#: about 21 KB per row on a graph of 384 edges
 WIDTH = 64
 _Q_SENTINEL = ((1.0,), (0.0,))    # q0, q1 of the sentinel edge: dq = 1
 #: rounds of fingerprints and estimates a stream keeps: the longest
@@ -110,23 +115,36 @@ def _padded_slots(groups: np.ndarray, count: int, n_edges: int) -> np.ndarray:
     return slots
 
 
-def _loo_prod(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out product along the first (slot) axis: the exclusive
-    prefix product times the exclusive suffix product, each accumulated
-    one slot at a time (no division, so exact zeros are harmless).
-    Also returns the full product, accumulated in slot order."""
-    d = len(padded)
-    out = np.empty_like(padded)
-    out[0] = 1.0
-    for k in range(1, d):
-        np.multiply(out[k - 1], padded[k - 1], out=out[k])
-    total = out[d - 1] * padded[d - 1]
-    if d > 1:
-        acc = padded[d - 1].copy()
-        for k in range(d - 2, 0, -1):
-            out[k] *= acc
-            acc *= padded[k]
-        out[0] = acc
+def _loo_prod(x: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Leave-one-out products along the first (slot) axis of ``x`` [d,
+    ...]: ``out[k] = P_k * S_k``, the exclusive prefix product P_k =
+    ``first`` * x[0] * ... * x[k - 1] times the exclusive suffix product
+    S_k = x[d - 1] * ... * x[k + 1], each accumulated one slot at a time
+    in that order (no division, so exact zeros are harmless).  Without
+    ``first`` the prefix has no head factor, so P_1 = x[0] and P_0 = 1
+    are never multiplied, and the full product P_{d-1} * x[d - 1] comes
+    back as well; with ``first`` the total is None.  The suffix
+    accumulates in ``out[0]``, so no slot allocates a temporary."""
+    d = len(x)
+    out = np.empty_like(x)
+    if d == 1:
+        out[0] = 1.0 if first is None else first
+        return out, (x[0].copy() if first is None else None)
+    p = x[0] if first is None else np.multiply(first, x[0], out=out[1])
+    for k in range(2, d):
+        p = np.multiply(p, x[k - 1], out=out[k])
+    total = None if first is not None else p * x[d - 1]
+    s = x[d - 1]
+    for k in range(d - 2, 0, -1):
+        if k == 1 and first is None:
+            np.multiply(x[0], s, out=out[1])
+        else:
+            out[k] *= s
+        s = np.multiply(s, x[k], out=out[0])
+    if first is not None:
+        np.multiply(first, s, out=out[0])
+    elif d == 2:    # S_0 = x[1] and P_1 = x[0], with no product at all
+        out[0], out[1] = x[1], x[0]
     return out, total
 
 
@@ -146,7 +164,10 @@ class SpaGraph:
     of every check and bit, padded with the sentinel edge id E =
     ``n_edges``: they gather edge-major messages [E + 1, B] into the
     slot-major layout [d, groups, B], and ``check_pos`` and ``bit_pos``
-    take the flattened result back to edges.
+    give every edge's flat position in that layout.  Check-to-bit
+    messages stay check-slot-major, [dc * m + 1, B] with a sentinel
+    row last, and ``bit_cells_t`` [dv, n] gathers them per bit slot:
+    the cell of each edge of every bit, padded with the sentinel row.
     """
 
     def __init__(self, h: BitMatrix):
@@ -160,6 +181,7 @@ class SpaGraph:
         self.bit_slots_t = np.ascontiguousarray(bit_slots.T)
         self.check_pos = _slot_of_edge(self.check_slots_t, self.n_edges)
         self.bit_pos = _slot_of_edge(self.bit_slots_t, self.n_edges)
+        self.bit_cells_t = np.append(self.check_pos, self.check_slots_t.size)[self.bit_slots_t]
         # bits of each check, slot-major [dc, m], padded with n
         self.check_bits = np.append(edge_bit, self.n)[self.check_slots_t]
 
@@ -206,16 +228,21 @@ class SpaWorkspace:
     ``pseudoposteriors`` are [B, n]; ``decide`` is the hard decision and
     convergence test of every row.
 
-    The messages are edge-major and batch-last, ``q[t, e, b]`` [2, E +
-    1, B] for the 0- (t = 0) and 1-messages (t = 1), so a gather by edge
-    moves whole batch rows.  Row E is a sentinel that pads the
-    slot-major gathers: r is 1 there, and q is 1 and 0, so that dq = q0
-    - q1 is 1.  The steps overwrite ``q`` and ``r`` in place (the
-    horizontal step reads q and writes r, the vertical step reads r and
-    writes q), so an iteration allocates no message array; ``admit``
-    restarts rows in place too.
+    The messages are batch-last, the 0- (t = 0) and 1-messages (t = 1)
+    of every row, so a gather moves whole batch rows.  ``q[t, e, b]``
+    [2, E + 1, B] is edge-major; ``r[t, c, b]`` [2, dc * m + 1, B] is
+    check-slot-major, cell c = k * m + i holding slot k of check i, as
+    the horizontal step computes it, so it is written with no scatter.
+    On checks of unequal weight r has pad cells, written but never
+    read.  The last row of each is a sentinel that pads the slot-major
+    gathers (``SpaGraph.check_slots_t`` of q, ``bit_cells_t`` of r): r
+    is 1 there, and q is 1 and 0, so that dq = q0 - q1 is 1.  The steps
+    overwrite ``q`` and ``r`` in place (the horizontal step reads q and
+    writes r, the vertical step reads r and writes q), so an iteration
+    allocates no message array; ``admit`` restarts rows in place too.
     The syndromes are kept check-major as well, ``checks[i, b]``, the
-    layout of ``decide``'s convergence test.
+    layout of ``decide``'s convergence test, and so is ``half`` [m, B],
+    (-1)^z / 2 per check, the horizontal step's head factor.
     """
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
@@ -226,15 +253,14 @@ class SpaWorkspace:
         b = len(syndrome)
         self.g = graph
         self.checks = np.ascontiguousarray(syndrome.T)
-        self.sign = 1.0 - 2.0 * self.checks   # (-1)^z per check, [m, B]
+        self.half = 0.5 - self.checks   # (-1)^z / 2 per check, [m, B]
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
         self.prior = np.empty((2, 1, b))
         self._put_prior(np.arange(b), flip)
-        shape = (2, graph.n_edges + 1, b)
-        self.q = np.empty(shape)
+        self.q = np.empty((2, graph.n_edges + 1, b))
         self.q[:, :-1] = self.prior
         self.q[:, -1] = _Q_SENTINEL
-        self.r = np.ones(shape)
+        self.r = np.ones((2, graph.check_slots_t.size + 1, b))
         self.r[:, :-1] = 0.0
         self._totals = None   # per-bit products of r, from the last vertical step
 
@@ -255,7 +281,7 @@ class SpaWorkspace:
         rows are stale."""
         checks = syndromes.T & 1
         self.checks[:, slots] = checks
-        self.sign[:, slots] = 1.0 - 2.0 * checks
+        self.half[:, slots] = 0.5 - checks
         body = self.q[:, :-1]
         others = body.shape[-1] - len(slots)
         if 2 * others < len(slots):
@@ -277,24 +303,27 @@ class SpaWorkspace:
         C-ordered with the batch axis last; fancy indexing would put it
         first in memory and make every later step stride over it."""
         self.checks = self.checks.compress(rows, axis=-1)
-        self.sign = self.sign.compress(rows, axis=-1)
+        self.half = self.half.compress(rows, axis=-1)
         self.prior = self.prior.compress(rows, axis=-1)
         self.q = self.q.compress(rows, axis=-1)
         self.r = self.r.compress(rows, axis=-1)
         self._totals = None
 
     def horizontal_step(self):
-        """Check-to-bit messages from the parity convolution, into r."""
-        g = self.g
+        """Check-to-bit messages from the parity convolution, into r:
+        r0 = 1/2 + h and r1 = 1/2 - h, with h = (-1)^z / 2 * prod dq over
+        the other edges, the half-sign riding in the products' head
+        factor.  Every |dq| <= 1, so no partial product is smaller than
+        |h|: while |h| >= 2^-1022 each halving is exact and h is half
+        of (-1)^z prod dq to the bit, and below that 1/2 + h and (1 +
+        2h) / 2 are both exactly 1/2.  So r holds the bits of (1 +-
+        (-1)^z prod dq) / 2."""
         self._totals = None
-        loo, _ = _loo_prod((self.q[0] - self.q[1])[g.check_slots_t])
-        loo *= self.sign
+        h, _ = _loo_prod((self.q[0] - self.q[1])[self.g.check_slots_t], self.half)
+        h = h.reshape(-1, h.shape[-1])
         body = self.r[:, :-1]
-        dr = body[1]    # dr = prod dq over the other edges, then r1 in place
-        np.take(loo.reshape(-1, loo.shape[-1]), g.check_pos, axis=0, out=dr, mode="clip")
-        np.add(1.0, dr, out=body[0])
-        np.subtract(1.0, dr, out=dr)
-        body /= 2.0
+        np.add(0.5, h, out=body[0])
+        np.subtract(0.5, h, out=body[1])
         np.maximum(body, _FLOOR, out=body)
 
     def vertical_step(self):
@@ -304,7 +333,7 @@ class SpaWorkspace:
         body = self.q[:, :-1]
         totals = []
         for t in (0, 1):
-            loo, total = _loo_prod(self.r[t][g.bit_slots_t])
+            loo, total = _loo_prod(self.r[t][g.bit_cells_t])
             np.take(loo.reshape(-1, loo.shape[-1]), g.bit_pos, axis=0, out=body[t], mode="clip")
             del loo     # before the next gather: lowers the peak
             totals.append(total)
@@ -319,7 +348,7 @@ class SpaWorkspace:
         """``pseudoposteriors`` batch-last, [n, B]."""
         totals = self._totals
         if totals is None:
-            totals = [_loo_prod(r[self.g.bit_slots_t])[1] for r in self.r]
+            totals = [_loo_prod(r[self.g.bit_cells_t])[1] for r in self.r]
         tot0, tot1 = self.prior[0, 0] * totals[0], self.prior[1, 0] * totals[1]
         return tot1 / np.maximum(tot0 + tot1, _FLOOR)
 

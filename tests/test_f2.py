@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import f2
+from stabkit import f2, gf4, qc_ldpc
 from stabkit.codes import hamming_matrix
 from stabkit.f2 import BitMatrix
 
@@ -291,6 +292,48 @@ def test_parse_alist_fuzz_raises_only_value_error(text):
         f2.parse_alist(text)
     except ValueError:
         pass
+
+
+def _parsers():
+    """Every text parser, with a valid text to mutate and the words of
+    which its messages must name one."""
+    h = hamming_matrix()
+    exponent = qc_ldpc.ExponentMatrix.from_lists(5, [[0, (1, 2), None], [3, 4, (0, 4)]])
+    return {
+        "dense": (f2.parse_dense, f2.format_dense(h), ("dense",)),
+        "alist": (f2.parse_alist, f2.format_alist(h), ("alist",)),
+        "matrix-dense": (f2.parse_matrix, f2.format_dense(h), ("dense", "alist")),
+        "matrix-alist": (f2.parse_matrix, f2.format_alist(h), ("dense", "alist")),
+        "gf4": (gf4.parse_f4, gf4.format_f4(gf4.F4Matrix.from_rows([[1, 0, 2, 3], [0, 2, 1, 1]])),
+                ("GF(4)",)),
+        "exponent": (qc_ldpc.parse_exponent, qc_ldpc.format_exponent(exponent), ("exponent",)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_parsers()))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_errors_name_their_format(name, data):
+    """Whatever a mutated text breaks, a parser's ``ValueError`` names
+    the format it was reading."""
+    parse, text, words = _parsers()[name]
+    try:
+        parse(data.draw(mutated_text(text)))
+    except ValueError as exc:
+        assert any(word in str(exc) for word in words), str(exc)
+
+
+def test_non_integer_tokens_name_the_format_and_the_line():
+    for parse, text, message in (
+            (f2.parse_matrix, "2 x\n01\n10\n", "bad dense matrix line '2 x': 'x'"),
+            (f2.parse_matrix, "2 x\n0 1\n10\n", "bad dense or alist matrix line '2 x': 'x'"),
+            (f2.parse_alist, "x 3\n1 1\n1\n1 1 1\n", "bad alist line 'x 3': 'x'"),
+            (qc_ldpc.parse_exponent, "4 1 2\n0 x\n", "bad exponent matrix line '0 x': 'x'"),
+            (qc_ldpc.parse_exponent, "4 1 2\n0 1+\n", "bad exponent matrix line '0 1+': ''")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+            parse(text)
+    with pytest.raises(ValueError, match="^bad alist header: '5'$"):
+        f2.parse_alist("5\n1 1\n1\n1 1 1\n")
 
 
 # -- lowest-bit elimination against the column-scan oracle -----------------

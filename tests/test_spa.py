@@ -232,11 +232,23 @@ def test_refilled_rows_match_decode(seed, b, max_iter, prior):
         assert (res.converged, res.iterations) == (bool(conv[i]), int(its[i]))
 
 
-def _reference_decode(h, syndrome, prior, max_iter):
+def _reference_loo(x):
+    """Leave-one-out products along axis 1 of ``x``: the ``np.cumprod``
+    prefix times the ``np.cumprod`` suffix, 1 at the ends."""
+    pref = np.ones_like(x)
+    pref[:, 1:] = np.cumprod(x, axis=1)[:, :-1]
+    suff = np.ones_like(x)
+    suff[:, :-1] = np.cumprod(x[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return pref * suff
+
+
+def _reference_rounds(h, syndrome, prior):
     """The one-syndrome decoder that the batch kernel replaced, kept as
     the reference: row-major padded gathers, ``np.cumprod`` leave-one-out
     products, ``np.prod`` posteriors and a fresh scatter per step.  The
-    arithmetic per message is the same, so results must be equal."""
+    arithmetic per message is the same, so messages and results must be
+    equal.  Yields ``(q0, q1, r0, r1, estimate)`` after every round,
+    the messages edge-major in ``np.nonzero(h)`` order, without end."""
     arr = h.to_array()
     rows, cols = np.nonzero(arr)
     e = len(rows)
@@ -249,12 +261,7 @@ def _reference_decode(h, syndrome, prior, max_iter):
             fill[grp] += 1
         return out
 
-    def loo(x):
-        pref = np.ones_like(x)
-        pref[:, 1:] = np.cumprod(x, axis=1)[:, :-1]
-        suff = np.ones_like(x)
-        suff[:, :-1] = np.cumprod(x[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        return pref * suff
+    loo = _reference_loo
 
     def scatter(padded, sl):
         flat = np.empty(e)
@@ -265,7 +272,7 @@ def _reference_decode(h, syndrome, prior, max_iter):
     sign = 1.0 - 2.0 * np.asarray(syndrome, dtype=float)
     p0, p1 = 1.0 - prior, prior
     q0, q1 = np.full(e, p0), np.full(e, p1)
-    for it in range(1, max_iter + 1):
+    while True:
         dr = scatter(sign[:, None] * loo(np.append(q0 - q1, 1.0)[cs]), cs)
         r0 = np.maximum((1.0 + dr) / 2.0, 1e-300)
         r1 = np.maximum((1.0 - dr) / 2.0, 1e-300)
@@ -277,6 +284,14 @@ def _reference_decode(h, syndrome, prior, max_iter):
         t0 = p0 * np.prod(np.append(r0, 1.0)[bs], axis=1)
         t1 = p1 * np.prod(np.append(r1, 1.0)[bs], axis=1)
         est = (t1 / np.maximum(t0 + t1, 1e-300) > 0.5).astype(np.uint8)
+        yield q0, q1, r0, r1, est
+
+
+def _reference_decode(h, syndrome, prior, max_iter):
+    """``_reference_rounds`` up to the first estimate that reproduces
+    the syndrome, or ``max_iter`` rounds."""
+    arr = h.to_array()
+    for it, (*_, est) in zip(range(1, max_iter + 1), _reference_rounds(h, syndrome, prior)):
         if np.array_equal((arr @ est) % 2, syndrome):
             return est, True, it
     return est, False, max_iter
@@ -310,6 +325,68 @@ def test_decode_batch_matches_reference_on_random_checks(seed, max_iter, prior):
         ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], prior, max_iter)
         assert np.array_equal(ref_est, est[i])
         assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["random", "mackay"]),
+       st.sampled_from([1, 7]), st.integers(1, 6))
+def test_messages_match_reference_after_every_round(seed, name, b, rounds):
+    """The kernel's messages, not only its decisions, are the
+    reference's to the bit: after each of rounds 1..k, every row's q
+    equals the reference's q0 and q1 as bytes, and its r, read back out
+    of the check-slot-major cells through ``check_pos``, equals r0 and
+    r1.  The random checks have unequal degrees, so r has pad cells;
+    ex-MacKay's bits have unequal degrees."""
+    rng = np.random.default_rng(seed)
+    if name == "mackay":
+        h, graph = _named_graph(name)
+    else:
+        arr = (rng.random((int(rng.integers(2, 7)), int(rng.integers(3, 12)))) < 0.4)
+        arr[0], arr[1, 0] = True, False     # check 0 is heavier than check 1
+        h = BitMatrix.from_rows(arr.astype(np.uint8))
+        graph = SpaGraph(h)
+        assert graph.check_slots_t.size > graph.n_edges
+    syn = _random_syndromes(rng, h, b)
+    prior = rng.choice(PRIORS, size=b)
+    ws = SpaWorkspace(graph, syn, prior)
+    refs = [_reference_rounds(h, syn[j], prior[j]) for j in range(b)]
+    for _ in range(rounds):
+        ws.horizontal_step()
+        ws.vertical_step()
+        for j, ref in enumerate(refs):
+            q0, q1, r0, r1, _ = next(ref)
+            assert ws.q[0, :-1, j].tobytes() == q0.tobytes()
+            assert ws.q[1, :-1, j].tobytes() == q1.tobytes()
+            assert ws.r[0, graph.check_pos, j].tobytes() == r0.tobytes()
+            assert ws.r[1, graph.check_pos, j].tobytes() == r1.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_loo_prod_is_the_cumprod_reference(d, seed):
+    """``_loo_prod`` over d = 1..9 slots of 16 columns, bit for bit:
+    without a head factor, its products are the ``np.cumprod`` prefix
+    times suffix and its total is the last ``np.cumprod``; with the
+    half-sign ±1/2 as the head, 1/2 ± h is (1 ± sign * loo) / 2, the
+    horizontal step's r before its floor.  The factors are uniform in
+    [-1, 1], the range of dq and of r, and a third of them are exact
+    zeros, ±``_FLOOR``, ±1, or tiny enough that products reach the
+    subnormal range."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (d, 16))
+    special = np.concatenate([[0.0, -0.0, spa._FLOOR, 1.0], 2.0 ** -rng.integers(0, 600, 8),
+                              rng.uniform(1e-320, 1e-280, 4)])
+    mask = rng.random(x.shape) < 1 / 3
+    x[mask] = rng.choice(special, mask.sum()) * rng.choice([1.0, -1.0], mask.sum())
+    ref = _reference_loo(x.T).T
+    loo, total = spa._loo_prod(x)
+    assert loo.tobytes() == ref.tobytes()
+    assert total.tobytes() == np.cumprod(x, axis=0)[-1].tobytes()
+    sign = rng.choice([1.0, -1.0], 16)
+    h, total = spa._loo_prod(x, sign / 2)
+    assert total is None
+    assert (0.5 + h).tobytes() == ((1.0 + sign * ref) / 2.0).tobytes()
+    assert (0.5 - h).tobytes() == ((1.0 - sign * ref) / 2.0).tobytes()
 
 
 def _mackay_rows(b, p, seed):
@@ -482,12 +559,20 @@ def test_prior_is_one_value_or_one_per_row(prior):
 
 
 def test_batched_workspace_shapes():
+    """q is edge-major, [2, E + 1, B]; r is check-slot-major, [2, dc * m
+    + 1, B], the same size on Hamming's checks, which all have weight
+    4, and larger by the pad cells on checks of weights 3 and 2."""
+    irregular = SpaGraph(BitMatrix.from_rows([[1, 1, 1, 0], [0, 0, 1, 1]]))
+    ws = SpaWorkspace(irregular, np.zeros((4, 2), dtype=np.uint8), 0.1)
+    ws.horizontal_step()
+    ws.vertical_step()
+    assert ws.q.shape == (2, 6, 4) and ws.r.shape == (2, 7, 4)
     h = hamming_matrix()
     g = SpaGraph(h)
     ws = SpaWorkspace(g, np.zeros((4, 3), dtype=np.uint8), 0.1)
     ws.horizontal_step()
     ws.vertical_step()
-    assert ws.q.shape == ws.r.shape == (2, g.n_edges + 1, 4)
+    assert ws.q.shape == ws.r.shape == (2, 13, 4)
     assert ws.pseudoposteriors().shape == (4, 7)
     est, ok = ws.decide()
     assert est.shape == (8, 4) and ok.shape == (4,)
@@ -633,14 +718,14 @@ def test_admit_restarts_the_admitted_rows_only(k):
                       rng.choice(PRIORS, size=spa.WIDTH))
     ws.horizontal_step()
     ws.vertical_step()
-    q, sign, syndrome = ws.q.copy(), ws.sign.copy(), ws.syndrome.copy()
+    q, half, syndrome = ws.q.copy(), ws.half.copy(), ws.syndrome.copy()
     slots = np.sort(rng.choice(spa.WIDTH, k, replace=False))
     new = _random_syndromes(rng, h, k)
     ws.admit(slots, new)
     q[:, :-1, slots] = ws.prior[..., slots]
-    sign[:, slots] = 1.0 - 2.0 * new.T
+    half[:, slots] = 0.5 - new.T
     syndrome[slots] = new
-    assert np.array_equal(ws.q, q) and np.array_equal(ws.sign, sign)
+    assert np.array_equal(ws.q, q) and np.array_equal(ws.half, half)
     assert np.array_equal(ws.syndrome, syndrome)
 
 
