@@ -75,6 +75,10 @@ __all__ = ["SpaGraph", "SpaWorkspace", "DecodeResult", "decode", "decode_batch",
            "decode_stream", "exact_marginals"]
 
 _FLOOR = 1e-300
+#: a message sum at least this absorbs every product with a stand-in
+_ABSORB = 2.0 ** -25
+#: the least prior for which the vertical step keeps to the stand-in
+_PRIOR_MIN = 2.0 ** -100
 #: most syndromes ``decode_stream`` iterates at once; the kernel peaks at
 #: about 21 KB per row on a graph of 384 edges
 WIDTH = 64
@@ -146,6 +150,17 @@ def _loo_prod(x: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray | None]
     elif d == 2:    # S_0 = x[1] and P_1 = x[0], with no product at all
         out[0], out[1] = x[1], x[0]
     return out, total
+
+
+def _stand_in(dv: int) -> int:
+    """The exponent s of the stand-in ``_FLOOR`` * 2^s for hard check
+    messages on a graph whose bits have at most ``dv`` edges, or 0 for
+    none.  Every message without a stand-in then stays above the
+    stand-in band [phi, phi * 2^25] while the priors are at least
+    ``_PRIOR_MIN``, and a product of one stand-in, dv - 2 messages and a
+    prior stays normal, so it is not slow; no s does both past dv = 8."""
+    s = 870 - 54 * (dv - 1)
+    return s if s >= 54 * (dv - 2) + 75 else 0
 
 
 def _slot_of_edge(slots_t: np.ndarray, n_edges: int) -> np.ndarray:
@@ -243,6 +258,15 @@ class SpaWorkspace:
     The syndromes are kept check-major as well, ``checks[i, b]``, the
     layout of ``decide``'s convergence test, and so is ``half`` [m, B],
     (-1)^z / 2 per check, the horizontal step's head factor.
+
+    A check message is hard where 1/2 - |h| is 0, so that only the floor
+    is left of it; every other one is at least 2^-54.  r holds a hard
+    message as the stand-in phi = ``_FLOOR`` * 2^s in place of
+    ``_FLOOR``, so the products built on it stay out of the slow
+    subnormal range, and q holds each message computed from one as its
+    true value times 2^s; ``_true`` maps both back exactly.  A round in
+    which a message sum or a prior leaves the range where that holds
+    runs on the true r.
     """
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
@@ -252,6 +276,9 @@ class SpaWorkspace:
         syndrome, flip = _inputs(syndrome, prior_flip, graph.m)
         b = len(syndrome)
         self.g = graph
+        self._s = _stand_in(len(graph.bit_slots_t))
+        self._phi = _FLOOR * 2.0 ** self._s
+        self._fast = self._s > 0    # the vertical step may use the stand-in
         self.checks = np.ascontiguousarray(syndrome.T)
         self.half = 0.5 - self.checks   # (-1)^z / 2 per check, [m, B]
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
@@ -272,6 +299,8 @@ class SpaWorkspace:
         from them."""
         self.prior[1, 0, slots] = flip
         self.prior[0, 0, slots] = 1.0 - flip
+        # 1 - flip >= 2^-53 > _PRIOR_MIN, as flip < 1
+        self._fast = self._fast and flip.min(initial=1.0) >= _PRIOR_MIN
 
     def admit(self, slots: np.ndarray, syndromes: np.ndarray):
         """Restart the batch rows ``slots`` on new syndromes (a [k, m]
@@ -317,40 +346,73 @@ class SpaWorkspace:
         |h|: while |h| >= 2^-1022 each halving is exact and h is half
         of (-1)^z prod dq to the bit, and below that 1/2 + h and (1 +
         2h) / 2 are both exactly 1/2.  So r holds the bits of (1 +-
-        (-1)^z prod dq) / 2."""
+        (-1)^z prod dq) / 2, floored at the stand-in."""
         self._totals = None
         h, _ = _loo_prod((self.q[0] - self.q[1])[self.g.check_slots_t], self.half)
         h = h.reshape(-1, h.shape[-1])
         body = self.r[:, :-1]
         np.add(0.5, h, out=body[0])
         np.subtract(0.5, h, out=body[1])
-        np.maximum(body, _FLOOR, out=body)
+        np.maximum(body, self._phi, out=body)
+
+    def _true(self, x: np.ndarray) -> np.ndarray:
+        """The true values of messages ``x``, q or r: the stand-in band
+        [phi, phi * 2^25] and the band [``_FLOOR``, ``_FLOOR`` * 2^25]
+        trade places, scaled by 2^-s and 2^s; every other value is
+        itself."""
+        if not self._s:
+            return x
+        up = (x >= _FLOOR) & (x <= _FLOOR * 2.0 ** 25)
+        down = (x >= self._phi) & (x <= self._phi * 2.0 ** 25)
+        return x * np.where(down, 2.0 ** -self._s, np.where(up, 2.0 ** self._s, 1.0))
 
     def vertical_step(self):
         """Bit-to-check messages, renormalized so q0 + q1 = 1 per edge,
-        into q."""
+        into q.  Where the stand-in does not keep every value exact, the
+        step runs on the true r and maps its q to stand-in form."""
+        if not (self._fast and self._vertical(self.r, self._phi)):
+            self._vertical(self._true(self.r), _FLOOR)
+            if self._s:
+                self.q[...] = self._true(self.q)
+
+    def _vertical(self, r: np.ndarray, phi: float) -> bool:
+        """The vertical step on check messages ``r`` with hard messages
+        ``phi``, flooring q at phi.  Returns False, with q unfinished, if
+        a message sum is below ``_ABSORB`` while r holds a stand-in."""
         g = self.g
         body = self.q[:, :-1]
         totals = []
         for t in (0, 1):
-            loo, total = _loo_prod(self.r[t][g.bit_cells_t])
+            loo, total = _loo_prod(r[t][g.bit_cells_t])
             np.take(loo.reshape(-1, loo.shape[-1]), g.bit_pos, axis=0, out=body[t], mode="clip")
             del loo     # before the next gather: lowers the peak
             totals.append(total)
-        self._totals = totals
         body *= self.prior
         norm = body[0] + body[1]
-        np.maximum(norm, _FLOOR, out=norm)
+        if phi == _FLOOR or norm.min(initial=1.0) < _ABSORB:    # else no floor is needed
+            # a product with phi carries it into its bit's total
+            if phi != _FLOOR and min(t.min(initial=1.0) for t in totals) <= phi:
+                return False
+            np.maximum(norm, _FLOOR, out=norm)
         body /= norm
-        np.maximum(body, _FLOOR, out=body)
+        np.maximum(body, phi, out=body)
+        self._totals = totals
+        return True
 
-    def _posteriors(self) -> np.ndarray:
-        """``pseudoposteriors`` batch-last, [n, B]."""
-        totals = self._totals
+    def _posteriors(self, totals=None) -> np.ndarray:
+        """``pseudoposteriors`` batch-last, [n, B], from the true r, or
+        from the per-bit products ``totals`` of r if they give the same
+        decisions."""
         if totals is None:
-            totals = [_loo_prod(r[self.g.bit_cells_t])[1] for r in self.r]
+            totals = [_loo_prod(r[self.g.bit_cells_t])[1] for r in self._true(self.r)]
         tot0, tot1 = self.prior[0, 0] * totals[0], self.prior[1, 0] * totals[1]
-        return tot1 / np.maximum(tot0 + tot1, _FLOOR)
+        norm = tot0 + tot1
+        if self._s and totals is self._totals:
+            if norm.min(initial=1.0) >= _ABSORB:
+                return tot1 / norm    # no floor is needed
+            if min(t.min(initial=1.0) for t in totals) <= self._phi:
+                return self._posteriors()
+        return tot1 / np.maximum(norm, _FLOOR)
 
     def pseudoposteriors(self) -> np.ndarray:
         """Per-bit flip probability from all incident checks, [B, n]."""
@@ -363,7 +425,7 @@ class SpaWorkspace:
         error).  Returns the estimates as [n + 1, B] uint8 with a zero
         row n, the input ``SpaGraph.parities`` takes, and the test, [B]
         bool."""
-        post = self._posteriors()
+        post = self._posteriors(self._totals)
         est = np.zeros((len(post) + 1, post.shape[1]), dtype=np.uint8)
         np.greater(post, 0.5, out=est[:-1].view(bool))
         return est, (self.g.parities(est) == self.checks).all(axis=0)

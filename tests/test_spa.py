@@ -328,37 +328,49 @@ def test_decode_batch_matches_reference_on_random_checks(seed, max_iter, prior):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["random", "mackay"]),
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["random", "mackay", "mackay at 0.04"]),
        st.sampled_from([1, 7]), st.integers(1, 6))
 def test_messages_match_reference_after_every_round(seed, name, b, rounds):
     """The kernel's messages, not only its decisions, are the
     reference's to the bit: after each of rounds 1..k, every row's q
-    equals the reference's q0 and q1 as bytes, and its r, read back out
-    of the check-slot-major cells through ``check_pos``, equals r0 and
-    r1.  The random checks have unequal degrees, so r has pad cells;
-    ex-MacKay's bits have unequal degrees."""
+    and r, read through the stand-in map ``_true`` (and r out of its
+    check-slot-major cells through ``check_pos``), equal the
+    reference's q0, q1, r0 and r1 as bytes.  The random checks have
+    unequal degrees, so r has pad cells; ex-MacKay's bits have unequal
+    degrees.  At 0.04, ``mc_high_p``'s higher prior, seven ex-MacKay
+    rows run 30 rounds more, enough for hard check messages, which r
+    and q hold as stand-ins."""
     rng = np.random.default_rng(seed)
-    if name == "mackay":
-        h, graph = _named_graph(name)
+    if name.startswith("mackay"):
+        h, graph = _named_graph("mackay")
     else:
         arr = (rng.random((int(rng.integers(2, 7)), int(rng.integers(3, 12)))) < 0.4)
         arr[0], arr[1, 0] = True, False     # check 0 is heavier than check 1
         h = BitMatrix.from_rows(arr.astype(np.uint8))
         graph = SpaGraph(h)
         assert graph.check_slots_t.size > graph.n_edges
-    syn = _random_syndromes(rng, h, b)
-    prior = rng.choice(PRIORS, size=b)
+    if name == "mackay at 0.04":
+        b, rounds = 7, rounds + 30
+        errs = (rng.random((b, h.cols)) < 0.04).astype(np.uint8)
+        syn, prior = (errs @ h.to_array().T) % 2, np.full(b, 0.04)
+    else:
+        syn, prior = _random_syndromes(rng, h, b), rng.choice(PRIORS, size=b)
     ws = SpaWorkspace(graph, syn, prior)
     refs = [_reference_rounds(h, syn[j], prior[j]) for j in range(b)]
+    hard = 0
     for _ in range(rounds):
         ws.horizontal_step()
         ws.vertical_step()
+        hard += int((ws.r == ws._phi).sum())
+        q, r = ws._true(ws.q), ws._true(ws.r)
         for j, ref in enumerate(refs):
             q0, q1, r0, r1, _ = next(ref)
-            assert ws.q[0, :-1, j].tobytes() == q0.tobytes()
-            assert ws.q[1, :-1, j].tobytes() == q1.tobytes()
-            assert ws.r[0, graph.check_pos, j].tobytes() == r0.tobytes()
-            assert ws.r[1, graph.check_pos, j].tobytes() == r1.tobytes()
+            assert q[0, :-1, j].tobytes() == q0.tobytes()
+            assert q[1, :-1, j].tobytes() == q1.tobytes()
+            assert r[0, graph.check_pos, j].tobytes() == r0.tobytes()
+            assert r[1, graph.check_pos, j].tobytes() == r1.tobytes()
+    if name == "mackay at 0.04":
+        assert hard > 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,6 +399,157 @@ def test_loo_prod_is_the_cumprod_reference(d, seed):
     assert total is None
     assert (0.5 + h).tobytes() == ((1.0 + sign * ref) / 2.0).tobytes()
     assert (0.5 - h).tobytes() == ((1.0 - sign * ref) / 2.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_check_messages_are_the_stand_in_or_at_least_2_54(seed, degrees):
+    """Every check message the horizontal step writes is the stand-in
+    phi or lies in [2^-54, 1], on checks of degree 1..12 with q0 and q1
+    drawn in [``_FLOOR``, 1], rows whose every edge has dq = +-1
+    exactly and both syndrome signs; and it is phi exactly where the
+    unfloored message (1 +- (-1)^z prod dq) / 2 is 0, so no genuine
+    message equals phi and mapping phi back to ``_FLOOR`` is exact."""
+    rng = np.random.default_rng(seed)
+    n, b = max(degrees) + 2, 16
+    arr = np.zeros((len(degrees), n), dtype=np.uint8)
+    for i, d in enumerate(degrees):
+        arr[i, rng.choice(n, d, replace=False)] = 1
+    graph = SpaGraph(BitMatrix.from_rows(arr))
+    ws = SpaWorkspace(graph, rng.integers(0, 2, (b, len(degrees))), 0.1)
+    assert ws._s > 0
+    e = graph.n_edges
+    q = 10.0 ** -rng.uniform(0.0, 300.0, (2, e, b))
+    q[rng.random((2, e, b)) < 0.2] = 1.0
+    ends = (rng.random((e, b)) < 0.5) | (rng.random(b) < 0.4)    # dq = +-1 exactly
+    q[:, ends] = rng.choice([(1.0, spa._FLOOR), (spa._FLOOR, 1.0)], int(ends.sum())).T
+    ws.q[:, :-1] = q
+    ws.horizontal_step()
+    real = ws.r[:, graph.check_pos]
+    assert ((real == ws._phi) | ((real >= 2.0 ** -54) & (real <= 1.0))).all()
+    # the unfloored messages from the cumprod reference, cell k * m + i
+    x = np.append(q[0] - q[1], np.ones((1, b)), axis=0)[graph.check_slots_t]    # [dc, m, B]
+    ref = _reference_loo(x.transpose(1, 2, 0).reshape(-1, len(x))).reshape(x.shape[1], b, -1)
+    ref = ref.transpose(2, 0, 1) * (1.0 - 2.0 * ws.checks)
+    unfloored = np.stack([(1.0 + ref) / 2.0, (1.0 - ref) / 2.0]).reshape(2, -1, b)
+    assert np.array_equal(real == ws._phi, unfloored[:, graph.check_pos] == 0.0)
+
+
+def _today_vertical(graph, r, prior):
+    """The vertical step and the tentative decision as the kernel made
+    them before hard messages had a stand-in, kept as the reference:
+    from the true r [2, dc * m + 1, B] and the priors [2, 1, B], q [2,
+    E, B], the posteriors [n, B] and the least message sum."""
+    b = r.shape[-1]
+    q = np.empty((2, graph.n_edges, b))
+    tot = []
+    for t in (0, 1):
+        loo, total = spa._loo_prod(r[t][graph.bit_cells_t])
+        q[t] = loo.reshape(-1, b)[graph.bit_pos]
+        tot.append(prior[t, 0] * total)
+    q *= prior
+    norm = q[0] + q[1]
+    q = np.maximum(q / np.maximum(norm, spa._FLOOR), spa._FLOOR)
+    return q, tot[1] / np.maximum(tot[0] + tot[1], spa._FLOOR), norm.min(initial=1.0)
+
+
+def _graph_of_bit_degrees(rng, degrees):
+    """The Tanner graph of a random H whose column j has weight
+    ``degrees[j]``."""
+    m = max(max(degrees), 4) + 2
+    arr = np.zeros((m, len(degrees)), dtype=np.uint8)
+    for j, d in enumerate(degrees):
+        arr[rng.choice(m, d, replace=False), j] = 1
+    return SpaGraph(BitMatrix.from_rows(arr))
+
+
+@pytest.mark.parametrize("degrees", ["1-8", "17"])
+def test_stand_in_steps_match_todays_arithmetic(degrees):
+    """The vertical step and ``decide`` on check messages with hard
+    ones as stand-ins give, through the stand-in map, the bytes of
+    q, the decisions and the ``pseudoposteriors`` that today's
+    arithmetic gives on the true r, ``_today_vertical``.  The draws put
+    hard messages in one plane of a bit, in both planes (which the fast
+    path cannot serve), two or more in one plane, and near-hard ones at
+    2^-54 (alone, they give message sums below ``_ABSORB`` that the
+    fast path serves), on irregular bits of degree 1..8 and on bits of
+    degree 17 (outside the stand-in's range), at flip priors from 1e-30
+    to 1 - 1e-12 and below ``_PRIOR_MIN``.  Both the fast path, with
+    small sums too, and the fallback run, in the vertical step and in
+    ``decide``."""
+    paths = {"fast": 0, "small sum": 0, "fallback": 0, "decide": 0}
+    vertical, posteriors = SpaWorkspace._vertical, SpaWorkspace._posteriors
+
+    def spy_vertical(ws, r, phi):
+        done = vertical(ws, r, phi)
+        if ws._s:
+            paths["fast" if done and phi != spa._FLOOR else "fallback"] += 1
+        return done
+
+    deciding = []
+
+    def spy_posteriors(ws, totals=None):
+        paths["decide"] += totals is None and any(deciding)    # decide's exact recompute
+        deciding.append(totals is not None)
+        try:
+            return posteriors(ws, totals)
+        finally:
+            deciding.pop()
+
+    cases = ["one plane", "both planes", "two in a plane", "near-hard", "small sums",
+             "low prior"]
+    with mock.patch.object(SpaWorkspace, "_vertical", spy_vertical), \
+            mock.patch.object(SpaWorkspace, "_posteriors", spy_posteriors):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            case = cases[seed % len(cases)]
+            n = int(rng.integers(6, 14))
+            if degrees == "17":
+                graph = _graph_of_bit_degrees(rng, [17] + list(rng.integers(1, 5, n - 1)))
+            else:
+                graph = _graph_of_bit_degrees(rng, rng.integers(1, 9, n))
+            b = 12
+            depth = (30.0, 12.0) if seed % 2 else (3.0, 3.0)    # how far priors go from 1/2
+            flip = 10.0 ** -rng.uniform(np.log10(2), depth[0], b)
+            high = rng.random(b) < 0.4
+            flip[high] = 1.0 - 10.0 ** -rng.uniform(np.log10(2), depth[1], int(high.sum()))
+            if seed % 2 or case == "small sums":
+                flip[:2] = 1e-30, 1 - 1e-12
+            if case == "low prior":
+                flip[2:4] = 1e-35, 1e-290
+            ws = SpaWorkspace(graph, np.zeros((b, graph.m), dtype=np.uint8), flip)
+            assert ws._s == (0 if degrees == "17" else spa._stand_in(len(graph.bit_slots_t)))
+            h = rng.uniform(-0.4, 0.4, (graph.check_slots_t.size, b))
+            cells = graph.bit_cells_t    # [dv, n], padded with the sentinel cell
+            for v in range(graph.n):
+                mine = cells[cells[:, v] < len(h), v]
+                if case == "one plane" and rng.random() < 0.5:
+                    h[mine[0]] = rng.choice([0.5, -0.5], b)
+                elif case == "both planes" and len(mine) >= 3 and rng.random() < 0.5:
+                    h[mine[0]], h[mine[1]] = 0.5, -0.5
+                elif case == "two in a plane" and len(mine) >= 3 and rng.random() < 0.5:
+                    h[mine[:2]] = rng.choice([0.5, -0.5])
+                elif case == "near-hard" and rng.random() < 0.5:
+                    h[mine[0]] = rng.choice([0.5, -0.5, 0.5 - 2.0 ** -54, 2.0 ** -54 - 0.5], b)
+                elif case == "small sums":
+                    h[mine[:2]] = rng.choice([0.5 - 2.0 ** -54, 2.0 ** -54 - 0.5], (min(len(mine), 2), b))
+            msgs = np.stack([0.5 + h, 0.5 - h])
+            ws.r[:, :-1] = np.maximum(msgs, ws._phi)
+            true_r = ws.r.copy()
+            true_r[:, :-1] = np.maximum(msgs, spa._FLOOR)
+            assert ws._true(ws.r).tobytes() == true_r.tobytes()
+            fast = paths["fast"]
+            ws.vertical_step()
+            q, post, least = _today_vertical(graph, true_r, ws.prior)
+            paths["small sum"] += paths["fast"] > fast and least < spa._ABSORB
+            assert ws._true(ws.q)[:, :-1].tobytes() == q.tobytes(), (seed, case)
+            est, ok = ws.decide()
+            assert np.array_equal(est[:-1], (post > 0.5).view(np.uint8)), (seed, case)
+            assert ws.pseudoposteriors().tobytes() == post.T.tobytes(), (seed, case)
+    if degrees == "17":
+        assert not any(paths.values())
+    else:
+        assert all(paths.values()), paths
 
 
 def _mackay_rows(b, p, seed):
