@@ -133,7 +133,7 @@ def _cmd_qcldpc(args) -> int:
         for i in range(e.J):
             for j in range(i, e.J):
                 d = qc_ldpc.row_difference(e, i, j)
-                print(f"  d[{i + 1}][{j + 1}] = {list(d.columns)} "
+                print(f"  d[{i + 1}][{j + 1}] = {list(d)} "
                       f"even={qc_ldpc.is_multiplicity_even(d)} "
                       f"free={qc_ldpc.is_multiplicity_free(d)}")
         hhT = f2.mat_mul(h, h.transpose())

@@ -3,8 +3,9 @@
 A J x L exponent matrix describes a binary parity check built from
 r x r circulant blocks: each entry is a monomial X^e (a cyclic
 permutation), a binomial X^e1 + X^e2, or zero.  Polynomials over
-GF(2)[X]/(X^r - 1) are packed into Python integers (bit i = coefficient
-of X^i).
+GF(2)[X]/(X^r - 1) have one form, a packed Python integer (bit i =
+coefficient of X^i): the first row of the r x r circulant.  Products
+are taken over GF(2)[X] and folded back below degree r by ``_cyclic``.
 
 Two rank pipelines are provided: bit-level Gaussian elimination on the
 expanded matrix, and a polynomial-domain route that diagonalizes the
@@ -14,7 +15,9 @@ gcd(d(X), X^r - 1).  They must agree; tests and reports cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,16 +26,15 @@ import numpy as np
 from .f2 import BitMatrix, _headed, _ints
 
 __all__ = [
-    "CircPoly",
     "ExponentEntry",
     "ExponentMatrix",
-    "DifferenceVector",
     "poly_deg",
     "poly_mul",
     "poly_divmod",
     "poly_mod",
     "poly_gcd",
     "circ_rank",
+    "circ_transpose",
     "expand",
     "row_difference",
     "is_multiplicity_even",
@@ -95,67 +97,30 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class CircPoly:
-    """Polynomial over GF(2)[X]/(X^r - 1), the first row of an r x r
-    circulant."""
-
-    r: int
-    coeffs: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("circulant size must be positive")
-        if self.coeffs >> self.r:
-            raise ValueError("coefficient above degree r - 1")
-
-    @classmethod
-    def from_exponents(cls, r: int, exponents) -> "CircPoly":
-        """Sum of X^e over ``exponents``, each in 0..r-1; an exponent
-        listed twice cancels."""
-        c = 0
-        for e in exponents:
-            if not 0 <= e < r:
-                raise ValueError(f"exponent {e} out of range for r={r}")
-            c ^= 1 << e
-        return cls(r, c)
-
-    def _match(self, other: "CircPoly"):
-        if self.r != other.r:
-            raise ValueError(f"circulant size mismatch: {self.r} != {other.r}")
-
-    def __add__(self, other: "CircPoly") -> "CircPoly":
-        self._match(other)
-        return CircPoly(self.r, self.coeffs ^ other.coeffs)
-
-    def __mul__(self, other: "CircPoly") -> "CircPoly":
-        self._match(other)
-        modulus = (1 << self.r) | 1
-        return CircPoly(self.r, poly_mod(poly_mul(self.coeffs, other.coeffs), modulus))
-
-    def transpose(self) -> "CircPoly":
-        """X^k -> X^{r-k}: the polynomial of the transposed circulant."""
-        out = 0
-        v = self.coeffs
-        while v:
-            k = (v & -v).bit_length() - 1
-            out ^= 1 << ((self.r - k) % self.r)
-            v &= v - 1
-        return CircPoly(self.r, out)
-
-    def to_matrix(self) -> BitMatrix:
-        return BitMatrix.packed_circulant(self.coeffs, self.r)
-
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
+def _cyclic(p: int, r: int) -> int:
+    """p mod X^r - 1: since X^r = 1, the bits at r and above fold onto
+    the low r bits."""
+    mask = (1 << r) - 1
+    while p >> r:
+        p = (p & mask) ^ (p >> r)
+    return p
 
 
-def circ_rank(p: CircPoly) -> int:
-    """GF(2) rank of the circulant: r - deg gcd(p(X), X^r - 1)."""
-    if p.coeffs == 0:
+def circ_transpose(p: int, r: int) -> int:
+    """X^k -> X^{r-k}: the polynomial of the transposed circulant."""
+    out = 0
+    while p:
+        k = (p & -p).bit_length() - 1
+        out ^= 1 << (-k % r)
+        p &= p - 1
+    return out
+
+
+def circ_rank(p: int, r: int) -> int:
+    """GF(2) rank of the r x r circulant of p: r - deg gcd(p(X), X^r - 1)."""
+    if p == 0:
         return 0
-    modulus = (1 << p.r) | 1
-    return p.r - poly_deg(poly_gcd(p.coeffs, modulus))
+    return r - poly_deg(poly_gcd(p, (1 << r) | 1))
 
 
 # -- exponent matrices ----------------------------------------------------
@@ -195,7 +160,13 @@ class ExponentEntry:
         return len(self.exponents) == 1
 
     def poly(self, r: int) -> int:
-        return CircPoly.from_exponents(r, self.exponents).coeffs
+        """Sum of X^e over the exponents, each in 0..r-1."""
+        p = 0
+        for e in self.exponents:
+            if not 0 <= e < r:
+                raise ValueError(f"exponent {e} out of range for r={r}")
+            p |= 1 << e
+        return p
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -262,20 +233,9 @@ def expand(e: ExponentMatrix) -> BitMatrix:
     return BitMatrix(e.J * r, e.L * r, tuple(rows))
 
 
-@dataclass(frozen=True)
-class DifferenceVector:
-    """Per-column residues (mod r) of the difference of two exponent
-    rows; zero blocks absorb into empty columns."""
-
-    r: int
-    columns: tuple[tuple[int, ...], ...]
-
-    def residues(self) -> list[int]:
-        return [d for col in self.columns for d in col]
-
-
-def row_difference(e: ExponentMatrix, i: int, j: int) -> DifferenceVector:
-    """Formal difference of exponent rows i and j.
+def row_difference(e: ExponentMatrix, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """Formal difference of exponent rows i and j, as one tuple of
+    residues mod r per column.
 
     A zero block in either row yields an empty column; otherwise the
     column holds every pairwise exponent difference, so binomial against
@@ -289,15 +249,15 @@ def row_difference(e: ExponentMatrix, i: int, j: int) -> DifferenceVector:
             cols.append(())
         else:
             cols.append(tuple((x - y) % e.r for x in a.exponents for y in b.exponents))
-    return DifferenceVector(e.r, tuple(cols))
+    return tuple(cols)
 
 
-def is_multiplicity_even(d: DifferenceVector) -> bool:
-    return all(v % 2 == 0 for v in Counter(d.residues()).values())
+def is_multiplicity_even(d: tuple[tuple[int, ...], ...]) -> bool:
+    return all(v % 2 == 0 for v in Counter(x for col in d for x in col).values())
 
 
-def is_multiplicity_free(d: DifferenceVector) -> bool:
-    res = d.residues()
+def is_multiplicity_free(d: tuple[tuple[int, ...], ...]) -> bool:
+    res = [x for col in d for x in col]
     return len(res) == len(set(res))
 
 
@@ -312,7 +272,7 @@ def girth_ge_6(e: ExponentMatrix) -> bool:
     ones.
     """
     for i in range(e.J):
-        self_res = [d for d in row_difference(e, i, i).residues() if d]
+        self_res = [d for col in row_difference(e, i, i) for d in col if d]
         if len(self_res) != len(set(self_res)):
             return False
         for j in range(i + 1, e.J):
@@ -390,19 +350,12 @@ def girth_exact(h: BitMatrix) -> float:
         frontier = nxt
 
 
-def hermitian_poly_product(e: ExponentMatrix) -> list[list[CircPoly]]:
+def hermitian_poly_product(e: ExponentMatrix) -> list[list[int]]:
     """J x J grid of H(X) H(X)^T with the transpose rule X^k -> X^{r-k}."""
-    grid = [[CircPoly(e.r, p) for p in row] for row in e.poly_grid()]
-    out = []
-    for i in range(e.J):
-        row = []
-        for j in range(e.J):
-            acc = CircPoly(e.r, 0)
-            for l in range(e.L):
-                acc = acc + (grid[i][l] * grid[j][l].transpose())
-            row.append(acc)
-        out.append(row)
-    return out
+    grid = e.poly_grid()
+    grid_t = [[circ_transpose(p, e.r) for p in row] for row in grid]
+    return [[_cyclic(functools.reduce(operator.xor, map(poly_mul, a, b), 0), e.r)
+             for b in grid_t] for a in grid]
 
 
 def rank_bound(e: ExponentMatrix) -> int:
@@ -420,13 +373,13 @@ def rank_bound(e: ExponentMatrix) -> int:
     (rank 8).  ``hermitian_rank_poly`` gives the rank itself."""
     hat = hermitian_poly_product(e)
     layer_sum = sum(
-        max(circ_rank(hat[i][j]) for j in range(e.J)) for i in range(e.J)
+        max(circ_rank(p, e.r) for p in row) for row in hat
     )
     bounds = [layer_sum]
     if e.is_type_i and e.L % 2 == 0:
-        modulus = (1 << e.r) | 1
+        # a product shares a factor with X^r - 1 iff its circulant is singular
         off_diag_share = all(
-            hat[i][j].coeffs == 0 or poly_deg(poly_gcd(hat[i][j].coeffs, modulus)) > 0
+            circ_rank(hat[i][j], e.r) < e.r
             for i in range(e.J)
             for j in range(e.J)
             if i != j
@@ -448,8 +401,7 @@ def qc_f2_rank(grid: list[list[int]], r: int) -> int:
     modulo X^r - 1), then each diagonal d contributes
     r - deg gcd(d, X^r - 1).
     """
-    modulus = (1 << r) | 1
-    M = [[poly_mod(p, modulus) for p in row] for row in grid]
+    M = [[_cyclic(p, r) for p in row] for row in grid]
     total = 0
     while any(map(any, M)):
         cells = [(i, j) for i, row in enumerate(M) for j, p in enumerate(row) if p]
@@ -464,28 +416,26 @@ def qc_f2_rank(grid: list[list[int]], r: int) -> int:
             for i in range(1, len(M)):
                 if M[i][0]:
                     q, rem = poly_divmod(M[i][0], pivot)
-                    M[i] = [poly_mod(a ^ poly_mul(q, b), modulus)
-                            for a, b in zip(M[i], M[0])]
+                    M[i] = [_cyclic(a ^ poly_mul(q, b), r) for a, b in zip(M[i], M[0])]
                     M[i][0] = rem
             for j in range(1, len(M[0])):
                 if M[0][j]:
                     q, rem = poly_divmod(M[0][j], pivot)
                     for i in range(len(M)):
-                        M[i][j] = poly_mod(M[i][j] ^ poly_mul(q, M[i][0]), modulus)
+                        M[i][j] = _cyclic(M[i][j] ^ poly_mul(q, M[i][0]), r)
                     M[0][j] = rem
             # a nonzero remainder has smaller degree than the pivot:
             # promote the least of them and reduce again
             cells = ([(0, j) for j in range(1, len(M[0])) if M[0][j]]
                      + [(i, 0) for i in range(1, len(M)) if M[i][0]])
-        total += circ_rank(CircPoly(r, M[0][0]))
+        total += circ_rank(M[0][0], r)
         M = [row[1:] for row in M[1:]]
     return total
 
 
 def hermitian_rank_poly(e: ExponentMatrix) -> int:
     """rank(H H^T) via the polynomial pipeline (the ebit count)."""
-    hat = hermitian_poly_product(e)
-    return qc_f2_rank([[p.coeffs for p in row] for row in hat], e.r)
+    return qc_f2_rank(hermitian_poly_product(e), e.r)
 
 
 def hermitian_corank_poly(e: ExponentMatrix) -> int:

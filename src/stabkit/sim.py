@@ -56,7 +56,7 @@ import numpy as np
 
 from .codes import QuantumCode
 from .f2 import pack_rows
-from .pauli import PauliVec, symplectic_product
+from .pauli import PauliVec
 # ``decode`` is re-exported: code that wraps or inspects ``sim.decode``
 # (the benchmark tracer) keeps working although trials use decode_stream
 from .spa import WIDTH, SpaGraph, decode, decode_stream  # noqa: F401
@@ -66,7 +66,6 @@ __all__ = [
     "SimPoint",
     "SimResult",
     "sample_depolarizing",
-    "syndrome",
     "run_point",
     "sweep",
     "wilson_interval",
@@ -280,19 +279,6 @@ def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliVec:
         raise ValueError(f"probability {p} outside [0, 1]")
     x_flip, z_flip = _flips(rng.random(n), p)
     return PauliVec(n, *pack_rows([z_flip, x_flip]))
-
-
-def syndrome(code: QuantumCode, error: PauliVec) -> np.ndarray:
-    """Symplectic product of the error against every measured generator.
-
-    Receiver-side halves of the entanglement pairs never see the
-    channel, so the syndrome is exactly these sender-side products; for
-    a CSS code this is (H e_x, H e_z) up to row bookkeeping.
-    """
-    if error.n != code.n:
-        raise ValueError("error length differs from code length")
-    gens = code.measured_gens()
-    return np.array([symplectic_product(g, error) for g in gens], dtype=np.uint8)
 
 
 @dataclass(frozen=True)

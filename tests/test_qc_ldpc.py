@@ -3,17 +3,17 @@ from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabkit import codes, f2, qc_ldpc
 from stabkit.f2 import BitMatrix
 from stabkit.qc_ldpc import (
-    CircPoly,
     ExponentEntry,
     ExponentMatrix,
     block_shift,
     circ_rank,
+    circ_transpose,
     dual_containing_qc,
     expand,
     expansion_rank_poly,
@@ -32,6 +32,8 @@ from stabkit.qc_ldpc import (
     format_exponent,
     poly_deg,
     poly_gcd,
+    poly_mod,
+    poly_mul,
     qc_f2_rank,
     rank_bound,
     row_difference,
@@ -62,49 +64,57 @@ def _type_ii_intro():
 
 # -- circulant polynomials ---------------------------------------------------
 
+def _poly(*exponents) -> int:
+    return sum(1 << e for e in exponents)
+
+
+def _circ(p: int, r: int) -> BitMatrix:
+    return BitMatrix.packed_circulant(p, r)
+
+
 def test_circ_rank_zero_and_identity():
-    assert circ_rank(CircPoly(8, 0)) == 0
-    assert circ_rank(CircPoly(8, 1)) == 8
+    assert circ_rank(0, 8) == 0
+    assert circ_rank(1, 8) == 8
 
 
 def test_circ_rank_even_support_matches_elimination():
-    p = CircPoly.from_exponents(16, [2 * k for k in range(8)])
-    assert circ_rank(p) == f2.rank(p.to_matrix()) == 2
+    p = _poly(*range(0, 16, 2))
+    assert circ_rank(p, 16) == f2.rank(_circ(p, 16)) == 2
 
 
 def test_rank_theorem_spaced_support():
     # support at multiples of p gives rank p
     for p_, q_ in ((2, 3), (2, 8), (4, 4), (3, 5)):
         r = p_ * q_
-        poly = CircPoly.from_exponents(r, [p_ * i for i in range(q_)])
-        assert circ_rank(poly) == p_
-        assert f2.rank(poly.to_matrix()) == p_
+        poly = _poly(*(p_ * i for i in range(q_)))
+        assert circ_rank(poly, r) == p_
+        assert f2.rank(_circ(poly, r)) == p_
 
 
 def test_rank_theorem_initial_run():
     # support on 0..p-1 gives rank r - p + 1
     for p_, q_ in ((2, 3), (4, 4), (2, 8)):
         r = p_ * q_
-        poly = CircPoly.from_exponents(r, list(range(p_)))
-        assert circ_rank(poly) == r - p_ + 1
-        assert f2.rank(poly.to_matrix()) == r - p_ + 1
+        poly = _poly(*range(p_))
+        assert circ_rank(poly, r) == r - p_ + 1
+        assert f2.rank(_circ(poly, r)) == r - p_ + 1
 
 
 def test_divisor_rank_upper_bound():
     """A weight-w divisor of X^r - 1 has rank at most r - w + 1 (its
     degree is at least w - 1)."""
     cases = [
-        CircPoly.from_exponents(16, [0, 8]),                # X^8 + 1
-        CircPoly.from_exponents(16, [2 * k for k in range(8)]),
-        CircPoly.from_exponents(12, [0, 1, 2]),
-        CircPoly.from_exponents(6, [0, 3]),
+        (16, _poly(0, 8)),                # X^8 + 1
+        (16, _poly(*range(0, 16, 2))),
+        (12, _poly(0, 1, 2)),
+        (6, _poly(0, 3)),
     ]
-    for p in cases:
-        modulus = (1 << p.r) | 1
-        assert qc_ldpc.poly_mod(modulus, p.coeffs) == 0 or \
-            poly_gcd(p.coeffs, modulus) == p.coeffs  # really a divisor
-        w = bin(p.coeffs).count("1")
-        assert circ_rank(p) <= p.r - w + 1
+    for r, p in cases:
+        modulus = (1 << r) | 1
+        assert poly_mod(modulus, p) == 0 or \
+            poly_gcd(p, modulus) == p  # really a divisor
+        w = bin(p).count("1")
+        assert circ_rank(p, r) <= r - w + 1
 
 
 def test_poly_ring_isomorphism_random():
@@ -113,20 +123,44 @@ def test_poly_ring_isomorphism_random():
     rng = np.random.default_rng(2)
     for _ in range(100):
         r = int(rng.integers(2, 33))
-        a = CircPoly(r, int(rng.integers(1 << r)))
-        b = CircPoly(r, int(rng.integers(1 << r)))
-        ma, mb = a.to_matrix(), b.to_matrix()
+        a = int(rng.integers(1 << r))
+        b = int(rng.integers(1 << r))
+        ma, mb = _circ(a, r), _circ(b, r)
         sum_bits = tuple(x ^ y for x, y in zip(ma.bits, mb.bits))
-        assert (a + b).to_matrix().bits == sum_bits
-        assert (a * b).to_matrix().bits == f2.mat_mul(ma, mb).bits
+        assert _circ(a ^ b, r).bits == sum_bits
+        product = poly_mod(poly_mul(a, b), (1 << r) | 1)
+        assert _circ(product, r).bits == f2.mat_mul(ma, mb).bits
 
 
 def test_transpose_matches_matrix_transpose():
     rng = np.random.default_rng(3)
     for _ in range(20):
         r = int(rng.integers(2, 20))
-        p = CircPoly(r, int(rng.integers(1 << r)))
-        assert p.transpose().to_matrix().bits == p.to_matrix().transpose().bits
+        p = int(rng.integers(1 << r))
+        assert _circ(circ_transpose(p, r), r).bits == _circ(p, r).transpose().bits
+
+
+_REDUCED = st.integers(1, 64).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, (1 << r) - 1)))
+_UNREDUCED = st.integers(1, 64).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, (1 << (3 * r)) - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_REDUCED)
+def test_circ_transpose_is_an_involution(rp):
+    r, p = rp
+    assert circ_transpose(circ_transpose(p, r), r) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_UNREDUCED)
+@example((1, 0b101))
+@example((1, 0b100))
+def test_cyclic_fold_matches_poly_mod(rp):
+    """At r = 1, X - 1 = X + 1 and the fold is the parity of p."""
+    r, p = rp
+    assert qc_ldpc._cyclic(p, r) == poly_mod(p, (1 << r) | 1)
 
 
 # -- expansion -----------------------------------------------------------------
@@ -202,31 +236,31 @@ def test_expand_type_ii_layer_one_has_4cycles():
 def test_row_difference_type_i():
     e = _type_i_intro()
     d21 = row_difference(e, 1, 0)
-    assert [c[0] for c in d21.columns] == [1, 4, 2, 4, 1, 4, 2, 4]
+    assert [c[0] for c in d21] == [1, 4, 2, 4, 1, 4, 2, 4]
     d31 = row_difference(e, 2, 0)
-    assert [c[0] for c in d31.columns] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert [c[0] for c in d31] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert is_multiplicity_even(d21)
     assert not is_multiplicity_even(d31)
     assert is_multiplicity_free(d31)
     d32 = row_difference(e, 2, 1)
-    assert [c[0] for c in d32.columns] == [0, 14, 1, 0, 4, 2, 5, 4]
+    assert [c[0] for c in d32] == [0, 14, 1, 0, 4, 2, 5, 4]
     assert not is_multiplicity_even(d32)
 
 
 def test_row_difference_type_ii():
     e = _type_ii_intro()
     d32 = row_difference(e, 2, 1)
-    assert [Counter(c) for c in d32.columns] == [
+    assert [Counter(c) for c in d32] == [
         Counter(), Counter((12, 3)), Counter(), Counter((11, 1))]
     assert is_multiplicity_free(d32)
     d22 = row_difference(e, 1, 1)
-    assert [c for c in d22.columns] == [(0,), (0,), (0,), (0,)]
+    assert d22 == ((0,), (0,), (0,), (0,))
     d11 = row_difference(e, 0, 0)
-    assert [Counter(c) for c in d11.columns] == [
+    assert [Counter(c) for c in d11] == [
         Counter((0, 3, 13, 0)), Counter(), Counter((0, 3, 13, 0)), Counter()]
     assert is_multiplicity_even(d11)
     d31 = row_difference(e, 2, 0)
-    assert all(c == () for c in d31.columns)
+    assert all(c == () for c in d31)
     assert is_multiplicity_even(d31) and is_multiplicity_free(d31)
 
 
@@ -391,10 +425,10 @@ def test_dual_containing_matches_bit_level():
 def test_hermitian_product_ex1():
     e = make_ex1()
     hat = hermitian_poly_product(e)
-    expect_a = CircPoly.from_exponents(16, range(8))
-    expect_b = CircPoly.from_exponents(16, [2 * k for k in range(8)])
+    expect_a = _poly(*range(8))
+    expect_b = _poly(*range(0, 16, 2))
     for i in range(3):
-        assert hat[i][i].is_zero()
+        assert hat[i][i] == 0
     assert hat[1][0] == expect_a
     assert hat[2][1] == expect_a
     assert hat[2][0] == expect_b
@@ -402,8 +436,8 @@ def test_hermitian_product_ex1():
 
 def test_hermitian_product_ex2():
     hat = hermitian_poly_product(make_ex2())
-    assert hat[1][1].is_zero()
-    assert hat[0][0] == CircPoly.from_exponents(16, [1 + 2 * k for k in range(8)])
+    assert hat[1][1] == 0
+    assert hat[0][0] == _poly(*range(1, 16, 2))
 
 
 def test_hermitian_grid_matches_bit_product():
@@ -416,7 +450,7 @@ def test_hermitian_grid_matches_bit_product():
         hat = hermitian_poly_product(e)
         grid_rows = []
         for i in range(e.J):
-            blocks = [p.to_matrix() for p in hat[i]]
+            blocks = [_circ(p, e.r) for p in hat[i]]
             row = blocks[0]
             for b in blocks[1:]:
                 row = row.hstack(b)
@@ -428,8 +462,14 @@ def test_hermitian_grid_matches_bit_product():
 
 
 def test_rank_bound_examples():
-    assert rank_bound(make_ex2()) == 27
-    assert rank_bound(make_ex1()) == 27
+    """The values ``rank_bound``'s docstring quotes, next to the ranks
+    they miss on either side."""
+    hi_c, hi_d = make_ex_hi()
+    small = ExponentMatrix.from_lists(5, [[2, 0, 0, 0], [0, 3, 2, 3]])
+    for e, bound, rank in ((make_ex1(), 27, 18), (make_ex2(), 27, 18),
+                           (hi_c, 12, 16), (hi_d, 12, 16), (small, 4, 8)):
+        assert rank_bound(e) == bound
+        assert hermitian_rank_poly(e) == rank
     zero = ExponentMatrix.from_lists(4, [[None, None], [None, None]])
     assert rank_bound(zero) == 0
 
@@ -636,15 +676,13 @@ def test_entry_validation():
         ExponentEntry((1, 2, 3))
 
 
-@pytest.mark.parametrize("exponents, bad", [([5, 1], 5), ([4], 4), ([0, -1], -1)])
-def test_circpoly_from_exponents_rejects_out_of_range(exponents, bad):
-    """``from_exponents(4, [5, 1])`` used to reduce 5 mod 4 and cancel
-    it against 1, giving the zero polynomial."""
+@pytest.mark.parametrize("exponents, bad", [((5, 1), 5), ((4,), 4), ((0, -1), -1)])
+def test_entry_poly_rejects_out_of_range(exponents, bad):
+    """An exponent outside 0..r-1 raises rather than being reduced mod
+    r: 5 at r = 4 would cancel against 1 and give the zero polynomial."""
     message = rf"^exponent {bad} out of range for r=4$"
     with pytest.raises(ValueError, match=message):
-        CircPoly.from_exponents(4, exponents)
-    with pytest.raises(ValueError, match=message):
-        ExponentEntry.monomial(bad).poly(4)
+        ExponentEntry(exponents).poly(4)
 
 
 @pytest.mark.parametrize("m", [0, -1])

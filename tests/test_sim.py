@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from stabkit import codes, f2, pauli, qc_ldpc, sim, spa
 from stabkit.codes import builtin
-from stabkit.pauli import PauliVec, symplectic_product, weight
+from stabkit.pauli import PauliVec, weight
 from stabkit.sim import (
     SimConfig,
     sample_depolarizing,
     run_point,
     sweep,
-    syndrome,
     wilson_interval,
 )
 
@@ -46,34 +45,6 @@ def test_sample_mean_weight():
     e = sample_depolarizing(n, p, rng)
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(weight(e) - p * n) < 3 * sigma
-
-
-def test_syndrome_identity_error():
-    code = builtin("steane7")
-    s = syndrome(code, PauliVec(7, 0, 0))
-    assert not s.any()
-
-
-def test_syndrome_shor_single_x():
-    code = builtin("shor9")
-    # X on qubit 2 anticommutes with exactly the ZZ checks on qubits
-    # 1-2 and 2-3
-    x2 = PauliVec(9, 0, 0b10)
-    s = syndrome(code, x2)
-    assert list(np.flatnonzero(s)) == [0, 1]
-    # X on qubit 1 touches only the first check
-    x1 = PauliVec(9, 0, 0b1)
-    assert list(np.flatnonzero(syndrome(code, x1))) == [0]
-
-
-def test_syndrome_matches_generator_products():
-    h = qc_ldpc.expand(qc_ldpc.make_ex1())
-    code = codes.build_eaqecc_binary(h)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        err = sample_depolarizing(code.n, 0.05, rng)
-        expect = [symplectic_product(g, err) for g in code.measured_gens()]
-        assert list(syndrome(code, err)) == expect
 
 
 def test_wilson_interval_basics():
@@ -393,11 +364,6 @@ def test_chunk_memory_flat_in_trial_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
-
-
-def test_syndrome_length_mismatch():
-    with pytest.raises(ValueError):
-        syndrome(builtin("steane7"), PauliVec(6, 0, 0))
 
 
 # CSVs of ``sweep`` recorded before the trial loop decoded in blocks;
