@@ -198,6 +198,15 @@ class QuantumCode:
                     raise ValueError("logical Z does not commute with a generator")
                 if (tri[a] >> (z + 1)) & 1:
                     raise ValueError("logical X does not commute with a generator")
+        for a in range(m, len(tri)):
+            # a logical row commutes with every later one but its partner
+            partner = 1 << (a + 1) if (a - m) % 2 == 0 else 0
+            clash = (tri[a] & ~partner) >> (a + 1)
+            if clash:
+                b = a + (clash & -clash).bit_length()
+                raise ValueError(
+                    f"logical pairs #{(a - m) // 2} and #{(b - m) // 2} do not commute"
+                )
 
 
 # -- constructions --------------------------------------------------------

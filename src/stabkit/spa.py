@@ -34,8 +34,9 @@ of one.  The convergence test, ``SpaWorkspace.decide``, stays in the
 kernel's layout as well: estimates [n, B], their parities
 (``SpaGraph.parities``, the one parity routine) [m, B] against a
 check-major copy of the syndromes; only finished rows become [B, n]
-rows.  A refilled slot restarts its q only: the next horizontal step
-rewrites all of r before any read.
+rows.  ``SpaWorkspace`` owns every batch-last array of the run, and a
+refilled slot restarts its q only: the next horizontal step rewrites
+all of r before any read.
 
 A row whose messages repeat exactly leaves early, with the result it
 would have after ``max_iter`` rounds.  The bit-to-check messages q
@@ -235,13 +236,17 @@ def _inputs(syndromes: np.ndarray, prior_flip, m: int) -> tuple[np.ndarray, np.n
 
 
 class SpaWorkspace:
-    """Message state of one decoding run over a batch of syndromes.
+    """The state of one decoding run over a batch of syndromes, the one
+    owner of its batch-last arrays (``BATCH``): rows enter through
+    ``admit``, the first fill included, and leave through ``keep``.
 
     A 2-D syndrome array [B, m] is a batch of B independent rows; any
     other shape is raveled into one syndrome, a batch of one.
     ``prior_flip`` is one flip probability for every row or one per row.
     ``pseudoposteriors`` are [B, n]; ``decide`` is the hard decision and
-    convergence test of every row.
+    convergence test of every row, and ``exits`` ends the rows caught in
+    an exact message cycle.  A stream keeps each row's block id, row and
+    round count in ``ids``, ``rows`` and ``age``.
 
     The messages are batch-last, the 0- (t = 0) and 1-messages (t = 1)
     of every row, so a gather moves whole batch rows.  ``q[t, e, b]``
@@ -265,9 +270,13 @@ class SpaWorkspace:
     ``_FLOOR``, so the products built on it stay out of the slow
     subnormal range, and q holds each message computed from one as its
     true value times 2^s; ``_true`` maps both back exactly.  A round in
-    which a message sum or a prior leaves the range where that holds
-    runs on the true r.
+    which a message sum, or a prior of a row present, leaves the range
+    where that holds runs on the true r.
     """
+
+    #: every batch-last array of a run: ``keep`` compresses them all
+    BATCH = ("checks", "half", "prior", "q", "r", "fps", "ests", "since", "snap_fp",
+             "ids", "rows", "age")
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
@@ -278,39 +287,37 @@ class SpaWorkspace:
         self.g = graph
         self._s = _stand_in(len(graph.bit_slots_t))
         self._phi = _FLOOR * 2.0 ** self._s
-        self._fast = self._s > 0    # the vertical step may use the stand-in
-        self.checks = np.ascontiguousarray(syndrome.T)
-        self.half = 0.5 - self.checks   # (-1)^z / 2 per check, [m, B]
+        self.checks = np.empty((graph.m, b), dtype=np.uint8)
+        self.half = np.empty((graph.m, b))   # (-1)^z / 2 per check
         # prior[t, 0, b]: the 0- (t = 0) and 1-probability of row b
         self.prior = np.empty((2, 1, b))
-        self._put_prior(np.arange(b), flip)
         self.q = np.empty((2, graph.n_edges + 1, b))
-        self.q[:, :-1] = self.prior
         self.q[:, -1] = _Q_SENTINEL
         self.r = np.ones((2, graph.check_slots_t.size + 1, b))
         self.r[:, :-1] = 0.0
-        self._totals = None   # per-bit products of r, from the last vertical step
+        self.fps = np.full((_RING, b), np.nan)
+        self.ests = np.zeros((_RING, graph.n, b), dtype=np.uint8)
+        self.since = np.empty(b, dtype=np.int64)    # age of the row's copy
+        self.snap_fp = np.full(b, np.nan)
+        self.snaps = {}     # slot -> bits of the row's q at its copy
+        self.round = 0      # recorded rounds, for the rings
+        self.ids = np.zeros(b, dtype=np.int64)
+        self.rows = np.zeros(b, dtype=np.int64)
+        self.age = np.empty(b, dtype=np.int64)
+        self.admit(np.arange(b), syndrome, flip)
 
-    syndrome = property(lambda self: self.checks.T)
-
-    def _put_prior(self, slots: np.ndarray, flip: np.ndarray):
-        """Give the batch rows ``slots`` the flip probabilities ``flip``,
-        already checked, one per slot; ``admit`` starts their messages
-        from them."""
-        self.prior[1, 0, slots] = flip
-        self.prior[0, 0, slots] = 1.0 - flip
-        # 1 - flip >= 2^-53 > _PRIOR_MIN, as flip < 1
-        self._fast = self._fast and flip.min(initial=1.0) >= _PRIOR_MIN
-
-    def admit(self, slots: np.ndarray, syndromes: np.ndarray):
+    def admit(self, slots: np.ndarray, syndromes: np.ndarray, flip: np.ndarray):
         """Restart the batch rows ``slots`` on new syndromes (a [k, m]
-        array): their q goes back to their prior.  Their r is left as it
-        is, because the next horizontal step rewrites all of r before
-        anything reads it; until then, ``pseudoposteriors`` of these
-        rows are stale."""
+        array) at flip probabilities ``flip`` (checked, one per slot):
+        their q goes back to their prior, their age to 0.  Their r is
+        left as it is, because the next horizontal step rewrites all of
+        r before anything reads it; until then, ``pseudoposteriors`` of
+        these rows are stale."""
         checks = syndromes.T & 1
         self.checks[:, slots] = checks
         self.half[:, slots] = 0.5 - checks
+        self.prior[1, 0, slots] = flip
+        self.prior[0, 0, slots] = 1.0 - flip
         body = self.q[:, :-1]
         others = body.shape[-1] - len(slots)
         if 2 * others < len(slots):
@@ -324,18 +331,20 @@ class SpaWorkspace:
             body[..., kept] = old
         else:
             body[..., slots] = self.prior[..., slots]
-        self._totals = None
+        self.since[slots] = _IDLE
+        self.age[slots] = 0
+        self._totals = None   # per-bit products of r, from the last vertical step
 
-    def keep(self, rows: np.ndarray):
-        """Carry on with the batch rows selected by ``rows`` (a boolean
-        mask over the batch) only.  ``compress`` keeps every array
-        C-ordered with the batch axis last; fancy indexing would put it
-        first in memory and make every later step stride over it."""
-        self.checks = self.checks.compress(rows, axis=-1)
-        self.half = self.half.compress(rows, axis=-1)
-        self.prior = self.prior.compress(rows, axis=-1)
-        self.q = self.q.compress(rows, axis=-1)
-        self.r = self.r.compress(rows, axis=-1)
+    def keep(self, kept: np.ndarray):
+        """Carry on with the batch rows selected by ``kept`` (a boolean
+        mask over the batch) only.  ``compress`` keeps every array of
+        ``BATCH`` C-ordered with the batch axis last; fancy indexing
+        would put it first in memory and make every later step stride
+        over it."""
+        for name in self.BATCH:
+            setattr(self, name, getattr(self, name).compress(kept, axis=-1))
+        slot = np.cumsum(kept) - 1
+        self.snaps = {int(slot[j]): c for j, c in self.snaps.items() if kept[j]}
         self._totals = None
 
     def horizontal_step(self):
@@ -369,8 +378,12 @@ class SpaWorkspace:
     def vertical_step(self):
         """Bit-to-check messages, renormalized so q0 + q1 = 1 per edge,
         into q.  Where the stand-in does not keep every value exact, the
-        step runs on the true r and maps its q to stand-in form."""
-        if not (self._fast and self._vertical(self.r, self._phi)):
+        step runs on the true r and maps its q to stand-in form, so each
+        step may take either path: the stand-in needs every flip prior
+        of the rows present to be at least ``_PRIOR_MIN``."""
+        # 1 - flip >= 2^-53 > _PRIOR_MIN, as flip < 1
+        fast = self._s and self.prior[1].min(initial=1.0) >= _PRIOR_MIN
+        if not (fast and self._vertical(self.r, self._phi)):
             self._vertical(self._true(self.r), _FLOOR)
             if self._s:
                 self.q[...] = self._true(self.q)
@@ -430,6 +443,60 @@ class SpaWorkspace:
         np.greater(post, 0.5, out=est[:-1].view(bool))
         return est, (self.g.parities(est) == self.checks).all(axis=0)
 
+    def exits(self, estimate: np.ndarray, ok: np.ndarray, max_iter: int) -> np.ndarray:
+        """Record the round just run, and flag in a [B] mask the rows,
+        none of them ``ok``, whose q equals their copy from k <= K =
+        ``_RING`` rounds ago.  They repeat with period k, so their rows
+        of ``estimate`` [B, n] become their estimate at ``max_iter``
+        rounds, and their age ``max_iter``.
+
+        Two rings are indexed by the recorded round s, at entry s % K,
+        so every round writes one contiguous row of each: ``fps`` [K,
+        B] holds each row's fingerprint (NaN before the first) and
+        ``ests`` [K, n, B] its tentative estimate.  A row whose
+        fingerprint equals one of its last K gets the bits of its q
+        copied into ``snaps``, and the copy is compared bit for bit with
+        q at each of the next K rounds whose fingerprint equals the
+        copy's, ``snap_fp``.  A fingerprint match alone ends no row.
+
+        Most rows converge within a few rounds, so a round in which
+        every row is younger than K rounds is not recorded, and s counts
+        recorded rounds only.  A row is copied only at an age of K or
+        more: every later round of the row is then recorded, so k rounds
+        back in the rings is k rounds back in the row's life.
+        """
+        cycled = np.zeros(len(ok), dtype=bool)
+        if self.age.max() < _RING:
+            return cycled
+        s, self.round = self.round, self.round + 1
+        self.ests[s % _RING] = estimate.T
+        fp = _fingerprint(self.q)
+        check = (self.snap_fp == fp).nonzero()[0]
+        hits = (self.fps == fp).ravel().nonzero()[0]
+        self.fps[s % _RING] = fp
+        if not (len(check) or len(hits)):
+            return cycled
+        # few rows match in a round, so they are taken one at a time
+        ages, done, since = self.age.tolist(), ok.tolist(), self.since.tolist()
+        bits = self.q.view(np.uint64)
+        for j in check.tolist():
+            k = ages[j] - since[j]
+            if done[j] or k > _RING or not (bits[..., j] == self.snaps[j]).all():
+                continue
+            # est(a + k) = est(a) for every age a past the copy, so the
+            # estimate at max_iter is (age - max_iter) mod k rounds back
+            back = (ages[j] - max_iter) % k
+            estimate[j] = self.ests[(s - back) % _RING, :, j]
+            cycled[j] = True
+        for j in set((hits % len(ages)).tolist()):
+            if (_RING <= ages[j] < max_iter - 1 and ages[j] - since[j] > _RING
+                    and not done[j]):
+                self.snaps[j] = bits[..., j].copy()
+                self.snap_fp[j] = fp[j]
+                self.since[j] = ages[j]
+        self.age[cycled] = max_iter
+        return cycled
+
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -479,7 +546,7 @@ class _Feed:
         self.blocks = iter(blocks)
         self.max_iter = max_iter
         self.open: deque[_Block] = deque()    # not yet released, in order
-        self.queued: deque[_Block] = deque()  # with rows still to hand out
+        self.queued: _Block | None = None     # with rows still to hand out
         self.pulled = 0                       # blocks pulled so far
 
     def take(self, k: int):
@@ -487,23 +554,22 @@ class _Feed:
         priors)``; fewer only when the stream has run dry."""
         parts = []
         while k:
-            if not self.queued:
+            if self.queued is None:
                 item = next(self.blocks, None)
                 if item is None:
                     break
                 syndromes, prior_flip = item
-                block = _Block(self.pulled, self.graph, syndromes, prior_flip, self.max_iter)
+                self.queued = _Block(self.pulled, self.graph, syndromes, prior_flip,
+                                     self.max_iter)
                 self.pulled += 1
-                self.open.append(block)
-                if len(block.queue):
-                    self.queued.append(block)
-                continue
-            block = self.queued[0]
+                self.open.append(self.queued)
+            block = self.queued
             rows, block.queue = block.queue[:k], block.queue[k:]
             if not len(block.queue):
-                self.queued.popleft()
-            parts.append((block, rows))
-            k -= len(rows)
+                self.queued = None
+            if len(rows):
+                parts.append((block, rows))
+                k -= len(rows)
         if not parts:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, np.zeros((0, self.graph.m), dtype=np.uint8), np.zeros(0)
@@ -512,9 +578,9 @@ class _Feed:
             return fields[0]
         return tuple(np.concatenate(f) for f in zip(*fields))
 
-    def finish(self, ids, rows, estimates, converged, iterations, cycled=None):
+    def finish(self, ids, rows, estimates, converged, iterations, cycled):
         """Record the results of finished rows; ``cycled`` flags those
-        ended on a message cycle (None: none was)."""
+        ended on a message cycle."""
         first = self.open[0].id
         if (ids == ids[0]).all():   # the usual case: rows of one block
             parts = [(ids[0], slice(None))]
@@ -526,8 +592,7 @@ class _Feed:
             block.estimates[r] = estimates[sel]
             block.converged[r] = converged[sel]
             block.iterations[r] = iterations[sel]
-            if cycled is not None:
-                block.cycled[r] = cycled[sel]
+            block.cycled[r] = cycled[sel]
             block.pending -= len(r)
 
     def ready(self):
@@ -573,121 +638,31 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     return _stream(_Feed(graph, blocks, max_iter), max_iter)
 
 
-class _Cycles:
-    """Exact-cycle exits for the rows of one kernel.
-
-    Two rings are indexed by the global round s, at entry s % K (K =
-    ``_RING``), so every round writes one contiguous row of each:
-    ``fps`` [K, B] holds each row's fingerprint (NaN before the first)
-    and ``ests`` [K, n, B] its tentative estimate.  A row whose
-    fingerprint equals one of its last K gets the bits of its q copied
-    into ``snaps``, and the copy is compared bit for bit with q at each
-    of the next K rounds whose fingerprint equals the copy's,
-    ``snap_fp``.  A fingerprint match alone ends no row.
-
-    Most rows converge within a few rounds, so a round in which every
-    row is younger than K rounds is not recorded, and s counts recorded
-    rounds only.  A row is copied only at an age of K or more: every
-    later round of the row is then recorded, so k rounds back in the
-    rings is k rounds back in the row's life.
-    """
-
-    def __init__(self, b: int, n: int, max_iter: int):
-        self.max_iter = max_iter
-        self.round = 0
-        self.fps = np.full((_RING, b), np.nan)
-        self.ests = np.zeros((_RING, n, b), dtype=np.uint8)
-        self.since = np.full(b, _IDLE)     # age of the row's copy
-        self.snap_fp = np.full(b, np.nan)
-        self.snaps = {}                    # slot -> bits of the row's q at its copy
-
-    def admit(self, slots: np.ndarray):
-        self.since[slots] = _IDLE
-
-    def keep(self, rows: np.ndarray):
-        """As ``SpaWorkspace.keep``."""
-        self.fps = self.fps.compress(rows, axis=-1)
-        self.ests = self.ests.compress(rows, axis=-1)
-        self.since = self.since[rows]
-        self.snap_fp = self.snap_fp[rows]
-        slot = np.cumsum(rows) - 1
-        self.snaps = {int(slot[j]): c for j, c in self.snaps.items() if rows[j]}
-
-    def step(self, q: np.ndarray, estimate: np.ndarray, ok: np.ndarray,
-             age: np.ndarray) -> np.ndarray | None:
-        """Record the round just run, of rows at ``age`` with messages
-        ``q``, and return the rows, none of them ``ok``, whose q equals
-        their copy from k <= K rounds ago, or None if there are none.
-        Their rounds repeat with period k, so their rows of ``estimate``
-        are replaced by the estimate they would stop at after
-        ``max_iter`` rounds."""
-        if age.max() < _RING:
-            return None
-        s, self.round = self.round, self.round + 1
-        self.ests[s % _RING] = estimate.T
-        fp = _fingerprint(q)
-        check = (self.snap_fp == fp).nonzero()[0]
-        hits = (self.fps == fp).ravel().nonzero()[0]
-        self.fps[s % _RING] = fp
-        if not (len(check) or len(hits)):
-            return None
-        # few rows match in a round, so they are taken one at a time
-        ages, done, since = age.tolist(), ok.tolist(), self.since.tolist()
-        bits = q.view(np.uint64)
-        cycled = []
-        for j in check.tolist():
-            k = ages[j] - since[j]
-            if done[j] or k > _RING or not (bits[..., j] == self.snaps[j]).all():
-                continue
-            # est(a + k) = est(a) for every age a past the copy, so the
-            # estimate at max_iter is (age - max_iter) mod k rounds back
-            back = (ages[j] - self.max_iter) % k
-            estimate[j] = self.ests[(s - back) % _RING, :, j]
-            cycled.append(j)
-        for j in set((hits % len(ages)).tolist()):
-            if (_RING <= ages[j] < self.max_iter - 1 and ages[j] - since[j] > _RING
-                    and not done[j]):
-                self.snaps[j] = bits[..., j].copy()
-                self.snap_fp[j] = fp[j]
-                self.since[j] = ages[j]
-        return np.array(cycled) if cycled else None
-
-
 def _stream(feed: _Feed, max_iter: int):
-    ids, active, syn, flip = feed.take(WIDTH)
-    if len(active):
-        ws = SpaWorkspace(feed.graph, syn, flip)
-        age = np.zeros(len(active), dtype=np.int64)
-        cycles = _Cycles(len(active), feed.graph.n, max_iter)
-    while len(active):
+    ids, rows, syn, flip = feed.take(WIDTH)
+    ws = SpaWorkspace(feed.graph, syn, flip)
+    ws.ids[:], ws.rows[:] = ids, rows
+    while len(ws.rows):
         ws.horizontal_step()
         ws.vertical_step()
-        age += 1
+        ws.age += 1
         est, ok = ws.decide()
         estimate = est[:-1].T    # a [B, n] view: only finished rows are copied out
-        cycled = cycles.step(ws.q, estimate, ok, age)
-        if cycled is not None:
-            age[cycled] = max_iter
-        done = ok | (age == max_iter)
+        cycled = ws.exits(estimate, ok, max_iter)
+        done = ok | (ws.age == max_iter)
         if done.any():
             slots = np.flatnonzero(done)
-            feed.finish(ids[slots], active[slots], estimate[slots], ok[slots], age[slots],
-                        None if cycled is None else np.isin(slots, cycled))
-            new_ids, refill, syn, flip = feed.take(len(slots))
-            k = len(refill)
+            feed.finish(ws.ids[slots], ws.rows[slots], estimate[slots], ok[slots],
+                        ws.age[slots], cycled[slots])
+            ids, rows, syn, flip = feed.take(len(slots))
+            k = len(rows)
             if k:
-                ws._put_prior(slots[:k], flip)    # checked by its _Block
-                ws.admit(slots[:k], syn)
-                cycles.admit(slots[:k])
-                ids[slots[:k]] = new_ids
-                active[slots[:k]] = refill
-                age[slots[:k]] = 0
+                ws.admit(slots[:k], syn, flip)
+                ws.ids[slots[:k]], ws.rows[slots[:k]] = ids, rows
             if k < len(slots):
-                keep = np.ones(len(active), dtype=bool)
-                keep[slots[k:]] = False
-                ws.keep(keep)
-                cycles.keep(keep)
-                ids, active, age = ids[keep], active[keep], age[keep]
+                kept = np.ones(len(done), dtype=bool)
+                kept[slots[k:]] = False
+                ws.keep(kept)
             yield from feed.ready()
     yield from feed.ready()
 

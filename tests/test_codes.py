@@ -264,6 +264,24 @@ def test_constructor_checks_logicals_without_generators():
     assert QuantumCode(n=1, logicals=((parse_pauli("Z"), parse_pauli("X")),)).k == 1
 
 
+@pytest.mark.parametrize("logicals, message", [
+    ((("ZI", "XI"), ("XI", "ZI")), "logical pairs #0 and #1 do not commute"),
+    ((("ZI", "XI"), ("ZZ", "IX")), "logical pairs #0 and #1 do not commute"),
+    ((("ZII", "XII"), ("IZI", "IXI"), ("IIZ", "XIX")), "logical pairs #0 and #2 do not commute"),
+    ((("ZII", "XII"), ("IZI", "IXI"), ("IZZ", "IIX")), "logical pairs #1 and #2 do not commute"),
+    ((("ZII", "XII"), ("IZI", "IXI"), ("IIZ", "IIX")), None),
+])
+def test_constructor_checks_logical_pairs_against_each_other(logicals, message):
+    """Every logical row commutes with every row of the other pairs."""
+    logicals = tuple((parse_pauli(z), parse_pauli(x)) for z, x in logicals)
+    n = logicals[0][0].n
+    if message is None:
+        assert QuantumCode(n=n, logicals=logicals).k == n
+    else:
+        with pytest.raises(ValueError, match=message):
+            QuantumCode(n=n, logicals=logicals)
+
+
 def test_constructor_rejects_logicals_of_another_length():
     with pytest.raises(ValueError, match="different qubit counts"):
         QuantumCode(n=2, gens_i=(parse_pauli("ZZ"),),

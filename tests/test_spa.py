@@ -209,22 +209,23 @@ def test_decode_batch_rows_match_decode(seed, b, max_iter, prior, tree):
 def test_refilled_rows_match_decode(seed, b, max_iter, prior):
     """Rows retire mid-stream, by converging or at ``max_iter``, and
     queued syndromes take their slots: every row still equals its
-    batch of one, and every row past the first ``WIDTH`` of the queue
-    is admitted into a freed slot."""
+    batch of one, and every queued row enters through ``admit``, the
+    first ``WIDTH`` when the workspace is built and every later one
+    into a freed slot."""
     rng = np.random.default_rng(seed)
     h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
     syn = _random_syndromes(rng, h, b)
     admitted = []
     admit = SpaWorkspace.admit
 
-    def counting_admit(ws, slots, syndromes):
+    def counting_admit(ws, slots, syndromes, flip):
         admitted.append(len(slots))
-        admit(ws, slots, syndromes)
+        admit(ws, slots, syndromes, flip)
 
     with mock.patch.object(SpaWorkspace, "admit", counting_admit):
         est, conv, its = decode_batch(h, syn, prior, max_iter)
     queued = int(syn.any(axis=1).sum()) if prior < 0.5 else b
-    assert sum(admitted) == max(0, queued - spa.WIDTH)
+    assert admitted[0] == min(queued, spa.WIDTH) and sum(admitted) == queued
     graph = SpaGraph(h)
     for i in range(b):
         res = decode(graph, syn[i], prior, max_iter)
@@ -612,27 +613,27 @@ def test_cycle_rings_stay_aligned_over_unrecorded_rounds():
     old enough to get rounds recorded leaves after the third: the
     periodic row is copied only once it is ``_RING`` rounds old itself,
     and it ends with the estimate of the phase that ``max_iter``
-    picks."""
+    picks, at age ``max_iter``."""
     k = spa._RING
     max_iter = k + 3
     rng = np.random.default_rng(3)
     states = rng.random((2, 2, 3))          # the periodic row's q at even and odd ages
-    cycles = spa._Cycles(2, 1, max_iter)
-    age = np.array([k, 2])
+    graph = SpaGraph(BitMatrix.from_rows([[1], [1]]))    # one bit, two edges
+    ws = SpaWorkspace(graph, np.zeros((2, 2), dtype=np.uint8), 0.1)
+    ws.age[:] = k, 2
     for rnd in range(1, 3 * k):
-        q = np.empty((2, 3, 2))
-        q[..., 0] = rng.random((2, 3))      # slot 0 never repeats
-        q[..., 1] = states[age[1] % 2]
-        estimate = np.array([[9], [age[1] % 2]], dtype=np.uint8)
-        rows = cycles.step(q, estimate, np.zeros(2, dtype=bool), age)
-        if rows is not None:
-            assert list(rows) == [1] and age[1] == k + 2
-            assert estimate[1, 0] == max_iter % 2
+        ws.q[..., 0] = rng.random((2, 3))   # slot 0 never repeats
+        ws.q[..., 1] = states[ws.age[1] % 2]
+        estimate = np.array([[9], [ws.age[1] % 2]], dtype=np.uint8)
+        age = ws.age.copy()
+        cycled = ws.exits(estimate, np.zeros(2, dtype=bool), max_iter)
+        if cycled.any():
+            assert list(np.flatnonzero(cycled)) == [1] and age[1] == k + 2
+            assert estimate[1, 0] == max_iter % 2 and ws.age[1] == max_iter
             break
         if rnd == 3:                        # the old row leaves, a new one takes its slot
-            cycles.admit(np.array([0]))
-            age[0] = 0
-        age += 1
+            ws.admit(np.array([0]), np.zeros((1, 2), dtype=np.uint8), np.array([0.1]))
+        ws.age += 1
     else:
         pytest.fail("the periodic row never ended")
 
@@ -682,7 +683,7 @@ def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
     steps = []
     real = SpaWorkspace.horizontal_step
     monkeypatch.setattr(SpaWorkspace, "horizontal_step",
-                        lambda ws: (steps.append(len(ws.syndrome)), real(ws)))
+                        lambda ws: (steps.append(len(ws.checks.T)), real(ws)))
     h = hamming_matrix()
     syn = np.zeros((5, 3), dtype=np.uint8)
     syn[2] = (1, 0, 1)
@@ -758,7 +759,7 @@ def test_steps_update_messages_in_place():
         ws.horizontal_step()
         ws.vertical_step()
         assert ws.q is q and ws.r is r
-    ws.admit(np.arange(4), np.zeros((4, h.rows), dtype=np.uint8))
+    ws.admit(np.arange(4), np.zeros((4, h.rows), dtype=np.uint8), np.full(4, 0.02))
     assert ws.q is q and ws.r is r
 
 
@@ -838,8 +839,8 @@ def _nan_r_after_admit(admitted):
     into the row's messages and estimate."""
     admit = SpaWorkspace.admit
 
-    def poisoned(ws, slots, syndromes):
-        admit(ws, slots, syndromes)
+    def poisoned(ws, slots, syndromes, flip):
+        admit(ws, slots, syndromes, flip)
         ws.r[:, :-1, slots] = np.nan
         admitted.append(len(slots))
 
@@ -853,7 +854,7 @@ def test_admitted_rows_never_read_r_before_the_horizontal_step():
     admitted = []
     with _nan_r_after_admit(admitted):
         _assert_rows_match_reference(h, syn, 0.04, 30, range(len(syn)))
-    assert sum(admitted) == int(syn.any(axis=1).sum()) - spa.WIDTH > 0
+    assert admitted[0] == spa.WIDTH < sum(admitted) == int(syn.any(axis=1).sum())
 
 
 @settings(max_examples=20, deadline=None)
@@ -866,30 +867,31 @@ def test_admitted_rows_never_read_r_on_random_checks(seed, max_iter, prior):
     with _nan_r_after_admit(admitted):
         _assert_rows_match_reference(h, syn, prior, max_iter, range(len(syn)))
     queued = int(syn.any(axis=1).sum()) if prior < 0.5 else len(syn)
-    assert sum(admitted) == max(0, queued - spa.WIDTH)
+    assert admitted[0] == min(queued, spa.WIDTH) and sum(admitted) == queued
 
 
 @pytest.mark.parametrize("k", [1, 42, 43, spa.WIDTH])
 def test_admit_restarts_the_admitted_rows_only(k):
     """Past two thirds of the batch, ``admit`` restarts every row's q
     and copies the others back; below, only the admitted rows.  Either
-    way the admitted rows get their prior and new syndrome, and every
-    other row keeps its messages and syndrome."""
+    way the admitted rows get their new prior and syndrome, and every
+    other row keeps its messages, prior and syndrome."""
     h = qc_ldpc.expand(qc_ldpc.make_ex1())
     rng = np.random.default_rng(k)
     ws = SpaWorkspace(SpaGraph(h), _random_syndromes(rng, h, spa.WIDTH),
                       rng.choice(PRIORS, size=spa.WIDTH))
     ws.horizontal_step()
     ws.vertical_step()
-    q, half, syndrome = ws.q.copy(), ws.half.copy(), ws.syndrome.copy()
+    q, half, checks, prior = ws.q.copy(), ws.half.copy(), ws.checks.copy(), ws.prior.copy()
     slots = np.sort(rng.choice(spa.WIDTH, k, replace=False))
-    new = _random_syndromes(rng, h, k)
-    ws.admit(slots, new)
-    q[:, :-1, slots] = ws.prior[..., slots]
+    new, flip = _random_syndromes(rng, h, k), rng.choice(PRIORS, size=k)
+    ws.admit(slots, new, flip)
+    prior[1, 0, slots], prior[0, 0, slots] = flip, 1.0 - flip
+    q[:, :-1, slots] = prior[..., slots]
     half[:, slots] = 0.5 - new.T
-    syndrome[slots] = new
-    assert np.array_equal(ws.q, q) and np.array_equal(ws.half, half)
-    assert np.array_equal(ws.syndrome, syndrome)
+    checks[:, slots] = new.T
+    assert np.array_equal(ws.prior, prior) and np.array_equal(ws.q, q)
+    assert np.array_equal(ws.half, half) and np.array_equal(ws.checks, checks)
 
 
 def test_kept_rows_keep_their_posteriors():
@@ -906,6 +908,43 @@ def test_kept_rows_keep_their_posteriors():
     rows = rng.random(spa.WIDTH) < 0.5
     ws.keep(rows)
     assert ws.pseudoposteriors().tobytes() == post[rows].tobytes()
+
+
+def test_workspace_owns_every_batch_array():
+    """After ``__init__``, ``admit`` and ``keep``, every array that
+    ``SpaWorkspace.BATCH`` names has the batch axis last, at the current
+    width, and is C-contiguous; ``keep`` moves each copy in ``snaps``
+    to its row's new slot, below the width."""
+    h, graph = _named_graph("mackay")
+    rng = np.random.default_rng(14)
+    errs = (rng.random((spa.WIDTH, h.cols)) < 0.04).astype(np.uint8)
+    syn = (errs @ h.to_array().T) % 2
+    ws = SpaWorkspace(graph, syn, 0.04)
+
+    def assert_owned(width):
+        for name in ws.BATCH:
+            a = getattr(ws, name)
+            assert a.shape[-1] == width and a.flags.c_contiguous, name
+        assert all(0 <= j < width for j in ws.snaps)
+
+    assert_owned(spa.WIDTH)
+    for _ in range(3 * spa._RING):
+        ws.horizontal_step()
+        ws.vertical_step()
+        ws.age += 1
+        est, ok = ws.decide()
+        ws.exits(est[:-1].T, ok, 100)
+    snaps = dict(ws.snaps)
+    assert snaps and max(snaps) >= spa.WIDTH // 2
+    ws.admit(np.arange(0, spa.WIDTH, 3), syn[::3], np.full(len(syn[::3]), 0.03))
+    assert_owned(spa.WIDTH)
+    kept = rng.random(spa.WIDTH) < 0.5
+    kept[max(snaps)] = True
+    ws.keep(kept)
+    assert_owned(int(kept.sum()))
+    slot = np.cumsum(kept) - 1
+    assert ws.snaps == {int(slot[j]): c for j, c in snaps.items() if kept[j]}
+    assert max(snaps) > max(ws.snaps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -932,7 +971,7 @@ def test_batch_last_convergence_test_is_satisfies_of_tentative(seed, b, rounds):
         tentative = (ws.pseudoposteriors() > 0.5).view(np.uint8)
         assert est.shape == (n + 1, b) and not est[-1].any()
         assert np.array_equal(est[:-1].T, tentative)
-        assert np.array_equal(ok, ((tentative @ arr.T) % 2 == ws.syndrome).all(axis=1))
+        assert np.array_equal(ok, ((tentative @ arr.T) % 2 == ws.checks.T).all(axis=1))
     bits = rng.integers(0, 4, size=(b, n), dtype=np.uint8)
     assert np.array_equal(graph.syndromes(bits), (bits @ arr.T) & 1)
 
@@ -1056,3 +1095,32 @@ def test_graph_syndromes_on_named_css_codes():
             assert np.array_equal(SpaGraph(h).syndromes(bits), (bits @ arr.T) & 1)
         seen.add(name)
     assert {"steane7", "shor9", "ex1", "ex2", "mackay", "hi"} <= seen
+
+
+def test_stand_in_resumes_after_tiny_prior_rows_leave():
+    """An ex2 stream of a block at prior 1e-35, below ``_PRIOR_MIN``,
+    then a block at 0.02: the vertical step reads the stand-in's
+    condition from the rows present, so once the tiny-prior rows have
+    left it takes the stand-in path again, and every block still equals
+    ``decode_batch`` on that block alone."""
+    h, graph = _named_graph("ex2")
+    rng = np.random.default_rng(13)
+    blocks = []
+    for prior in (1e-35, 0.02):
+        errs = (rng.random((spa.WIDTH, h.cols)) < 0.03).astype(np.uint8)
+        blocks.append(((errs @ h.to_array().T) % 2, prior))
+    stand_in = []
+    vertical = SpaWorkspace._vertical
+
+    def spy_vertical(ws, r, phi):
+        if phi != spa._FLOOR:
+            stand_in.append(ws.prior[1].min())
+        return vertical(ws, r, phi)
+
+    with mock.patch.object(SpaWorkspace, "_vertical", spy_vertical):
+        results = list(decode_stream(graph, iter(blocks), 20))
+    assert stand_in and min(stand_in) == 0.02
+    for (syn, prior), got in zip(blocks, results):
+        alone = decode_batch(graph, syn, prior, 20)
+        for a, b in zip(got, alone):
+            assert np.array_equal(a, b)
