@@ -126,7 +126,7 @@ class SimPoint:
     #: excused (always 0 in strict mode)
     degenerate_saves: int = 0
     #: decoder iterations summed over every decoded row, both CSS halves
-    #: (a zero syndrome counts 1)
+    #: (a row settled in round one counts 1)
     iterations_total: int = 0
     #: most iterations any decoded row took
     iterations_max: int = 0

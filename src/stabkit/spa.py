@@ -29,6 +29,14 @@ run, across blocks and priors alike.  The products over the edges of
 each check (or bit) run on a padded slot-major [d, groups, B] gather,
 one contiguous multiply per slot and always in slot order, so a row's
 arithmetic does not depend on the rest of its batch.
+A block of at least ``WIDTH`` rows at one prior, on a graph with 2^dv
+<= ``WIDTH`` (dv the largest bit degree), settles its rows' first
+round before any enters the kernel: in round one every edge's q is the
+prior, so a bit's decision depends only on the prior and its pattern,
+which of its dv checks are unsatisfied.  ``_round_one`` runs the
+workspace's own steps once on the 2^dv patterns, and every row whose
+estimate from that table reproduces its syndrome finishes at once;
+only the others are queued.
 ``decode_batch`` is the stream of one block and ``decode`` the batch
 of one.  The convergence test, ``SpaWorkspace.decide``, stays in the
 kernel's layout as well: estimates [n, B], their parities
@@ -200,6 +208,8 @@ class SpaGraph:
         self.bit_cells_t = np.append(self.check_pos, self.check_slots_t.size)[self.bit_slots_t]
         # bits of each check, slot-major [dc, m], padded with n
         self.check_bits = np.append(edge_bit, self.n)[self.check_slots_t]
+        # checks of each bit, slot-major [dv, n], padded with m
+        self.bit_checks = np.append(edge_check, self.m)[self.bit_slots_t]
 
     def parities(self, bits: np.ndarray) -> np.ndarray:
         """The XOR over each check's bits, batch-last: [m, B] uint8 from
@@ -238,7 +248,8 @@ def _inputs(syndromes: np.ndarray, prior_flip, m: int) -> tuple[np.ndarray, np.n
 class SpaWorkspace:
     """The state of one decoding run over a batch of syndromes, the one
     owner of its batch-last arrays (``BATCH``): rows enter through
-    ``admit``, the first fill included, and leave through ``keep``.
+    ``admit``, the first fill included (``join`` appends the admitted
+    rows of another workspace), and leave through ``keep``.
 
     A 2-D syndrome array [B, m] is a batch of B independent rows; any
     other shape is raveled into one syndrome, a batch of one.
@@ -345,6 +356,15 @@ class SpaWorkspace:
             setattr(self, name, getattr(self, name).compress(kept, axis=-1))
         slot = np.cumsum(kept) - 1
         self.snaps = {int(slot[j]): c for j, c in self.snaps.items() if kept[j]}
+        self._totals = None
+
+    def join(self, other: SpaWorkspace):
+        """Append the rows of ``other``, a workspace on the same graph
+        whose rows have not run yet, to the batch: they start as
+        ``admit`` starts rows, with no recorded round."""
+        for name in self.BATCH:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)],
+                                               axis=-1))
         self._totals = None
 
     def horizontal_step(self):
@@ -498,6 +518,47 @@ class SpaWorkspace:
         return cycled
 
 
+def _round_one(graph: SpaGraph, flip: float) -> np.ndarray:
+    """The first round's decision on every bit at flip prior ``flip``,
+    as a table [n, 2^dv] uint8 over the bit's patterns: column pi holds
+    the decision when the checks in the bit's slots k with bit k of pi
+    set are unsatisfied and the others satisfied.
+
+    The table is the kernel's first round, bit for bit:
+
+    1. In round one every edge's q is the prior, so dq = q0 - q1 is the
+       same on every edge of a row.
+    2. The syndrome enters the horizontal step only through the head
+       factor (-1)^z / 2, and negation is exact: every partial product of
+       a check with z = 1 is the negation of its z = 0 product, so its r
+       is the z = 0 r with the two planes swapped, bit for bit.  The
+       floor at the stand-in commutes with the swap.
+    3. So the r that a bit gathers, its totals, its posterior and its
+       decision are fixed by the prior and the bit's pattern.
+    4. The vertical step and ``decide`` choose between the stand-in and
+       the true r for the whole batch, and both give the same decisions
+       (the stand-in's map back is exact), so a column here decides as
+       every real row with its pattern does, in any batch.
+
+    The workspace's own steps compute it on 2^dv rows: zero syndromes
+    through the horizontal step give every column the zero-syndrome r;
+    column pi then has its planes swapped in the cells of slot k of
+    every bit where bit k of pi is set, and the vertical step and
+    ``decide`` give the decisions."""
+    dv = len(graph.bit_slots_t)
+    width = 1 << dv
+    ws = SpaWorkspace(graph, np.zeros((width, graph.m), dtype=np.uint8), flip)
+    ws.horizontal_step()
+    # the slot of every cell's edge at its bit (pad cells are never read)
+    slot = np.zeros(ws.r.shape[1], dtype=np.intp)
+    slot[graph.bit_cells_t] = np.arange(dv)[:, None]
+    swap = (np.arange(width) >> slot[:, None] & 1).astype(bool)
+    ws.r[...] = np.where(swap, ws.r[::-1], ws.r)
+    ws.vertical_step()
+    est, _ = ws.decide()
+    return est[:-1]
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     estimate: np.ndarray
@@ -510,9 +571,24 @@ class DecodeResult:
 
 class _Block:
     """One block of a stream: its queued syndromes and priors, and its
-    results as its rows finish."""
+    results as its rows finish.
 
-    def __init__(self, block_id: int, graph: SpaGraph, syndromes, prior_flip, max_iter: int):
+    Rows that round one settles finish at entry and are never queued.
+    A block of B rows looks them up in ``round_one(prior)``,
+    ``_round_one``'s table [n, 2^dv], when its rows share one prior,
+    which a table serves, and 2^dv <= ``WIDTH`` <= B: the table's
+    workspace is then no wider than the kernel's (bch63's dv of 17
+    would ask for 2^17 columns), and the block is large enough for one
+    table build, about 0.2 ms on ex1, to pay for itself even in a lone
+    ``decode_batch``.  A row whose round-one estimate from the table
+    reproduces its syndrome finishes there, converged in one iteration.
+    Every other block (mixed priors, fewer than ``WIDTH`` rows, a single
+    ``decode`` among them, or too high a degree) queues every row but
+    the zero syndromes below 1/2: every check message then favors 0, so
+    the first round would return the zero estimate anyway."""
+
+    def __init__(self, block_id: int, graph: SpaGraph, syndromes, prior_flip, max_iter: int,
+                 round_one):
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if syndromes.ndim != 2:
             raise ValueError(f"syndromes must be a [B, m] array, got shape {syndromes.shape}")
@@ -523,14 +599,34 @@ class _Block:
         self.converged = np.zeros(b, dtype=bool)
         self.iterations = np.full(b, max_iter, dtype=np.int64)
         self.cycled = np.zeros(b, dtype=bool)
-        # below 1/2 a zero syndrome is decoded without the loop: every
-        # check message then favors 0, so the first round would return
-        # the zero estimate anyway
-        zero = ~self.syndromes.any(axis=1) & (self.flip < 0.5)
-        self.converged[zero] = True
-        self.iterations[zero] = 1
-        self.queue = np.flatnonzero(~zero)
+        width = 1 << len(graph.bit_slots_t)
+        if width <= WIDTH <= b and (self.flip == self.flip[0]).all():
+            settled = self._settle(graph, round_one(float(self.flip[0])))
+        else:
+            settled = ~self.syndromes.any(axis=1) & (self.flip < 0.5)
+        self.converged[settled] = True
+        self.iterations[settled] = 1
+        self.queue = np.flatnonzero(~settled)
         self.pending = len(self.queue)
+
+    def _settle(self, graph: SpaGraph, table: np.ndarray) -> np.ndarray:
+        """Look up every row's round-one estimate in ``table`` [n, 2^dv],
+        keep the estimates that reproduce their syndrome, and return
+        those rows as a [B] mask."""
+        b, width = len(self.syndromes), table.shape[1]
+        # a bit's pattern: bit k set where the check of its slot k is
+        # unsatisfied (the pad row m is 0); the dtype holds 2^dv - 1
+        checks = np.zeros((graph.m + 1, b), dtype=np.min_scalar_type(width - 1))
+        checks[:-1] = self.syndromes.T
+        pattern = checks[graph.bit_checks[0]]
+        for k, slot_checks in enumerate(graph.bit_checks[1:], 1):
+            pattern |= checks[slot_checks] << k
+        est = np.zeros((graph.n + 1, b), dtype=np.uint8)
+        np.take(table.ravel(), pattern + np.arange(0, table.size, width)[:, None],
+                out=est[:-1], mode="clip")
+        ok = (graph.parities(est) == checks[:-1]).all(axis=0)
+        self.estimates[ok] = est[:-1, ok].T
+        return ok
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.estimates, self.converged, self.iterations, self.cycled
@@ -538,8 +634,9 @@ class _Block:
 
 class _Feed:
     """The kernel's side of a block stream: hands out queued rows,
-    pulling the next block only when the queued ones run out, takes
-    back finished rows, and releases finished blocks in stream order."""
+    pulling the next block only when the queued ones run out and the
+    open blocks hold fewer than ``WIDTH * max_iter`` rows, takes back
+    finished rows, and releases finished blocks in stream order."""
 
     def __init__(self, graph: SpaGraph, blocks, max_iter: int):
         self.graph = graph
@@ -548,20 +645,35 @@ class _Feed:
         self.open: deque[_Block] = deque()    # not yet released, in order
         self.queued: _Block | None = None     # with rows still to hand out
         self.pulled = 0                       # blocks pulled so far
+        self.held = 0                         # rows of the open blocks
+        self.dry = False                      # the source has no block left
+        self.table = (None, None)             # the last prior and its round-one table
+
+    def round_one(self, flip: float) -> np.ndarray:
+        """``_round_one``'s table at ``flip``: the stream keeps the last
+        one, so blocks of one prior in a row build it once."""
+        if self.table[0] != flip:
+            self.table = (flip, _round_one(self.graph, flip))
+        return self.table[1]
 
     def take(self, k: int):
         """Up to ``k`` queued rows as ``(block ids, rows, syndromes,
-        priors)``; fewer only when the stream has run dry."""
+        priors)``; fewer only when the source has run dry or the open
+        blocks hold ``WIDTH * max_iter`` rows, settled ones included."""
         parts = []
         while k:
             if self.queued is None:
+                if self.dry or self.held >= WIDTH * self.max_iter:
+                    break
                 item = next(self.blocks, None)
                 if item is None:
+                    self.dry = True
                     break
                 syndromes, prior_flip = item
                 self.queued = _Block(self.pulled, self.graph, syndromes, prior_flip,
-                                     self.max_iter)
+                                     self.max_iter, self.round_one)
                 self.pulled += 1
+                self.held += len(self.queued.syndromes)
                 self.open.append(self.queued)
             block = self.queued
             rows, block.queue = block.queue[:k], block.queue[k:]
@@ -598,7 +710,9 @@ class _Feed:
     def ready(self):
         """Release the leading run of finished blocks."""
         while self.open and not self.open[0].pending:
-            yield self.open.popleft().result()
+            block = self.open.popleft()
+            self.held -= len(block.syndromes)
+            yield block.result()
 
 
 def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
@@ -610,18 +724,27 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     int64, cycled [B] bool)`` per block, in stream order.  A row stops
     at the first tentative estimate that reproduces its syndrome; a row
     that has not after ``max_iter`` rounds keeps its last estimate,
-    unconverged.  A zero syndrome at a prior below 1/2 never enters the
-    loop.
+    unconverged.  In a block of at least ``WIDTH`` rows at one prior, on
+    a graph with 2^dv <= ``WIDTH`` (dv the largest bit degree), a row
+    that the first round settles never enters the loop: its estimate
+    comes from a table of that round over the 2^dv patterns of
+    unsatisfied checks a bit can see, built once per prior in a row of
+    the stream.  In any other block, a zero syndrome at a prior below
+    1/2 never enters the loop.
 
     The kernel iterates an active set of at most ``WIDTH`` rows.  Each
     row counts its own rounds, and the slot of a row that stops is
     refilled with the next queued row, whichever block it comes from,
-    so the batch stays wide until the stream runs out.  A block is
-    pulled only when its predecessors have no row left to queue, and
-    held until it and every block before it are done: each round
-    retires at most ``WIDTH`` rows, so at most ``WIDTH * max_iter`` rows
-    are pulled past the oldest running one.  Every row computes exactly
-    what it would alone.
+    so the batch stays wide until the stream runs out.  A block is held
+    until it and every block before it are done, and pulled only when
+    its predecessors have no row left to queue and the held blocks have
+    fewer than ``WIDTH * max_iter`` rows, the rows settled at entry
+    included: so at most ``WIDTH * max_iter`` rows and one block are
+    held, whatever the blocks hold.  Each round retires at most
+    ``WIDTH`` rows, so the limit only stops a pull when blocks settle
+    far more rows at entry than the loop retires; the batch then
+    narrows until released blocks make room, and widens back to
+    ``WIDTH``.  Every row computes exactly what it would alone.
 
     A row whose messages q after some round equal, bit for bit, its q
     k <= ``_RING`` rounds earlier is periodic from there on, because q
@@ -642,29 +765,49 @@ def _stream(feed: _Feed, max_iter: int):
     ids, rows, syn, flip = feed.take(WIDTH)
     ws = SpaWorkspace(feed.graph, syn, flip)
     ws.ids[:], ws.rows[:] = ids, rows
-    while len(ws.rows):
-        ws.horizontal_step()
-        ws.vertical_step()
-        ws.age += 1
-        est, ok = ws.decide()
-        estimate = est[:-1].T    # a [B, n] view: only finished rows are copied out
-        cycled = ws.exits(estimate, ok, max_iter)
-        done = ok | (ws.age == max_iter)
-        if done.any():
-            slots = np.flatnonzero(done)
-            feed.finish(ws.ids[slots], ws.rows[slots], estimate[slots], ok[slots],
-                        ws.age[slots], cycled[slots])
-            ids, rows, syn, flip = feed.take(len(slots))
-            k = len(rows)
-            if k:
-                ws.admit(slots[:k], syn, flip)
-                ws.ids[slots[:k]], ws.rows[slots[:k]] = ids, rows
-            if k < len(slots):
-                kept = np.ones(len(done), dtype=bool)
-                kept[slots[k:]] = False
-                ws.keep(kept)
-            yield from feed.ready()
+    while len(ws.rows) or not feed.dry:
+        slots = np.zeros(0, dtype=np.intp)
+        if len(ws.rows):
+            ws.horizontal_step()
+            ws.vertical_step()
+            ws.age += 1
+            est, ok = ws.decide()
+            estimate = est[:-1].T    # a [B, n] view: only finished rows are copied out
+            cycled = ws.exits(estimate, ok, max_iter)
+            slots = np.flatnonzero(ok | (ws.age == max_iter))
+            if len(slots):
+                feed.finish(ws.ids[slots], ws.rows[slots], estimate[slots], ok[slots],
+                            ws.age[slots], cycled[slots])
+        # release first, so that the rows of released blocks make room
+        yield from feed.ready()
+        ws = _refill(ws, feed, slots)
     yield from feed.ready()
+
+
+def _refill(ws: SpaWorkspace, feed: _Feed, slots: np.ndarray) -> SpaWorkspace:
+    """Queued rows into the freed ``slots`` of ``ws``, dropping the
+    slots left over; while the source has blocks, also new rows up to
+    ``WIDTH``, where the held rows' limit had narrowed the batch.
+    Returns the workspace to run on."""
+    want = len(slots) + (0 if feed.dry else WIDTH - len(ws.rows))
+    if not want:
+        return ws
+    ids, rows, syn, flip = feed.take(want)
+    k = min(len(rows), len(slots))
+    if k:
+        ws.admit(slots[:k], syn[:k], flip[:k])
+        ws.ids[slots[:k]], ws.rows[slots[:k]] = ids[:k], rows[:k]
+    if k < len(slots):
+        kept = np.ones(len(ws.rows), dtype=bool)
+        kept[slots[k:]] = False
+        ws.keep(kept)
+    if k < len(rows):
+        new = SpaWorkspace(feed.graph, syn[k:], flip[k:])
+        new.ids[:], new.rows[:] = ids[k:], rows[k:]
+        if not len(ws.rows):
+            return new
+        ws.join(new)
+    return ws
 
 
 def decode_batch(h: BitMatrix | SpaGraph, syndromes, prior_flip,

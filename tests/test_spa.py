@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabkit import qc_ldpc, spa
+from stabkit import codes, qc_ldpc, sim, spa
 from stabkit.codes import hamming_matrix
 from stabkit.f2 import BitMatrix
 from stabkit.spa import (SpaGraph, SpaWorkspace, decode, decode_batch, decode_stream,
@@ -183,6 +183,26 @@ def _random_syndromes(rng, h, b):
     return syn.astype(np.uint8)
 
 
+def _round_one_settles(h, syn, prior):
+    """[B] bool: the rows whose first round reproduces their syndrome,
+    by the reference decoder."""
+    return np.array([_reference_decode(h, s, prior, 1)[1] for s in syn], dtype=bool)
+
+
+def _admitted_rows(h, syn, prior):
+    """What a block of ``syn`` at one prior sends through ``admit``, as
+    ``(table, queued)``.  With 2^dv <= ``WIDTH`` <= its row count it
+    builds a round-one table on a workspace of 2^dv rows, so ``table``
+    is ``[2^dv]``, and queues the rows that round one does not settle;
+    any other block builds none, ``[]``, and queues every row but the
+    zero syndromes below 1/2.  dv is the largest column weight of
+    ``h``, at least 1."""
+    width = 1 << max(int(h.to_array().sum(axis=0).max(initial=0)), 1)
+    if width <= spa.WIDTH <= len(syn):
+        return [width], int((~_round_one_settles(h, syn, prior)).sum())
+    return [], int(syn.any(axis=1).sum()) if prior < 0.5 else len(syn)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1, 31, 32, 33]), st.integers(1, 5),
        st.sampled_from([0.01, 0.05, 0.2, 0.45, 0.5, 0.7]), st.booleans())
@@ -211,7 +231,9 @@ def test_refilled_rows_match_decode(seed, b, max_iter, prior):
     queued syndromes take their slots: every row still equals its
     batch of one, and every queued row enters through ``admit``, the
     first ``WIDTH`` when the workspace is built and every later one
-    into a freed slot."""
+    into a freed slot.  A block of at least 2^dv rows first builds its
+    round-one table, one more workspace, and queues only the rows that
+    round one does not settle."""
     rng = np.random.default_rng(seed)
     h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
     syn = _random_syndromes(rng, h, b)
@@ -224,8 +246,10 @@ def test_refilled_rows_match_decode(seed, b, max_iter, prior):
 
     with mock.patch.object(SpaWorkspace, "admit", counting_admit):
         est, conv, its = decode_batch(h, syn, prior, max_iter)
-    queued = int(syn.any(axis=1).sum()) if prior < 0.5 else b
-    assert admitted[0] == min(queued, spa.WIDTH) and sum(admitted) == queued
+    table, queued = _admitted_rows(h, syn, prior)
+    kernel = admitted[len(table):]
+    assert admitted[:len(table)] == table
+    assert kernel[0] == min(queued, spa.WIDTH) and sum(kernel) == queued
     graph = SpaGraph(h)
     for i in range(b):
         res = decode(graph, syn[i], prior, max_iter)
@@ -679,7 +703,9 @@ def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
             assert (res.converged, res.iterations) == (conv, its)
             if prior < 0.5:
                 assert not est.any() and conv and its == 1
-    # below 1/2 zero rows never reach the kernel; from 1/2 up they do
+    # in a block too small for a round-one table (5 rows, fewer than
+    # WIDTH), zero rows below 1/2 never reach the kernel; from 1/2 up
+    # they do
     steps = []
     real = SpaWorkspace.horizontal_step
     monkeypatch.setattr(SpaWorkspace, "horizontal_step",
@@ -693,6 +719,109 @@ def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
     steps.clear()
     decode_batch(h, syn, 0.5, 10)
     assert steps[0] == 5
+    # a block of WIDTH rows settles round one from its table of 2^dv = 8
+    # columns: the zero rows at 1/2 as well, since round one gives them
+    # the zero estimate
+    zero_rows = np.zeros((spa.WIDTH, 3), dtype=np.uint8)
+    for prior in (0.1, 0.5):
+        steps.clear()
+        est, conv, its = decode_batch(h, zero_rows, prior, 10)
+        assert steps == [8] and not est.any() and conv.all() and (its == 1).all()
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
+       st.sampled_from([1e-35, 0.02, 0.5, 0.7]), st.integers(1, 3))
+@example(seed=3, dv=6, prior=0.02, max_iter=2)
+@example(seed=3, dv=9, prior=0.02, max_iter=2)
+def test_round_one_table_is_the_kernels_first_round(seed, dv, prior, max_iter):
+    """A stream of blocks of 2^dv, ``WIDTH`` - 1 and ``WIDTH`` rows at
+    one prior, then ``WIDTH`` rows whose per-row priors are all 0.02:
+    up to 2^dv = ``WIDTH`` the blocks of ``WIDTH`` rows build a
+    round-one table, and their rows that enter the kernel are exactly
+    those that the kernel's first round does not settle (the table's
+    workspace reads no r before its horizontal step either); the
+    smaller blocks, and every block past 2^dv = ``WIDTH`` (dv 7 to 9),
+    build none and follow the zero-syndrome rule.  Every row equals the no-shortcut
+    ``_kernel`` and ``decode``, and no workspace is wider than
+    ``WIDTH``.  The priors run from hard messages (1e-35, where the
+    stand-in falls back) past 1/2.  Bit 0 has degree dv, and its last
+    slot is a check of its own, so that check alone decides the bit: a
+    pattern index that drops or misplaces that slot no longer settles
+    the rows that are bit 0's syndrome."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(dv, dv + 6)), 2 * dv + 2
+    arr = np.zeros((m, n), dtype=np.uint8)
+    arr[m - 1, 0] = 1
+    arr[rng.choice(m - 1, dv - 1, replace=False), 0] = 1
+    for j in range(1, n):
+        arr[rng.choice(m - 1, int(rng.integers(1, dv + 1)), replace=False), j] = 1
+    graph = SpaGraph(BitMatrix.from_rows(arr))
+    width = 1 << dv
+
+    def rows(b):
+        """Reachable, zero, uniformly random and bit 0's syndrome."""
+        syn = graph.syndromes((rng.random((b, n)) < 0.15).astype(np.uint8))
+        kind = rng.integers(0, 5, size=b)
+        syn[kind == 0] = 0
+        syn[kind == 1] = rng.integers(0, 2, size=(int((kind == 1).sum()), m))
+        syn[kind == 2] = arr[:, 0]
+        return syn
+
+    w = spa.WIDTH
+    blocks = [(rows(width), prior), (rows(w - 1), prior), (rows(w), prior),
+              (rows(w), np.full(w, 0.02))]
+    admitted, widths = [], []
+    with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built, \
+            _nan_r_after_admit(admitted), _workspace_widths(widths):
+        results = list(decode_stream(graph, iter(blocks), max_iter))
+    # one table per prior in a row of the stream, none for fewer than
+    # WIDTH rows or for 2^dv > WIDTH
+    tabled = width <= spa.WIDTH
+    assert ([c.args[1] for c in built.call_args_list]
+            == [prior, 0.02][prior == 0.02:] * tabled)
+    assert max(widths) <= spa.WIDTH
+    queued = 0
+    for (syn, p), (est, conv, its, _) in zip(blocks, results):
+        priors = np.broadcast_to(p, (len(syn),))
+        for i in range(len(syn)):
+            ref_est, ref_conv, ref_its = _kernel(graph, syn[i], float(priors[i]), max_iter)
+            res = decode(graph, syn[i], float(priors[i]), max_iter)
+            assert np.array_equal(ref_est, est[i]) and np.array_equal(res.estimate, est[i])
+            assert ((ref_conv, ref_its) == (res.converged, res.iterations)
+                    == (bool(conv[i]), int(its[i])))
+            if tabled and len(syn) == w:
+                queued += not (ref_conv and ref_its == 1)
+            else:
+                queued += bool(syn[i].any()) or priors[i] >= 0.5
+    assert sum(admitted) == len(built.call_args_list) * width + queued
+
+
+def test_round_one_tables_are_built_per_prior_of_a_stream():
+    """A spy on ``_round_one``.  A two-point serial sweep of ex1 (one
+    stream, its two CSS halves stacked) builds one table per point,
+    although each point sends two blocks; a block of ``WIDTH`` rows at
+    one prior builds one.  A block of mixed priors, a block of fewer
+    than ``WIDTH`` rows, one of 2^dv rows and ``decode`` of one syndrome
+    build none."""
+    code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex1()), name="ex1")
+    cfg = sim.SimConfig(code=code, p_grid=(0.01, 0.02), trials=300, seed=3)
+    with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built:
+        sim.sweep(cfg)
+    assert [c.args[1] for c in built.call_args_list] == [2.0 * p / 3.0 for p in cfg.p_grid]
+    graph = SpaGraph(code.css.hz)
+    w = spa.WIDTH
+    errs = (np.random.default_rng(4).random((w, graph.n)) < 0.02).astype(np.uint8)
+    syn = graph.syndromes(errs)
+    assert len(graph.bit_slots_t) == 3
+    with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built:
+        decode_batch(graph, syn, np.r_[np.full(w - 1, 0.02), 0.03])
+        decode_batch(graph, syn[:w - 1], 0.02)
+        decode_batch(graph, syn[:8], 0.02)
+        decode(graph, syn[0], 0.02)
+        assert built.call_count == 0
+        decode_batch(graph, syn, 0.02)
+        assert built.call_count == 1
 
 
 def test_decode_batch_validation():
@@ -799,23 +928,74 @@ def test_stream_pulls_blocks_only_as_slots_free():
     pulled only to fill freed slots.  Each slot retires at most one row
     per round, so while a row of the first block runs (at most
     ``max_iter`` rounds after it entered) at most ``WIDTH`` rows per
-    round are pulled past it."""
+    round are pulled past it.  It comes back as well from an endless
+    stream of blocks that round one settles whole, single-bit errors,
+    whose rows never take a slot: a block is pulled only while the held
+    blocks have fewer than ``WIDTH * max_iter`` rows."""
     h = qc_ldpc.expand(qc_ldpc.make_ex2())
     rng = np.random.default_rng(5)
     errs = (rng.random((2 * spa.WIDTH, h.cols)) < 0.03).astype(np.uint8)
     block = ((errs @ h.to_array().T) % 2, 0.02)
     pulled = []
 
-    def source():
-        for i in itertools.count():
+    def source(block, count=None):
+        for i in itertools.islice(itertools.count(), count):
             pulled.append(i)
             yield block
 
     max_iter = 3
-    stream = decode_stream(h, source(), max_iter)
+    stream = decode_stream(h, source(block), max_iter)
     first = next(stream)
     assert len(pulled) * len(errs) <= len(errs) + spa.WIDTH * (max_iter + 1)
     assert np.array_equal(next(stream)[0], first[0])
+    singles = (h.to_array().T)[rng.integers(0, h.cols, 2 * spa.WIDTH)]
+    assert _round_one_settles(h, singles, 0.02).all()
+    pulled.clear()
+    # 500 blocks stand in for endless ones: an unbounded pull takes all
+    est, conv, its, _ = next(decode_stream(h, source((singles, 0.02), 500), max_iter))
+    assert conv.all() and (its == 1).all()
+    assert len(pulled) * len(singles) < spa.WIDTH * max_iter + len(singles)
+
+
+def test_held_rows_limit_narrows_and_widens_the_batch():
+    """Blocks of 100 rows at 0.02, single-bit errors that round one
+    settles and about 40 % uniformly random syndromes that it mostly
+    does not: with ``max_iter`` 3 the limit of ``WIDTH * max_iter`` =
+    192 held rows stops pulls while rows of the first blocks run, so
+    the batch narrows, and a block pulled once the first is released
+    widens it back through ``join``.  No take leaves more than the
+    limit and one block held, and every row equals the reference
+    decoder's."""
+    h = qc_ldpc.expand(qc_ldpc.make_ex2())
+    rng = np.random.default_rng(3)
+    max_iter, blocks = 3, []
+    for _ in range(6):
+        syn = (h.to_array().T)[rng.integers(0, h.cols, 100)]
+        noisy = rng.random(100) < 0.4
+        syn[noisy] = rng.integers(0, 2, (int(noisy.sum()), h.rows))
+        blocks.append((syn, 0.02))
+    held, joined = [], []
+    take, join = spa._Feed.take, SpaWorkspace.join
+
+    def spy_take(feed, k):
+        out = take(feed, k)
+        held.append(feed.held)
+        return out
+
+    def spy_join(ws, other):
+        joined.append(len(other.rows))
+        join(ws, other)
+
+    with mock.patch.object(spa._Feed, "take", spy_take), \
+            mock.patch.object(SpaWorkspace, "join", spy_join):
+        results = list(decode_stream(h, iter(blocks), max_iter))
+    assert joined and max(held) < spa.WIDTH * max_iter + 100
+    assert len(results) == len(blocks)
+    for (syn, prior), (est, conv, its, _) in zip(blocks, results):
+        for i in range(len(syn)):
+            ref_est, ref_conv, ref_its = _reference_decode(h, syn[i], prior, max_iter)
+            assert np.array_equal(ref_est, est[i])
+            assert (ref_conv, ref_its) == (bool(conv[i]), int(its[i]))
 
 
 def test_stream_validates_each_block():
@@ -830,6 +1010,18 @@ def test_stream_validates_each_block():
     with pytest.raises(ValueError, match="max_iter"):
         decode_stream(h, [good], max_iter=0)
     assert list(decode_stream(h, [])) == []
+
+
+def _workspace_widths(widths):
+    """``SpaWorkspace.__init__`` patched to append every new workspace's
+    batch width to ``widths``."""
+    init = SpaWorkspace.__init__
+
+    def recording(ws, *args):
+        init(ws, *args)
+        widths.append(len(ws.rows))
+
+    return mock.patch.object(SpaWorkspace, "__init__", recording)
 
 
 def _nan_r_after_admit(admitted):
@@ -854,7 +1046,10 @@ def test_admitted_rows_never_read_r_before_the_horizontal_step():
     admitted = []
     with _nan_r_after_admit(admitted):
         _assert_rows_match_reference(h, syn, 0.04, 30, range(len(syn)))
-    assert admitted[0] == spa.WIDTH < sum(admitted) == int(syn.any(axis=1).sum())
+    # the round-one table's workspace, then the kernel's first fill and refills
+    table, queued = _admitted_rows(h, syn, 0.04)
+    assert admitted[:1] == table == [8]
+    assert admitted[1] == spa.WIDTH < sum(admitted[1:]) == queued
 
 
 @settings(max_examples=20, deadline=None)
@@ -866,8 +1061,10 @@ def test_admitted_rows_never_read_r_on_random_checks(seed, max_iter, prior):
     admitted = []
     with _nan_r_after_admit(admitted):
         _assert_rows_match_reference(h, syn, prior, max_iter, range(len(syn)))
-    queued = int(syn.any(axis=1).sum()) if prior < 0.5 else len(syn)
-    assert admitted[0] == min(queued, spa.WIDTH) and sum(admitted) == queued
+    table, queued = _admitted_rows(h, syn, prior)
+    kernel = admitted[len(table):]
+    assert admitted[:len(table)] == table
+    assert kernel[0] == min(queued, spa.WIDTH) and sum(kernel) == queued
 
 
 @pytest.mark.parametrize("k", [1, 42, 43, spa.WIDTH])
@@ -911,10 +1108,11 @@ def test_kept_rows_keep_their_posteriors():
 
 
 def test_workspace_owns_every_batch_array():
-    """After ``__init__``, ``admit`` and ``keep``, every array that
-    ``SpaWorkspace.BATCH`` names has the batch axis last, at the current
-    width, and is C-contiguous; ``keep`` moves each copy in ``snaps``
-    to its row's new slot, below the width."""
+    """After ``__init__``, ``admit``, ``keep`` and ``join``, every array
+    that ``SpaWorkspace.BATCH`` names has the batch axis last, at the
+    current width, and is C-contiguous; ``keep`` moves each copy in
+    ``snaps`` to its row's new slot, below the width, and ``join``
+    leaves them where they are."""
     h, graph = _named_graph("mackay")
     rng = np.random.default_rng(14)
     errs = (rng.random((spa.WIDTH, h.cols)) < 0.04).astype(np.uint8)
@@ -945,6 +1143,10 @@ def test_workspace_owns_every_batch_array():
     slot = np.cumsum(kept) - 1
     assert ws.snaps == {int(slot[j]): c for j, c in snaps.items() if kept[j]}
     assert max(snaps) > max(ws.snaps)
+    snaps = dict(ws.snaps)
+    ws.join(SpaWorkspace(graph, syn[:5], 0.03))
+    assert_owned(int(kept.sum()) + 5)
+    assert ws.snaps == snaps and (ws.age[-5:] == 0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1010,7 +1212,9 @@ def test_batch_of_one_equals_its_batch_row(seed, name, b, rounds):
 
 
 def test_one_take_and_one_finish_span_several_blocks():
-    """Blocks of 1, 5 all-zero, 2 ``WIDTH`` + 3 and 2 rows: the first
+    """Blocks of 1, 5 all-zero, 2 ``WIDTH`` + 3 and 2 rows, the third
+    of rows that round one does not settle, so that its round-one table
+    queues them all: the first
     ``take`` hands out rows of the first and third blocks together, and
     ``finish`` gets rows of both in one round.  A spy on the block ids
     of every ``take`` and ``finish`` shows that events touching one
@@ -1021,8 +1225,12 @@ def test_one_take_and_one_finish_span_several_blocks():
     prior, max_iter = 0.02, 20
     blocks = []
     for b in (1, 5, 2 * spa.WIDTH + 3, 2):
-        errs = (rng.random((b, h.cols)) < prior).astype(np.uint8)
-        blocks.append(((errs @ h.to_array().T) % 2, prior))
+        errs = (rng.random((8 * b, h.cols)) < prior).astype(np.uint8)
+        syn = (errs @ h.to_array().T) % 2
+        if b > spa.WIDTH:
+            syn = syn[~_round_one_settles(h, syn, prior)]
+        blocks.append((syn[:b], prior))
+    assert [len(syn) for syn, _ in blocks] == [1, 5, 2 * spa.WIDTH + 3, 2]
     blocks[0][0][0] = h.to_array()[:, 0]     # a nonzero syndrome
     blocks[1][0][:] = 0
     several = {"take": set(), "finish": set()}
