@@ -29,14 +29,15 @@ run, across blocks and priors alike.  The products over the edges of
 each check (or bit) run on a padded slot-major [d, groups, B] gather,
 one contiguous multiply per slot and always in slot order, so a row's
 arithmetic does not depend on the rest of its batch.
-A block of at least ``WIDTH`` rows at one prior, on a graph with 2^dv
-<= ``WIDTH`` (dv the largest bit degree), settles its rows' first
-round before any enters the kernel: in round one every edge's q is the
+A block at one prior settles its rows' first round before any enters
+the kernel when it has at least 2^s rows, s = min(dv, log2 ``WIDTH``)
+and dv the largest bit degree: in round one every edge's q is the
 prior, so a bit's decision depends only on the prior and its pattern,
-which of its dv checks are unsatisfied.  ``_round_one`` runs the
-workspace's own steps once on the 2^dv patterns, and every row whose
+which of its checks are unsatisfied.  ``_round_one`` runs the
+workspace's own steps once on the 2^s patterns of a bit's first s
+slots, and every row with no unsatisfied check past them whose
 estimate from that table reproduces its syndrome finishes at once;
-only the others are queued.
+only the others are queued.  Every other block queues every row.
 ``decode_batch`` is the stream of one block and ``decode`` the batch
 of one.  The convergence test, ``SpaWorkspace.decide``, stays in the
 kernel's layout as well: estimates [n, B], their parities
@@ -344,7 +345,7 @@ class SpaWorkspace:
             body[..., slots] = self.prior[..., slots]
         self.since[slots] = _IDLE
         self.age[slots] = 0
-        self._totals = None   # per-bit products of r, from the last vertical step
+        self._totals = ()   # per-bit products of r and their phi, from the last vertical step
 
     def keep(self, kept: np.ndarray):
         """Carry on with the batch rows selected by ``kept`` (a boolean
@@ -356,7 +357,7 @@ class SpaWorkspace:
             setattr(self, name, getattr(self, name).compress(kept, axis=-1))
         slot = np.cumsum(kept) - 1
         self.snaps = {int(slot[j]): c for j, c in self.snaps.items() if kept[j]}
-        self._totals = None
+        self._totals = ()
 
     def join(self, other: SpaWorkspace):
         """Append the rows of ``other``, a workspace on the same graph
@@ -365,7 +366,7 @@ class SpaWorkspace:
         for name in self.BATCH:
             setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)],
                                                axis=-1))
-        self._totals = None
+        self._totals = ()
 
     def horizontal_step(self):
         """Check-to-bit messages from the parity convolution, into r:
@@ -376,7 +377,7 @@ class SpaWorkspace:
         of (-1)^z prod dq to the bit, and below that 1/2 + h and (1 +
         2h) / 2 are both exactly 1/2.  So r holds the bits of (1 +-
         (-1)^z prod dq) / 2, floored at the stand-in."""
-        self._totals = None
+        self._totals = ()
         h, _ = _loo_prod((self.q[0] - self.q[1])[self.g.check_slots_t], self.half)
         h = h.reshape(-1, h.shape[-1])
         body = self.r[:, :-1]
@@ -429,22 +430,22 @@ class SpaWorkspace:
             np.maximum(norm, _FLOOR, out=norm)
         body /= norm
         np.maximum(body, phi, out=body)
-        self._totals = totals
+        self._totals = totals, phi
         return True
 
-    def _posteriors(self, totals=None) -> np.ndarray:
+    def _posteriors(self, totals=None, phi=_FLOOR) -> np.ndarray:
         """``pseudoposteriors`` batch-last, [n, B], from the true r, or
-        from the per-bit products ``totals`` of r if they give the same
-        decisions."""
+        from the per-bit products ``totals`` of r with hard messages
+        ``phi``: as they are when phi is ``_FLOOR`` (r was true), else
+        if they give the same decisions as the true r."""
         if totals is None:
             totals = [_loo_prod(r[self.g.bit_cells_t])[1] for r in self._true(self.r)]
         tot0, tot1 = self.prior[0, 0] * totals[0], self.prior[1, 0] * totals[1]
         norm = tot0 + tot1
-        if self._s and totals is self._totals:
-            if norm.min(initial=1.0) >= _ABSORB:
-                return tot1 / norm    # no floor is needed
-            if min(t.min(initial=1.0) for t in totals) <= self._phi:
-                return self._posteriors()
+        if norm.min(initial=1.0) >= _ABSORB:
+            return tot1 / norm    # no floor is needed
+        if phi != _FLOOR and min(t.min(initial=1.0) for t in totals) <= phi:
+            return self._posteriors()
         return tot1 / np.maximum(norm, _FLOOR)
 
     def pseudoposteriors(self) -> np.ndarray:
@@ -458,7 +459,7 @@ class SpaWorkspace:
         error).  Returns the estimates as [n + 1, B] uint8 with a zero
         row n, the input ``SpaGraph.parities`` takes, and the test, [B]
         bool."""
-        post = self._posteriors(self._totals)
+        post = self._posteriors(*self._totals)
         est = np.zeros((len(post) + 1, post.shape[1]), dtype=np.uint8)
         np.greater(post, 0.5, out=est[:-1].view(bool))
         return est, (self.g.parities(est) == self.checks).all(axis=0)
@@ -518,13 +519,23 @@ class SpaWorkspace:
         return cycled
 
 
+def _patterns(graph: SpaGraph) -> int:
+    """2^s, the columns of ``_round_one``'s table on ``graph``: s =
+    min(dv, log2 ``WIDTH``) slots of every bit, so that the table's
+    workspace is never wider than the kernel's (bch63's dv of 17 would
+    ask for 2^17 columns)."""
+    return min(1 << len(graph.bit_slots_t), WIDTH)
+
+
 def _round_one(graph: SpaGraph, flip: float) -> np.ndarray:
     """The first round's decision on every bit at flip prior ``flip``,
-    as a table [n, 2^dv] uint8 over the bit's patterns: column pi holds
-    the decision when the checks in the bit's slots k with bit k of pi
-    set are unsatisfied and the others satisfied.
+    as a table [n, 2^s] uint8 over the patterns of the bit's first s
+    slots (``_patterns``): column pi holds the decision when the checks
+    in the bit's slots k < s with bit k of pi set are unsatisfied and
+    all its other checks satisfied.
 
-    The table is the kernel's first round, bit for bit:
+    For a bit whose unsatisfied checks all lie in its first s slots,
+    the table is the kernel's first round, bit for bit:
 
     1. In round one every edge's q is the prior, so dq = q0 - q1 is the
        same on every edge of a row.
@@ -534,24 +545,26 @@ def _round_one(graph: SpaGraph, flip: float) -> np.ndarray:
        is the z = 0 r with the two planes swapped, bit for bit.  The
        floor at the stand-in commutes with the swap.
     3. So the r that a bit gathers, its totals, its posterior and its
-       decision are fixed by the prior and the bit's pattern.
+       decision are fixed by the prior and the bit's pattern; a bit
+       whose unsatisfied checks all lie in its first s slots gathers
+       exactly column pi's r.
     4. The vertical step and ``decide`` choose between the stand-in and
        the true r for the whole batch, and both give the same decisions
        (the stand-in's map back is exact), so a column here decides as
-       every real row with its pattern does, in any batch.
+       every real bit with its pattern does, in any batch.
 
-    The workspace's own steps compute it on 2^dv rows: zero syndromes
+    The workspace's own steps compute it on 2^s rows: zero syndromes
     through the horizontal step give every column the zero-syndrome r;
-    column pi then has its planes swapped in the cells of slot k of
+    column pi then has its planes swapped in the cells of slot k < s of
     every bit where bit k of pi is set, and the vertical step and
     ``decide`` give the decisions."""
-    dv = len(graph.bit_slots_t)
-    width = 1 << dv
+    width = _patterns(graph)
     ws = SpaWorkspace(graph, np.zeros((width, graph.m), dtype=np.uint8), flip)
     ws.horizontal_step()
-    # the slot of every cell's edge at its bit (pad cells are never read)
+    # the slot of every cell's edge at its bit (pad cells are never
+    # read): bit k of every pi < 2^s is 0 for k >= s
     slot = np.zeros(ws.r.shape[1], dtype=np.intp)
-    slot[graph.bit_cells_t] = np.arange(dv)[:, None]
+    slot[graph.bit_cells_t] = np.arange(len(graph.bit_cells_t))[:, None]
     swap = (np.arange(width) >> slot[:, None] & 1).astype(bool)
     ws.r[...] = np.where(swap, ws.r[::-1], ws.r)
     ws.vertical_step()
@@ -575,17 +588,15 @@ class _Block:
 
     Rows that round one settles finish at entry and are never queued.
     A block of B rows looks them up in ``round_one(prior)``,
-    ``_round_one``'s table [n, 2^dv], when its rows share one prior,
-    which a table serves, and 2^dv <= ``WIDTH`` <= B: the table's
-    workspace is then no wider than the kernel's (bch63's dv of 17
-    would ask for 2^17 columns), and the block is large enough for one
-    table build, about 0.2 ms on ex1, to pay for itself even in a lone
-    ``decode_batch``.  A row whose round-one estimate from the table
-    reproduces its syndrome finishes there, converged in one iteration.
-    Every other block (mixed priors, fewer than ``WIDTH`` rows, a single
-    ``decode`` among them, or too high a degree) queues every row but
-    the zero syndromes below 1/2: every check message then favors 0, so
-    the first round would return the zero estimate anyway."""
+    ``_round_one``'s table [n, 2^s], when its rows share one prior,
+    which a table serves, and B >= 2^s: the table's workspace is then
+    no wider than the block it serves.  A row finishes there, converged
+    in one iteration, when no bit has an unsatisfied check past its
+    first s slots, where the table does not look, and its round-one
+    estimate from the table reproduces its syndrome.  Every other block
+    (mixed priors, fewer than 2^s rows, a single ``decode`` among them)
+    queues every row, and the kernel's first round settles the same
+    rows."""
 
     def __init__(self, block_id: int, graph: SpaGraph, syndromes, prior_flip, max_iter: int,
                  round_one):
@@ -599,34 +610,35 @@ class _Block:
         self.converged = np.zeros(b, dtype=bool)
         self.iterations = np.full(b, max_iter, dtype=np.int64)
         self.cycled = np.zeros(b, dtype=bool)
-        width = 1 << len(graph.bit_slots_t)
-        if width <= WIDTH <= b and (self.flip == self.flip[0]).all():
-            settled = self._settle(graph, round_one(float(self.flip[0])))
-        else:
-            settled = ~self.syndromes.any(axis=1) & (self.flip < 0.5)
-        self.converged[settled] = True
-        self.iterations[settled] = 1
-        self.queue = np.flatnonzero(~settled)
+        self.queue = np.arange(b)
+        if b >= _patterns(graph) and (self.flip == self.flip[0]).all():
+            self._settle(graph, round_one(float(self.flip[0])))
         self.pending = len(self.queue)
 
-    def _settle(self, graph: SpaGraph, table: np.ndarray) -> np.ndarray:
-        """Look up every row's round-one estimate in ``table`` [n, 2^dv],
-        keep the estimates that reproduce their syndrome, and return
-        those rows as a [B] mask."""
+    def _settle(self, graph: SpaGraph, table: np.ndarray):
+        """Look up every row's round-one estimate in ``table`` [n, 2^s],
+        and finish the rows whose estimate reproduces their syndrome and
+        that have no unsatisfied check past a bit's first s slots: only
+        the others stay queued."""
         b, width = len(self.syndromes), table.shape[1]
-        # a bit's pattern: bit k set where the check of its slot k is
-        # unsatisfied (the pad row m is 0); the dtype holds 2^dv - 1
+        s = width.bit_length() - 1
+        # a bit's pattern: bit k set where the check of its slot k < s is
+        # unsatisfied (the pad row m is 0); the dtype holds 2^s - 1
         checks = np.zeros((graph.m + 1, b), dtype=np.min_scalar_type(width - 1))
         checks[:-1] = self.syndromes.T
         pattern = checks[graph.bit_checks[0]]
-        for k, slot_checks in enumerate(graph.bit_checks[1:], 1):
+        for k, slot_checks in enumerate(graph.bit_checks[1:s], 1):
             pattern |= checks[slot_checks] << k
         est = np.zeros((graph.n + 1, b), dtype=np.uint8)
         np.take(table.ravel(), pattern + np.arange(0, table.size, width)[:, None],
                 out=est[:-1], mode="clip")
         ok = (graph.parities(est) == checks[:-1]).all(axis=0)
+        if s < len(graph.bit_checks):    # else every slot is in the table
+            ok &= ~checks[graph.bit_checks[s:]].any(axis=(0, 1))
         self.estimates[ok] = est[:-1, ok].T
-        return ok
+        self.converged[ok] = True
+        self.iterations[ok] = 1
+        self.queue = np.flatnonzero(~ok)
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.estimates, self.converged, self.iterations, self.cycled
@@ -724,13 +736,13 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     int64, cycled [B] bool)`` per block, in stream order.  A row stops
     at the first tentative estimate that reproduces its syndrome; a row
     that has not after ``max_iter`` rounds keeps its last estimate,
-    unconverged.  In a block of at least ``WIDTH`` rows at one prior, on
-    a graph with 2^dv <= ``WIDTH`` (dv the largest bit degree), a row
-    that the first round settles never enters the loop: its estimate
-    comes from a table of that round over the 2^dv patterns of
-    unsatisfied checks a bit can see, built once per prior in a row of
-    the stream.  In any other block, a zero syndrome at a prior below
-    1/2 never enters the loop.
+    unconverged.  In a block of at least 2^s rows at one prior, s =
+    min(dv, log2 ``WIDTH``) and dv the largest bit degree, a row that
+    the first round settles never enters the loop when no bit has an
+    unsatisfied check past its first s slots: its estimate comes from a
+    table of that round over the 2^s patterns of unsatisfied checks in
+    a bit's first s slots, built once per prior in a row of the stream.
+    Every other row enters the loop.
 
     The kernel iterates an active set of at most ``WIDTH`` rows.  Each
     row counts its own rounds, and the slot of a row that stops is

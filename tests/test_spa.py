@@ -191,16 +191,16 @@ def _round_one_settles(h, syn, prior):
 
 def _admitted_rows(h, syn, prior):
     """What a block of ``syn`` at one prior sends through ``admit``, as
-    ``(table, queued)``.  With 2^dv <= ``WIDTH`` <= its row count it
-    builds a round-one table on a workspace of 2^dv rows, so ``table``
-    is ``[2^dv]``, and queues the rows that round one does not settle;
-    any other block builds none, ``[]``, and queues every row but the
-    zero syndromes below 1/2.  dv is the largest column weight of
-    ``h``, at least 1."""
+    ``(table, queued)``.  With at least 2^dv rows it builds a round-one
+    table on a workspace of 2^dv rows, so ``table`` is ``[2^dv]``, and
+    queues the rows that round one does not settle; a smaller block
+    builds none, ``[]``, and queues every row.  dv is the largest column
+    weight of ``h``, at least 1, and 2^dv <= ``WIDTH`` here, so the
+    table looks at every slot."""
     width = 1 << max(int(h.to_array().sum(axis=0).max(initial=0)), 1)
-    if width <= spa.WIDTH <= len(syn):
-        return [width], int((~_round_one_settles(h, syn, prior)).sum())
-    return [], int(syn.any(axis=1).sum()) if prior < 0.5 else len(syn)
+    assert width <= spa.WIDTH
+    tabled = len(syn) >= width
+    return [width] * tabled, int((~(_round_one_settles(h, syn, prior) & tabled)).sum())
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,9 +231,10 @@ def test_refilled_rows_match_decode(seed, b, max_iter, prior):
     queued syndromes take their slots: every row still equals its
     batch of one, and every queued row enters through ``admit``, the
     first ``WIDTH`` when the workspace is built and every later one
-    into a freed slot.  A block of at least 2^dv rows first builds its
-    round-one table, one more workspace, and queues only the rows that
-    round one does not settle."""
+    into a freed slot.  A block of at least 2^dv rows (dv <= 6 here)
+    first builds its round-one table, one more workspace, and queues
+    only the rows that round one does not settle; a smaller block
+    queues every row, zero syndromes included."""
     rng = np.random.default_rng(seed)
     h = random_bitmatrix(rng, int(rng.integers(1, 7)), int(rng.integers(3, 12)), 0.4)
     syn = _random_syndromes(rng, h, b)
@@ -513,16 +514,16 @@ def test_stand_in_steps_match_todays_arithmetic(degrees):
 
     deciding = []
 
-    def spy_posteriors(ws, totals=None):
+    def spy_posteriors(ws, totals=None, phi=spa._FLOOR):
         paths["decide"] += totals is None and any(deciding)    # decide's exact recompute
         deciding.append(totals is not None)
         try:
-            return posteriors(ws, totals)
+            return posteriors(ws, totals, phi)
         finally:
             deciding.pop()
 
     cases = ["one plane", "both planes", "two in a plane", "near-hard", "small sums",
-             "low prior"]
+             "low prior", "hard against near-hard"]
     with mock.patch.object(SpaWorkspace, "_vertical", spy_vertical), \
             mock.patch.object(SpaWorkspace, "_posteriors", spy_posteriors):
         for seed in range(60):
@@ -556,6 +557,9 @@ def test_stand_in_steps_match_todays_arithmetic(degrees):
                     h[mine[:2]] = rng.choice([0.5, -0.5])
                 elif case == "near-hard" and rng.random() < 0.5:
                     h[mine[0]] = rng.choice([0.5, -0.5, 0.5 - 2.0 ** -54, 2.0 ** -54 - 0.5], b)
+                elif case == "hard against near-hard" and len(mine) == 2:
+                    sign = rng.choice([0.5, -0.5])
+                    h[mine[0]], h[mine[1]] = sign, 2.0 ** -54 - sign
                 elif case == "small sums":
                     h[mine[:2]] = rng.choice([0.5 - 2.0 ** -54, 2.0 ** -54 - 0.5], (min(len(mine), 2), b))
             msgs = np.stack([0.5 + h, 0.5 - h])
@@ -575,6 +579,30 @@ def test_stand_in_steps_match_todays_arithmetic(degrees):
         assert not any(paths.values())
     else:
         assert all(paths.values()), paths
+
+
+def test_true_path_round_computes_the_bit_totals_once():
+    """A spy on ``_loo_prod``.  On ex-MacKay with one row at a prior
+    below ``_PRIOR_MIN``, every vertical step runs on the true r, and
+    ``decide`` takes the per-bit totals from that step as they are:
+    each round makes three calls, one in the horizontal step and one
+    per plane in the vertical step.  The decisions equal those of
+    ``pseudoposteriors``, which recomputes the totals from the true r,
+    to the bit."""
+    h, syn = _mackay_rows(8, 0.03, 2)
+    prior = np.full(8, 0.03)
+    prior[3] = 1e-35
+    ws = SpaWorkspace(SpaGraph(h), syn, prior)
+    assert ws._s and prior.min() < spa._PRIOR_MIN
+    for _ in range(30):
+        with mock.patch.object(spa, "_loo_prod", wraps=spa._loo_prod) as loo:
+            ws.horizontal_step()
+            ws.vertical_step()
+            est, _ = ws.decide()
+        assert loo.call_count == 3
+        post = ws.pseudoposteriors()
+        assert np.array_equal(est[:-1], (post.T > 0.5).view(np.uint8))
+        assert ws._posteriors().tobytes() == ws._posteriors(*ws._totals).tobytes()
 
 
 def _mackay_rows(b, p, seed):
@@ -691,6 +719,13 @@ def _kernel(graph, syndrome, prior, max_iter):
 
 
 def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
+    """A zero syndrome below 1/2 leaves the kernel after one round with
+    the zero estimate, and ``decode`` gives what the kernel computes at
+    every prior.  The one skip is the round-one table's: a block of
+    fewer than 2^dv rows (Hamming's dv is 3) sends every row to the
+    kernel, zero rows included, at any prior; a block of 2^dv rows or
+    more settles the zero rows from its table of 2^dv columns, at 1/2
+    as well, since round one gives them the zero estimate there too."""
     rng = np.random.default_rng(12)
     for _ in range(10):
         h = random_bitmatrix(rng, int(rng.integers(1, 6)), int(rng.integers(3, 10)), 0.4)
@@ -703,30 +738,27 @@ def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
             assert (res.converged, res.iterations) == (conv, its)
             if prior < 0.5:
                 assert not est.any() and conv and its == 1
-    # in a block too small for a round-one table (5 rows, fewer than
-    # WIDTH), zero rows below 1/2 never reach the kernel; from 1/2 up
-    # they do
     steps = []
     real = SpaWorkspace.horizontal_step
     monkeypatch.setattr(SpaWorkspace, "horizontal_step",
                         lambda ws: (steps.append(len(ws.checks.T)), real(ws)))
     h = hamming_matrix()
-    syn = np.zeros((5, 3), dtype=np.uint8)
+    syn = np.zeros((7, 3), dtype=np.uint8)
     syn[2] = (1, 0, 1)
-    est, conv, its = decode_batch(h, syn, 0.1, 10)
-    assert steps and max(steps) == 1
-    assert conv.all() and list(its[[0, 1, 3, 4]]) == [1] * 4
-    steps.clear()
-    decode_batch(h, syn, 0.5, 10)
-    assert steps[0] == 5
-    # a block of WIDTH rows settles round one from its table of 2^dv = 8
-    # columns: the zero rows at 1/2 as well, since round one gives them
-    # the zero estimate
-    zero_rows = np.zeros((spa.WIDTH, 3), dtype=np.uint8)
     for prior in (0.1, 0.5):
         steps.clear()
-        est, conv, its = decode_batch(h, zero_rows, prior, 10)
-        assert steps == [8] and not est.any() and conv.all() and (its == 1).all()
+        est, conv, its = decode_batch(h, syn, prior, 10)
+        assert steps[0] == 7
+        ref = [decode(h, row, prior, 10) for row in syn]
+        assert np.array_equal(est, [r.estimate for r in ref])
+        assert list(zip(conv, its)) == [(r.converged, r.iterations) for r in ref]
+        assert not est[[0, 1, 3, 4, 5, 6]].any() and list(its[[0, 1, 3, 4, 5, 6]]) == [1] * 6
+    for b in (8, spa.WIDTH):
+        zero_rows = np.zeros((b, 3), dtype=np.uint8)
+        for prior in (0.1, 0.5):
+            steps.clear()
+            est, conv, its = decode_batch(h, zero_rows, prior, 10)
+            assert steps == [8] and not est.any() and conv.all() and (its == 1).all()
 
 
 @settings(max_examples=12, deadline=None)
@@ -735,20 +767,24 @@ def test_zero_syndrome_skip_is_what_the_kernel_computes(monkeypatch):
 @example(seed=3, dv=6, prior=0.02, max_iter=2)
 @example(seed=3, dv=9, prior=0.02, max_iter=2)
 def test_round_one_table_is_the_kernels_first_round(seed, dv, prior, max_iter):
-    """A stream of blocks of 2^dv, ``WIDTH`` - 1 and ``WIDTH`` rows at
-    one prior, then ``WIDTH`` rows whose per-row priors are all 0.02:
-    up to 2^dv = ``WIDTH`` the blocks of ``WIDTH`` rows build a
-    round-one table, and their rows that enter the kernel are exactly
-    those that the kernel's first round does not settle (the table's
-    workspace reads no r before its horizontal step either); the
-    smaller blocks, and every block past 2^dv = ``WIDTH`` (dv 7 to 9),
-    build none and follow the zero-syndrome rule.  Every row equals the no-shortcut
-    ``_kernel`` and ``decode``, and no workspace is wider than
-    ``WIDTH``.  The priors run from hard messages (1e-35, where the
-    stand-in falls back) past 1/2.  Bit 0 has degree dv, and its last
-    slot is a check of its own, so that check alone decides the bit: a
-    pattern index that drops or misplaces that slot no longer settles
-    the rows that are bit 0's syndrome."""
+    """A stream of blocks of 2^s, 2^s - 1 and ``WIDTH`` rows at one
+    prior, then ``WIDTH`` rows whose per-row priors are all 0.02, s =
+    min(dv, log2 ``WIDTH``): every block of at least 2^s rows looks up
+    its rows in a round-one table of 2^s columns, one table per prior
+    in a row of the stream, so from dv 7 up one ``WIDTH``-column table
+    per prior.  Its rows that enter the kernel are exactly those that
+    the kernel's first round does not settle or that have an
+    unsatisfied check past a bit's first s slots, where the table does
+    not look (the table's workspace reads no r before its horizontal
+    step either).  The block of 2^s - 1 rows queues every row.  Every
+    row equals the no-shortcut ``_kernel`` and ``decode``, and no
+    workspace is wider than ``WIDTH``.  The priors run from hard
+    messages (1e-35, where the stand-in falls back) past 1/2.  Bit 0
+    has degree dv, and its last slot is a check of its own, so that
+    check alone decides the bit: a pattern index that drops or
+    misplaces that slot no longer settles the rows that are bit 0's
+    syndrome.  From dv 7 up that slot is past the table, and a block of
+    rows whose only unsatisfied check is that one queues every row."""
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(dv, dv + 6)), 2 * dv + 2
     arr = np.zeros((m, n), dtype=np.uint8)
@@ -757,7 +793,13 @@ def test_round_one_table_is_the_kernels_first_round(seed, dv, prior, max_iter):
     for j in range(1, n):
         arr[rng.choice(m - 1, int(rng.integers(1, dv + 1)), replace=False), j] = 1
     graph = SpaGraph(BitMatrix.from_rows(arr))
-    width = 1 << dv
+    w = spa.WIDTH
+    s = min(dv, w.bit_length() - 1)
+    width = 1 << s
+    slots = [np.flatnonzero(arr[:, j]) for j in range(n)]    # a bit's checks in slot order
+
+    def past_table(syn):
+        return any(syn[c[s:]].any() for c in slots)
 
     def rows(b):
         """Reachable, zero, uniformly random and bit 0's syndrome."""
@@ -768,19 +810,15 @@ def test_round_one_table_is_the_kernels_first_round(seed, dv, prior, max_iter):
         syn[kind == 2] = arr[:, 0]
         return syn
 
-    w = spa.WIDTH
-    blocks = [(rows(width), prior), (rows(w - 1), prior), (rows(w), prior),
+    only = np.zeros((width, m), dtype=np.uint8)
+    only[:, m - 1] = 1      # bit 0's own check alone
+    blocks = [(rows(width), prior), (rows(width - 1), prior), (rows(w), prior),
               (rows(w), np.full(w, 0.02))]
-    admitted, widths = [], []
-    with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built, \
-            _nan_r_after_admit(admitted), _workspace_widths(widths):
+    admitted, widths, tables = [], [], []
+    with _round_one_tables(tables), _nan_r_after_admit(admitted), _workspace_widths(widths):
         results = list(decode_stream(graph, iter(blocks), max_iter))
-    # one table per prior in a row of the stream, none for fewer than
-    # WIDTH rows or for 2^dv > WIDTH
-    tabled = width <= spa.WIDTH
-    assert ([c.args[1] for c in built.call_args_list]
-            == [prior, 0.02][prior == 0.02:] * tabled)
-    assert max(widths) <= spa.WIDTH
+    assert [flip for flip, _ in tables] == ([prior, 0.02] if prior != 0.02 else [0.02])
+    assert all(t.shape == (n, width) for _, t in tables) and max(widths) <= w
     queued = 0
     for (syn, p), (est, conv, its, _) in zip(blocks, results):
         priors = np.broadcast_to(p, (len(syn),))
@@ -790,20 +828,43 @@ def test_round_one_table_is_the_kernels_first_round(seed, dv, prior, max_iter):
             assert np.array_equal(ref_est, est[i]) and np.array_equal(res.estimate, est[i])
             assert ((ref_conv, ref_its) == (res.converged, res.iterations)
                     == (bool(conv[i]), int(its[i])))
-            if tabled and len(syn) == w:
-                queued += not (ref_conv and ref_its == 1)
+            if len(syn) >= width:
+                queued += not (ref_conv and ref_its == 1) or past_table(syn[i])
             else:
-                queued += bool(syn[i].any()) or priors[i] >= 0.5
-    assert sum(admitted) == len(built.call_args_list) * width + queued
+                queued += 1
+    assert sum(admitted) == len(tables) * width + queued
+    admitted.clear()
+    with _nan_r_after_admit(admitted):
+        est, conv, its, _ = next(decode_stream(graph, [(only, prior)], max_iter))
+    ref_est, ref_conv, ref_its = _kernel(graph, only[0], prior, max_iter)
+    assert (est == ref_est).all() and (conv == ref_conv).all() and (its == ref_its).all()
+    settled = ref_conv and ref_its == 1 and not past_table(only[0])
+    assert admitted[0] == width and sum(admitted[1:]) == width * (not settled)
+    if dv > s:
+        assert past_table(only[0]) and admitted == [width, width]
+
+
+def _round_one_tables(tables):
+    """``spa._round_one`` patched to append every table it builds to
+    ``tables`` as ``(flip, table)``."""
+    build = spa._round_one
+
+    def recording(graph, flip):
+        tables.append((flip, build(graph, flip)))
+        return tables[-1][1]
+
+    return mock.patch.object(spa, "_round_one", recording)
 
 
 def test_round_one_tables_are_built_per_prior_of_a_stream():
     """A spy on ``_round_one``.  A two-point serial sweep of ex1 (one
     stream, its two CSS halves stacked) builds one table per point,
-    although each point sends two blocks; a block of ``WIDTH`` rows at
-    one prior builds one.  A block of mixed priors, a block of fewer
-    than ``WIDTH`` rows, one of 2^dv rows and ``decode`` of one syndrome
-    build none."""
+    although each point sends two blocks.  On ex1 (dv 3) a block of
+    2^dv = 8 rows or more at one prior builds one table of 8 columns; a
+    block of mixed priors, one of 7 rows and ``decode`` of one syndrome
+    build none.  bch63 (dv 17) builds one of ``WIDTH`` columns for a
+    block of ``WIDTH`` rows and none for ``WIDTH`` - 1; its zero rows
+    settle from the table, and every row equals ``decode``."""
     code = codes.build_eaqecc_binary(qc_ldpc.expand(qc_ldpc.make_ex1()), name="ex1")
     cfg = sim.SimConfig(code=code, p_grid=(0.01, 0.02), trials=300, seed=3)
     with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built:
@@ -811,17 +872,36 @@ def test_round_one_tables_are_built_per_prior_of_a_stream():
     assert [c.args[1] for c in built.call_args_list] == [2.0 * p / 3.0 for p in cfg.p_grid]
     graph = SpaGraph(code.css.hz)
     w = spa.WIDTH
-    errs = (np.random.default_rng(4).random((w, graph.n)) < 0.02).astype(np.uint8)
-    syn = graph.syndromes(errs)
+    rng = np.random.default_rng(4)
+    syn = graph.syndromes((rng.random((w, graph.n)) < 0.02).astype(np.uint8))
     assert len(graph.bit_slots_t) == 3
-    with mock.patch.object(spa, "_round_one", wraps=spa._round_one) as built:
+    tables = []
+    with _round_one_tables(tables):
         decode_batch(graph, syn, np.r_[np.full(w - 1, 0.02), 0.03])
-        decode_batch(graph, syn[:w - 1], 0.02)
-        decode_batch(graph, syn[:8], 0.02)
+        decode_batch(graph, syn[:7], 0.02)
         decode(graph, syn[0], 0.02)
-        assert built.call_count == 0
-        decode_batch(graph, syn, 0.02)
-        assert built.call_count == 1
+        assert tables == []
+        decode_batch(graph, syn[:8], 0.02)
+        decode_batch(graph, syn[:w - 1], 0.02)
+    assert [(flip, t.shape) for flip, t in tables] == [(0.02, (graph.n, 8))] * 2
+    bch = SpaGraph(codes.bch63_matrix())
+    assert len(bch.bit_slots_t) == 17
+    syn = bch.syndromes((rng.random((w, bch.n)) < 0.005).astype(np.uint8))
+    zero = ~syn.any(axis=1)
+    assert 0 < zero.sum() < w
+    tables, admitted = [], []
+    with _round_one_tables(tables):
+        decode_batch(bch, syn[:w - 1], 0.005)
+        assert tables == []
+        with _nan_r_after_admit(admitted):
+            est, conv, its = decode_batch(bch, syn, 0.005)
+    assert [(flip, t.shape) for flip, t in tables] == [(0.005, (bch.n, w))]
+    assert admitted[0] == w and sum(admitted[1:]) <= w - zero.sum()
+    assert conv[zero].all() and (its[zero] == 1).all() and not est[zero].any()
+    for i in range(w):
+        res = decode(bch, syn[i], 0.005)
+        assert np.array_equal(res.estimate, est[i])
+        assert (res.converged, res.iterations) == (bool(conv[i]), int(its[i]))
 
 
 def test_decode_batch_validation():
