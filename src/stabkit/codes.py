@@ -24,6 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from . import f2, gf4, qc_ldpc, sgs
 from .f2 import BitMatrix
 from .gf4 import F4Matrix
@@ -306,6 +308,94 @@ def _letter_bits(q: int, li: int, n: int) -> int:
     return (zb << q) | (xb << (q + n))
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each uint64 in ``x``: a fixed, well-mixed 64-bit word
+    per index (uint64 arrays wrap on overflow without a warning)."""
+    z = (x + 1) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def _one_longer(prefixes: np.ndarray, n: int) -> np.ndarray:
+    """Every ascending row of qubits below n that extends a row of the
+    ascending ``prefixes`` by one qubit, in lexicographic order."""
+    start = prefixes[:, -1] + 1
+    counts = n - start
+    # within each prefix's block of rows the new qubit runs start .. n - 1
+    tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    return np.column_stack([np.repeat(prefixes, counts, axis=0), tail])
+
+
+#: letterings per batch of the head screen: 8 MB of uint64 keys
+_SCREEN_BATCH = 1 << 20
+
+
+def _screened_heads(tested: np.ndarray, size: int):
+    """The heads of ``size`` qubits, in ascending order, that pass the
+    screen of :func:`find_distance_violator`; ``tested`` is the 0/1
+    (z|x) array of the tested generators, one row each.  A batch holds
+    the heads of whole prefixes (their first size - 1 qubits), at most
+    ``_SCREEN_BATCH`` letterings unless one prefix alone has more."""
+    n = tested.shape[1] // 2
+    words = _splitmix64(np.arange(len(tested), dtype=np.uint64))
+    col_keys = np.bitwise_xor.reduce(
+        np.where(tested.astype(bool), words[:, None], np.uint64(0)), axis=0)
+    kx, kz = col_keys[:n], col_keys[n:]     # X sees z-columns, Z x-columns
+    letter_keys = np.array((kx, kz, kx ^ kz)).T
+    # about 64 n 3^size slots (at most 2^22), so that few heads pass by
+    # chance: 14 of bch63's 1953 at d = 4
+    bits = min((64 * n * 3 ** size).bit_length(), 22)
+    shift = np.uint64(64 - bits)
+    qubit = np.min_scalar_type(-n - 1)      # signed: -1 marks an empty slot
+    table = np.full(1 << bits, -1, dtype=qubit)
+    np.maximum.at(table, (letter_keys >> shift).ravel(), np.repeat(np.arange(n, dtype=qubit), 3))
+    # each prefix has at most n - 1 heads
+    prefixes = np.arange(n)[:, None]
+    for _ in range(size - 2):
+        prefixes = _one_longer(prefixes, n)
+    step = max(1, _SCREEN_BATCH // 3 ** size // max(n - 1, 1))
+    for lo in range(0, len(prefixes), step):
+        heads = _one_longer(prefixes[lo:lo + step], n)
+        keys = letter_keys[heads[:, 0]]
+        for p in range(1, size):
+            keys = keys[:, :, None] ^ letter_keys[heads[:, p]][:, None, :]
+            keys = keys.reshape(len(heads), 3 ** (p + 1))
+        top = table[keys >> shift].max(axis=1)
+        for i in np.flatnonzero(top > heads[:, -1]):
+            yield tuple(heads[i].tolist())
+
+
+def _head_violator(code: QuantumCode, mode: str, head: tuple[int, ...],
+                   masks, lookup) -> PauliVec | None:
+    """The exact step for one head: the first harmful error that a letter
+    on a qubit above the head's last one completes, or None."""
+    n = code.n
+    last = head[-1] if head else -1
+    # syndromes of the head's 3^(w-1) letterings, X < Z < Y per position
+    syndromes = [0]
+    for q in head:
+        syndromes = [s ^ m for s in syndromes for m in masks[q]]
+    if lookup.keys().isdisjoint(syndromes):
+        return None                 # the common case: no letter completes the head
+    hits = [
+        (q, hi, li)
+        for hi, s in enumerate(syndromes)
+        for q, li in lookup.get(s, ())
+        if q > last
+    ]
+    # (last qubit, head lettering, last letter) is the order of the full
+    # enumeration within this head
+    for q, hi, li in sorted(hits):
+        vec = _letter_bits(q, li, n)
+        for p in reversed(head):
+            hi, hl = divmod(hi, 3)
+            vec |= _letter_bits(p, hl, n)
+        if mode == "strict" or not code.is_harmless(vec):
+            return PauliVec.from_packed(vec, n)
+    return None
+
+
 def find_distance_violator(
     code: QuantumCode, d: int, mode: str = "strict", budget: int = 10 ** 8
 ) -> PauliVec | None:
@@ -326,6 +416,22 @@ def find_distance_violator(
     on a higher qubit are looked up in a table of single-letter masks:
     C(n, w-1) 3^(w-1) lookups instead of C(n, w) 3^w candidates.  The
     budget still counts the full candidate set, sum of C(n, w) 3^w.
+
+    From w = 3 on (heads of two or more qubits) the heads are screened
+    first, in numpy batches of at most 2^20 letterings.  The key of a
+    syndrome mask is linear over GF(2): tested generator t has the fixed
+    64-bit word splitmix64(t), a mask's key is the XOR of the words of
+    its set bits, and so a head lettering's key is the XOR of its
+    letters' keys.  A direct-address table of about 64 n 3^(w-1) slots,
+    indexed by a key's top bits, holds the highest qubit of any single
+    letter keyed there.  A head goes on to the exact lookup only when
+    one of its letterings' slots holds a qubit above the head's last.
+    No head with a completion is skipped: a letter on qubit q > last
+    that completes a lettering has the lettering's mask, hence its key
+    and slot, so that slot holds a qubit >= q.  The heads that pass keep
+    their order, so verdicts and violators are those of the head-by-head
+    search; a skipped head is one whose lookup would have found nothing.
+    Weights 1 and 2 have too few heads for the screen to pay.
     """
     if mode not in ("strict", "degenerate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -340,10 +446,12 @@ def find_distance_violator(
 
     n = code.n
     test_gens = code._all_gens() if mode == "strict" else code.measured_gens()
+    tested = (paulis_to_matrix(test_gens).to_array() if test_gens
+              else np.zeros((0, 2 * n), dtype=np.uint8))
     # syndrome masks (bit t: symplectic product with generator t) are the
     # columns of the tested (z|x) matrix: X on qubit q sees z-column q,
     # Z sees x-column q, Y both
-    cols = paulis_to_matrix(test_gens).transpose().bits if test_gens else (0,) * (2 * n)
+    cols = f2.pack_rows(tested.T)
     masks = [(cols[q], cols[q + n], cols[q] ^ cols[q + n]) for q in range(n)]
     # every single letter by its mask, in ascending (qubit, letter) order
     lookup: dict[int, list[tuple[int, int]]] = {}
@@ -352,29 +460,12 @@ def find_distance_violator(
             lookup.setdefault(m, []).append((q, li))
 
     for w in range(1, d):
-        for head in itertools.combinations(range(n), w - 1):
-            last = head[-1] if head else -1
-            # syndromes of the head's 3^(w-1) letterings, X < Z < Y per position
-            syndromes = [0]
-            for q in head:
-                syndromes = [s ^ m for s in syndromes for m in masks[q]]
-            if lookup.keys().isdisjoint(syndromes):
-                continue            # the common case: no letter completes the head
-            hits = [
-                (q, hi, li)
-                for hi, s in enumerate(syndromes)
-                for q, li in lookup.get(s, ())
-                if q > last
-            ]
-            # (last qubit, head lettering, last letter) is the order of
-            # the full enumeration within this head
-            for q, hi, li in sorted(hits):
-                vec = _letter_bits(q, li, n)
-                for p in reversed(head):
-                    hi, hl = divmod(hi, 3)
-                    vec |= _letter_bits(p, hl, n)
-                if mode == "strict" or not code.is_harmless(vec):
-                    return PauliVec.from_packed(vec, n)
+        heads = (itertools.combinations(range(n), w - 1) if w < 3
+                 else _screened_heads(tested, w - 1))
+        for head in heads:
+            found = _head_violator(code, mode, head, masks, lookup)
+            if found is not None:
+                return found
     return None
 
 

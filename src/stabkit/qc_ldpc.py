@@ -48,7 +48,6 @@ __all__ = [
     "hermitian_rank_poly",
     "hermitian_corank_poly",
     "expansion_rank_poly",
-    "block_shift",
     "make_ex1",
     "make_ex2",
     "make_ex_mackay",
@@ -448,12 +447,6 @@ def hermitian_corank_poly(e: ExponentMatrix) -> int:
 def expansion_rank_poly(e: ExponentMatrix) -> int:
     """rank(H) via the polynomial pipeline."""
     return qc_f2_rank(e.poly_grid(), e.r)
-
-
-def block_shift(v: int, r: int, L: int) -> int:
-    """Simultaneous cyclic right-shift by one inside each length-r block
-    of a packed L*r-bit vector; the quasi-cyclic code symmetry."""
-    return BitMatrix.packed_circulant(v, r, L).bits[1 % r]
 
 
 # -- the named constructions ----------------------------------------------

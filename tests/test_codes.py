@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabkit import codes, f2, gf4, qc_ldpc, sgs
@@ -684,6 +684,136 @@ def test_violator_matches_enumeration(seed, kind, n, rows, degenerate_columns,
     assert find_distance_violator(code, d, mode) == _enumerating_violator(code, d, mode)
 
 
+def _head_loop_violator(code, d, mode):
+    """The head-by-head search that the batched screen filters: for each
+    weight w, every weight-(w-1) head in ascending order has the
+    syndromes of its 3^(w-1) letterings looked up among the single
+    letters on higher qubits, and the hits are tried in enumeration
+    order."""
+    n = code.n
+    test_gens = code._all_gens() if mode == "strict" else code.measured_gens()
+    cols = paulis_to_matrix(test_gens).transpose().bits if test_gens else (0,) * (2 * n)
+    masks = [(cols[q], cols[q + n], cols[q] ^ cols[q + n]) for q in range(n)]
+    lookup = {}
+    for q in range(n):
+        for li, m in enumerate(masks[q]):
+            lookup.setdefault(m, []).append((q, li))
+    for w in range(1, d):
+        for head in itertools.combinations(range(n), w - 1):
+            last = head[-1] if head else -1
+            syndromes = [0]
+            for q in head:
+                syndromes = [s ^ m for s in syndromes for m in masks[q]]
+            hits = sorted((q, hi, li) for hi, s in enumerate(syndromes)
+                          for q, li in lookup.get(s, ()) if q > last)
+            for q, hi, li in hits:
+                vec = 0
+                for p, pl in zip((*head, q), (*np.unravel_index(hi, (3,) * len(head)), li)):
+                    zb, xb = _ORACLE_LETTERS[pl]
+                    vec |= (zb << p) | (xb << (p + n))
+                if mode == "strict" or not code.is_harmless(vec):
+                    return PauliVec.from_packed(vec, n)
+    return None
+
+
+def _random_wide_code(rng, kind, n, rows, columns):
+    """A random code on n qubits, as ``_random_code`` draws them, with
+    rows capped at the column count.  ``columns`` "copy" makes one qubit
+    a copy of another (errors on the two share a syndrome); "sum" makes
+    one qubit's columns the sum of two others', so the same letter on
+    all three has zero syndrome and some two-qubit head has a real
+    completion."""
+    if kind == "symplectic":
+        grid = rng.integers(0, 2, size=(min(rows, 2 * n), 2 * n))
+    else:
+        grid = rng.integers(0, 2 if kind == "binary" else 4, size=(min(rows, n), n))
+    if columns != "plain":
+        a, b, c = rng.choice(n, size=3, replace=False)
+        for off in ((0, n) if kind == "symplectic" else (0,)):
+            if columns == "copy":
+                grid[:, b + off] = grid[:, a + off]
+            elif kind == "gf4":
+                grid[:, c] = [gf4.f4_add(int(x), int(y)) for x, y in zip(grid[:, a], grid[:, b])]
+            else:
+                grid[:, c + off] = grid[:, a + off] ^ grid[:, b + off]
+    if kind == "symplectic":
+        return build_from_sp(BitMatrix.from_rows(grid))
+    if kind == "binary":
+        return build_eaqecc_binary(BitMatrix.from_rows(grid))
+    return build_eaqecc_gf4(F4Matrix.from_rows(grid))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    kind=st.sampled_from(("binary", "gf4", "symplectic")),
+    n=st.integers(10, 40),
+    rows=st.integers(4, 80),
+    columns=st.sampled_from(("plain", "copy", "sum")),
+    variant=st.sampled_from(("plain", "gauge", "ungauge")),
+    d=st.integers(4, 5),
+    mode=st.sampled_from(("strict", "degenerate")),
+)
+# 70 tested generators, and d = 5 verified through batches of two- and
+# three-qubit heads
+@example(seed=43496, kind="gf4", n=36, rows=79, columns="plain", variant="plain", d=5,
+         mode="degenerate")
+# a weight-3 violator that the screen passes to the exact step
+@example(seed=60582, kind="gf4", n=26, rows=49, columns="sum", variant="plain", d=5,
+         mode="degenerate")
+def test_screened_violator_matches_head_loop(seed, kind, n, rows, columns, variant, d, mode):
+    """The screened search against the head-by-head one at the sizes
+    where heads of two and three qubits are screened in batches."""
+    rng = np.random.default_rng(seed)
+    code = _random_wide_code(rng, kind, n, rows, columns)
+    if variant != "plain" and code.c:
+        code = gauge_move(code, int(rng.integers(code.c)))
+        if variant == "ungauge":
+            code = ungauge(code)
+    assert find_distance_violator(code, d, mode) == _head_loop_violator(code, d, mode)
+
+
+@pytest.mark.parametrize("batch", [1, 30, 200, 2000])
+def test_screened_violator_with_small_batches(monkeypatch, batch):
+    """Batch bounds that split the heads anywhere, down to one prefix per
+    batch, some of whose prefixes have no heads at all."""
+    monkeypatch.setattr(codes, "_SCREEN_BATCH", batch)
+    rng = np.random.default_rng(batch)
+    for kind, columns, mode in [("binary", "sum", "strict"), ("gf4", "plain", "degenerate"),
+                                ("symplectic", "sum", "degenerate"), ("gf4", "sum", "strict")]:
+        code = _random_wide_code(rng, kind, 14, 12, columns)
+        assert find_distance_violator(code, 5, mode) == _head_loop_violator(code, 5, mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_violator_of_code_detecting_every_error(n):
+    """Every qubit carries an entanglement pair (Z, X), so no error is
+    undetected, and every weight's heads, however few, are searched."""
+    pairs = tuple((PauliVec(n, 1 << q, 0), PauliVec(n, 0, 1 << q)) for q in range(n))
+    code = QuantumCode(n=n, gens_e=pairs)
+    for mode in ("strict", "degenerate"):
+        assert [find_distance_violator(code, d, mode) for d in range(1, n + 3)] == [None] * (n + 2)
+
+
+@pytest.mark.parametrize("mode", ["strict", "degenerate"])
+def test_screen_sends_few_heads_to_the_exact_step(monkeypatch, mode):
+    """bch63 at d = 4: no letter on a higher qubit completes any of its
+    C(63, 2) = 1953 two-qubit heads, so every head that reaches the exact
+    step is a slot collision.  At most 2 % may; a weaker key or a smaller
+    table sends more.  The empty and one-qubit heads all go through."""
+    sizes = []
+    exact_step = codes._head_violator
+
+    def spy(code, mode, head, *rest):
+        sizes.append(len(head))
+        return exact_step(code, mode, head, *rest)
+
+    monkeypatch.setattr(codes, "_head_violator", spy)
+    assert find_distance_violator(builtin("bch63"), 4, mode) is None
+    assert (sizes.count(0), sizes.count(1)) == (1, 63)
+    assert sizes.count(2) <= 0.02 * math.comb(63, 2)
+
+
 def test_violator_of_code_without_generators():
     bare = QuantumCode(n=3)
     for mode in ("strict", "degenerate"):
@@ -720,11 +850,35 @@ def _named_code(name):
         return q15_traded()
     if name == "mackay":
         return build_eaqecc_binary(qc_ldpc.make_ex_mackay(), name=name)
+    if name in ("ex1", "ex2"):
+        exponents = qc_ldpc.make_ex1() if name == "ex1" else qc_ldpc.make_ex2()
+        return build_eaqecc_binary(qc_ldpc.expand(exponents), name=name)
     return builtin(name)
 
 
 @pytest.mark.parametrize("name,d,mode,expected", _PINNED_VIOLATORS)
 def test_pinned_violators(name, d, mode, expected):
+    got = find_distance_violator(_named_code(name), d, mode)
+    assert (None if got is None else str(got)) == expected
+
+
+#: first violators of the searches whose heads of two or more qubits are
+#: screened in batches, recorded from the head-by-head search before the
+#: screen existed
+_PINNED_LARGE_VIOLATORS = [
+    ("bch63", 4, "degenerate", None),
+    ("bch63", 5, "degenerate", None),
+    ("ex1", 4, "strict", None),
+    ("ex1", 4, "degenerate", None),
+    ("ex2", 4, "strict", None),
+    ("ex2", 4, "degenerate", None),
+    ("mackay", 4, "strict", _MACKAY_D3),
+    ("mackay", 4, "degenerate", _MACKAY_D3),
+]
+
+
+@pytest.mark.parametrize("name,d,mode,expected", _PINNED_LARGE_VIOLATORS)
+def test_pinned_violators_of_larger_codes(name, d, mode, expected):
     got = find_distance_violator(_named_code(name), d, mode)
     assert (None if got is None else str(got)) == expected
 
