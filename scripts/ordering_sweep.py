@@ -14,10 +14,11 @@ Each point's failure split and decoder effort go to stderr, one line
 per point: block errors that did not converge and that converged to a
 wrong coset, trials excused as degenerate, the mean (per decoded row,
 two rows per trial) and maximum iteration counts, and the decoded rows
-ended early on an exact message cycle.  Such a row could never
-converge: it is trapped in a periodic orbit.  Comparing ``cycled``
-across codes tests the explanation that ex-MacKay's 4-cycles stall its
-decoder (MacKay, Mitchison and McFadden, IEEE TIT 50(10), 2004).
+caught in an exact message cycle, whose whole periods the decoder
+skips.  Such a row could never converge: it is trapped in a periodic
+orbit.  Comparing ``cycled`` across codes tests the explanation that
+ex-MacKay's 4-cycles stall its decoder (MacKay, Mitchison and
+McFadden, IEEE TIT 50(10), 2004).
 """
 
 import argparse

@@ -152,6 +152,9 @@ def _cmd_qcldpc(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.code in NAMED:
+        if args.field is not None:
+            raise ValueError(f"--field applies only to a code file, not to named code "
+                             f"{args.code!r}")
         code = builtin(args.code)
     elif args.field == "gf4":
         code = build_eaqecc_gf4(gf4.parse_f4(_read_text(args.code)))
@@ -221,7 +224,8 @@ def _build_parser() -> _CliParser:
 
     p = sub.add_parser("simulate", help="depolarizing-channel Monte Carlo, CSV output")
     p.add_argument("--code", required=True)
-    p.add_argument("--field", choices=("gf2", "gf4"), default="gf2")
+    p.add_argument("--field", choices=("gf2", "gf4"), default=None,
+                   help="how to read a code file (default gf2)")
     p.add_argument("--p", required=True, help="comma-separated probabilities")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -9,8 +9,9 @@ and gauge generators, ``QuantumCode.is_harmless``).  Each block error
 is also classed as not converged (either half's decoder stopped at
 ``max_iter``) or converged to a wrong coset.  Each point also counts
 the trials that degenerate scoring excused, the decoder iterations
-(total and most) of every decoded row, and the decoded rows that the
-decoder ended early on an exact message cycle.
+(total and most) of every decoded row, and the decoded rows caught in
+an exact message cycle, whose whole periods the decoder skipped on the
+way to ``max_iter``.
 
 Trials run in chunks of ``CHUNK`` = 4 kernel widths: the chunk's flips
 are stacked into uint8 [B, n] arrays and each CSS half gets its
@@ -46,6 +47,7 @@ platform cannot fork, every run is serial.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 import signal
@@ -92,6 +94,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "max_iter", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.p_grid:
@@ -130,8 +136,9 @@ class SimPoint:
     iterations_total: int = 0
     #: most iterations any decoded row took
     iterations_max: int = 0
-    #: decoded rows, both CSS halves, that the decoder ended early on
-    #: an exact message cycle (they count ``max_iter`` iterations)
+    #: decoded rows, both CSS halves, caught in an exact message cycle,
+    #: whose whole periods the decoder skipped (each counts ``max_iter``
+    #: iterations, as without the skip)
     cycled: int = 0
 
 

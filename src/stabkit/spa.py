@@ -47,25 +47,26 @@ rows.  ``SpaWorkspace`` owns every batch-last array of the run, and a
 refilled slot restarts its q only: the next horizontal step rewrites
 all of r before any read.
 
-A row whose messages repeat exactly leaves early, with the result it
-would have after ``max_iter`` rounds.  The bit-to-check messages q
-after a round are the row's whole state: the next round's check
-messages r follow from q and the row's fixed syndrome signs, the next
-q from r and its fixed prior, and the tentative estimate from r and the
-prior.  So if q after round t equals q after round t - k bit for bit,
-every later round repeats the one k rounds before it, and the estimate
-of round a + k is that of round a for every a > t - k.  None of the
-estimates of rounds t - k + 1 .. t satisfied the syndrome (the row is
-still running), so the row never converges, and its estimate after
-``max_iter`` rounds is that of round t - ((t - max_iter) mod k).  The
-kernel keeps every row's last K = ``_RING`` estimates in a ring and
-finishes the row there: unconverged, at ``max_iter`` iterations.
-Detection costs little: each round in which some row is at least K
-rounds old, every row leaves one float fingerprint of q in a [K, B]
-ring; only a row at least K rounds old whose fingerprint matches one
-of its last K gets its q copied, and only a bit-for-bit compare of q
-with the copy, at a later round whose fingerprint matches the copy's,
-ends it.
+A row whose messages repeat exactly skips whole periods.  The
+bit-to-check messages q after a round are the row's whole state: the
+next round's check messages r follow from q and the row's fixed
+syndrome signs, the next q from r and its fixed prior, and the
+tentative estimate from r and the prior.  So if q after round t equals
+q after round t - k bit for bit, every later round repeats the one k
+rounds before it, and the row's age moves on by the most multiples of k
+that keep it within ``max_iter``: the row then sits at a round whose q
+is its own, runs its last rounds, fewer than k, for real, and leaves
+at ``max_iter`` through the one rule that ends every row, with the
+estimate the loop without skips gives there.  It cannot converge on
+the way: its estimates repeat those of rounds t - k + 1 .. t, and none
+of them satisfied the syndrome (the row is still running).  A flag
+per row, ``cycled``, records the skip.  Periods up to K = ``_RING``
+are found, and finding them costs little: each round in which some
+row is at least K rounds old, every row leaves one float fingerprint
+of q in a [K, B] ring; only a row at least K rounds old whose
+fingerprint matches one of its last K gets its q copied, and only a
+bit-for-bit compare of q with the copy, at a later round whose
+fingerprint matches the copy's, proves a period.
 
 ``exact_marginals`` is the brute-force oracle: true per-bit posteriors
 by enumerating every error pattern consistent with the syndrome.
@@ -74,6 +75,7 @@ by enumerating every error pattern consistent with the syndrome.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,8 +95,8 @@ _PRIOR_MIN = 2.0 ** -100
 #: about 21 KB per row on a graph of 384 edges
 WIDTH = 64
 _Q_SENTINEL = ((1.0,), (0.0,))    # q0, q1 of the sentinel edge: dq = 1
-#: rounds of fingerprints and estimates a stream keeps: the longest
-#: message cycle it ends a row on
+#: rounds of fingerprints a stream keeps: the longest message cycle
+#: whose periods it skips
 _RING = 8
 _IDLE = -_RING - 1    # the copy age of a row without a usable copy
 
@@ -256,9 +258,10 @@ class SpaWorkspace:
     other shape is raveled into one syndrome, a batch of one.
     ``prior_flip`` is one flip probability for every row or one per row.
     ``pseudoposteriors`` are [B, n]; ``decide`` is the hard decision and
-    convergence test of every row, and ``exits`` ends the rows caught in
-    an exact message cycle.  A stream keeps each row's block id, row and
-    round count in ``ids``, ``rows`` and ``age``.
+    convergence test of every row, and ``exits`` moves the rows caught
+    in an exact message cycle on by whole periods.  A stream keeps each
+    row's block id, row, round count and whether it skipped in ``ids``,
+    ``rows``, ``age`` and ``cycled``.
 
     The messages are batch-last, the 0- (t = 0) and 1-messages (t = 1)
     of every row, so a gather moves whole batch rows.  ``q[t, e, b]``
@@ -287,8 +290,8 @@ class SpaWorkspace:
     """
 
     #: every batch-last array of a run: ``keep`` compresses them all
-    BATCH = ("checks", "half", "prior", "q", "r", "fps", "ests", "since", "snap_fp",
-             "ids", "rows", "age")
+    BATCH = ("checks", "half", "prior", "q", "r", "fps", "since", "snap_fp", "ids", "rows",
+             "age", "cycled")
 
     def __init__(self, graph: SpaGraph, syndrome, prior_flip):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
@@ -308,7 +311,6 @@ class SpaWorkspace:
         self.r = np.ones((2, graph.check_slots_t.size + 1, b))
         self.r[:, :-1] = 0.0
         self.fps = np.full((_RING, b), np.nan)
-        self.ests = np.zeros((_RING, graph.n, b), dtype=np.uint8)
         self.since = np.empty(b, dtype=np.int64)    # age of the row's copy
         self.snap_fp = np.full(b, np.nan)
         self.snaps = {}     # slot -> bits of the row's q at its copy
@@ -316,6 +318,7 @@ class SpaWorkspace:
         self.ids = np.zeros(b, dtype=np.int64)
         self.rows = np.zeros(b, dtype=np.int64)
         self.age = np.empty(b, dtype=np.int64)
+        self.cycled = np.empty(b, dtype=bool)
         self.admit(np.arange(b), syndrome, flip)
 
     def admit(self, slots: np.ndarray, syndromes: np.ndarray, flip: np.ndarray):
@@ -345,6 +348,7 @@ class SpaWorkspace:
             body[..., slots] = self.prior[..., slots]
         self.since[slots] = _IDLE
         self.age[slots] = 0
+        self.cycled[slots] = False
         self._totals = ()   # per-bit products of r and their phi, from the last vertical step
 
     def keep(self, kept: np.ndarray):
@@ -464,39 +468,37 @@ class SpaWorkspace:
         np.greater(post, 0.5, out=est[:-1].view(bool))
         return est, (self.g.parities(est) == self.checks).all(axis=0)
 
-    def exits(self, estimate: np.ndarray, ok: np.ndarray, max_iter: int) -> np.ndarray:
-        """Record the round just run, and flag in a [B] mask the rows,
-        none of them ``ok``, whose q equals their copy from k <= K =
-        ``_RING`` rounds ago.  They repeat with period k, so their rows
-        of ``estimate`` [B, n] become their estimate at ``max_iter``
-        rounds, and their age ``max_iter``.
+    def exits(self, ok: np.ndarray, max_iter: int):
+        """Record the round just run, and move each row, none of them
+        ``ok``, whose q equals its copy from k <= K = ``_RING`` rounds
+        ago on by whole periods: its age by the most multiples of k that
+        stay within ``max_iter``, and its ``cycled`` flag set.  It then
+        sits at a round with the same q, and reaches ``max_iter`` within
+        k - 1 more real rounds.
 
-        Two rings are indexed by the recorded round s, at entry s % K,
-        so every round writes one contiguous row of each: ``fps`` [K,
-        B] holds each row's fingerprint (NaN before the first) and
-        ``ests`` [K, n, B] its tentative estimate.  A row whose
+        The ring ``fps`` [K, B] is indexed by the recorded round s, at
+        entry s % K, so every round writes one contiguous row of it:
+        each row's fingerprint (NaN before the first).  A row whose
         fingerprint equals one of its last K gets the bits of its q
         copied into ``snaps``, and the copy is compared bit for bit with
         q at each of the next K rounds whose fingerprint equals the
-        copy's, ``snap_fp``.  A fingerprint match alone ends no row.
+        copy's, ``snap_fp``.  A fingerprint match alone moves no row.
 
         Most rows converge within a few rounds, so a round in which
         every row is younger than K rounds is not recorded, and s counts
         recorded rounds only.  A row is copied only at an age of K or
         more: every later round of the row is then recorded, so k rounds
-        back in the rings is k rounds back in the row's life.
+        back in the ring is k rounds back in the row's life.
         """
-        cycled = np.zeros(len(ok), dtype=bool)
         if self.age.max() < _RING:
-            return cycled
+            return
         s, self.round = self.round, self.round + 1
-        self.ests[s % _RING] = estimate.T
         fp = _fingerprint(self.q)
         check = (self.snap_fp == fp).nonzero()[0]
         hits = (self.fps == fp).ravel().nonzero()[0]
         self.fps[s % _RING] = fp
         if not (len(check) or len(hits)):
-            return cycled
+            return
         # few rows match in a round, so they are taken one at a time
         ages, done, since = self.age.tolist(), ok.tolist(), self.since.tolist()
         bits = self.q.view(np.uint64)
@@ -504,19 +506,14 @@ class SpaWorkspace:
             k = ages[j] - since[j]
             if done[j] or k > _RING or not (bits[..., j] == self.snaps[j]).all():
                 continue
-            # est(a + k) = est(a) for every age a past the copy, so the
-            # estimate at max_iter is (age - max_iter) mod k rounds back
-            back = (ages[j] - max_iter) % k
-            estimate[j] = self.ests[(s - back) % _RING, :, j]
-            cycled[j] = True
+            self.age[j] += (max_iter - ages[j]) // k * k
+            self.cycled[j] = True
         for j in set((hits % len(ages)).tolist()):
             if (_RING <= ages[j] < max_iter - 1 and ages[j] - since[j] > _RING
                     and not done[j]):
                 self.snaps[j] = bits[..., j].copy()
                 self.snap_fp[j] = fp[j]
                 self.since[j] = ages[j]
-        self.age[cycled] = max_iter
-        return cycled
 
 
 def _patterns(graph: SpaGraph) -> int:
@@ -704,7 +701,7 @@ class _Feed:
 
     def finish(self, ids, rows, estimates, converged, iterations, cycled):
         """Record the results of finished rows; ``cycled`` flags those
-        ended on a message cycle."""
+        that skipped whole periods of a message cycle."""
         first = self.open[0].id
         if (ids == ids[0]).all():   # the usual case: rows of one block
             parts = [(ids[0], slice(None))]
@@ -759,16 +756,14 @@ def decode_stream(h: BitMatrix | SpaGraph, blocks, max_iter: int = 100):
     ``WIDTH``.  Every row computes exactly what it would alone.
 
     A row whose messages q after some round equal, bit for bit, its q
-    k <= ``_RING`` rounds earlier is periodic from there on, because q
-    is the row's whole state; it cannot converge any more, and it
-    leaves at once with the estimate that the phase of ``max_iter`` in
-    its period picks from its last k rounds.  So every result equals
-    that of the exit-free loop, and a fourth array per block, ``cycled
-    [B] bool``, flags the rows that left this way (each unconverged, at
-    ``max_iter`` iterations).
+    k <= ``_RING`` rounds earlier is periodic from there on and never
+    converges: it skips whole periods and leaves at ``max_iter`` with
+    the estimate of the loop without skips.  A fourth array per block,
+    ``cycled [B] bool``, flags the rows that skipped.  ``max_iter``
+    must be an integer of at least 1.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     graph = h if isinstance(h, SpaGraph) else SpaGraph(h)
     return _stream(_Feed(graph, blocks, max_iter), max_iter)
 
@@ -784,12 +779,11 @@ def _stream(feed: _Feed, max_iter: int):
             ws.vertical_step()
             ws.age += 1
             est, ok = ws.decide()
-            estimate = est[:-1].T    # a [B, n] view: only finished rows are copied out
-            cycled = ws.exits(estimate, ok, max_iter)
+            ws.exits(ok, max_iter)
             slots = np.flatnonzero(ok | (ws.age == max_iter))
             if len(slots):
-                feed.finish(ws.ids[slots], ws.rows[slots], estimate[slots], ok[slots],
-                            ws.age[slots], cycled[slots])
+                feed.finish(ws.ids[slots], ws.rows[slots], est[:-1, slots].T, ok[slots],
+                            ws.age[slots], ws.cycled[slots])
         # release first, so that the rows of released blocks make room
         yield from feed.ready()
         ws = _refill(ws, feed, slots)

@@ -179,6 +179,17 @@ def test_simulate_rejects_nonpositive_max_iter(capsys):
     assert "max_iter must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["gf2", "gf4"])
+def test_simulate_rejects_field_for_a_named_code(field, capsys):
+    """A named code is not read from a file, so ``--field`` does not
+    apply to it: exit 2, as for a ``qcldpc`` flag its source does not
+    read."""
+    rc, out = run_cli("simulate", "--code", "steane7", "--field", field, "--p", "0.01",
+                      "--trials", "5")
+    assert rc == 2 and out == ""
+    assert "--field applies only to a code file" in capsys.readouterr().err
+
+
 def test_simulate_unknown_code():
     rc, _ = run_cli("simulate", "--code", "/does/not/exist", "--p", "0.01",
                     "--trials", "10")

@@ -163,6 +163,19 @@ def test_config_rejects_nonpositive_workers():
             SimConfig(code=st, p_grid=(0.1,), trials=1, workers=workers)
 
 
+@pytest.mark.parametrize("name", ["trials", "seed", "max_iter", "workers"])
+def test_config_rejects_non_integral_counts(name):
+    """A float count is rejected up front, naming the field and its
+    value: ``max_iter=2.5`` would never end a row and ``seed=1.5`` would
+    fail deep inside the sampler."""
+    base = dict(code=builtin("mackay"), p_grid=(0.04,), trials=64, seed=1, max_iter=3,
+                workers=1)
+    with pytest.raises(ValueError, match=rf"{name} must be an integer, got 2\.5"):
+        SimConfig(**{**base, name: 2.5})
+    numpy_ints = SimConfig(**{**base, name: np.int64(base[name])})
+    assert sweep(numpy_ints).to_csv() == sweep(SimConfig(**base)).to_csv()
+
+
 def _record_forks(monkeypatch):
     """Workers forked per ``sim`` run from now on: one entry per sweep
     or ``run_point`` that forks any, like the pool sizes recorded
@@ -530,8 +543,8 @@ def _trial_cycles(code, p, p_idx, trials, seed, max_iter):
 
 @pytest.mark.parametrize("max_iter", [100, 37])
 def test_cycled_rows_counted_for_any_worker_count(monkeypatch, pinned_codes, max_iter):
-    """``cycled`` counts the decoded rows that the decoder ended on an
-    exact message cycle, as ``decode_stream`` flags them, and is the
+    """``cycled`` counts the decoded rows whose exact message cycle the
+    decoder skipped through, as ``decode_stream`` flags them, and is the
     same for one and two workers.  ex-MacKay's 4-cycles make many at
     p = 0.04; the CSV is not affected."""
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)

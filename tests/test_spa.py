@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -162,6 +163,25 @@ def test_decode_validation():
         decode(h, [0, 0], 0.1)
     with pytest.raises(ValueError):
         decode(h, [0, 0, 0], 0.1, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, np.float64(2.5), "3"])
+def test_non_integral_max_iter_is_rejected_at_once(max_iter):
+    """At 2.5 ``age == max_iter`` would never hold and the loop would
+    not end, so every entry point rejects a ``max_iter`` that is not an
+    integer, a float of integral value too, before it decodes; a numpy
+    integer stays accepted."""
+    h = qc_ldpc.make_ex_mackay(seed=0)
+    syn = _mackay_rows(4, 0.05, 0)[1]
+    message = re.escape(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    with pytest.raises(ValueError, match=message):
+        decode_stream(h, iter(()), max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        decode_batch(h, syn, 0.05, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        decode(h, syn[0], 0.05, max_iter=max_iter)
+    assert [a.tobytes() for a in decode_batch(h, syn, 0.05, max_iter=np.int64(3))] == [
+        a.tobytes() for a in decode_batch(h, syn, 0.05, max_iter=3)]
 
 
 def test_failure_reported_when_unsatisfiable():
@@ -628,10 +648,10 @@ def _assert_rows_match_reference(h, syn, prior, max_iter, rows):
 @pytest.mark.parametrize("max_iter", [99, 100, 101])
 def test_cycle_exits_match_reference_on_mackay(max_iter):
     """At p = 0.04 many ex-MacKay rows fall into an exact message cycle
-    of even period and are ended early.  Across three consecutive
-    ``max_iter`` the estimate each returns is taken at every phase of a
-    period-2 cycle, and equals the exit-free decoder's after
-    ``max_iter`` rounds."""
+    of even period and skip whole periods.  Across three consecutive
+    ``max_iter`` the rows stop at every phase of a period-2 cycle, and
+    each estimate equals the exit-free decoder's after ``max_iter``
+    rounds."""
     h, syn = _mackay_rows(96, 0.04, 17)
     cycled = next(decode_stream(SpaGraph(h), [(syn, 0.04)], max_iter))[3]
     assert cycled.sum() >= 5
@@ -664,10 +684,10 @@ def test_cycle_rings_stay_aligned_over_unrecorded_rounds():
     recorded.  Here a period-2 row repeats from age 2, but the only row
     old enough to get rounds recorded leaves after the third: the
     periodic row is copied only once it is ``_RING`` rounds old itself,
-    and it ends with the estimate of the phase that ``max_iter``
-    picks, at age ``max_iter``."""
+    found two rounds later, and moved on by whole periods, to one round
+    short of ``max_iter``."""
     k = spa._RING
-    max_iter = k + 3
+    max_iter = k + 7
     rng = np.random.default_rng(3)
     states = rng.random((2, 2, 3))          # the periodic row's q at even and odd ages
     graph = SpaGraph(BitMatrix.from_rows([[1], [1]]))    # one bit, two edges
@@ -676,18 +696,78 @@ def test_cycle_rings_stay_aligned_over_unrecorded_rounds():
     for rnd in range(1, 3 * k):
         ws.q[..., 0] = rng.random((2, 3))   # slot 0 never repeats
         ws.q[..., 1] = states[ws.age[1] % 2]
-        estimate = np.array([[9], [ws.age[1] % 2]], dtype=np.uint8)
         age = ws.age.copy()
-        cycled = ws.exits(estimate, np.zeros(2, dtype=bool), max_iter)
-        if cycled.any():
-            assert list(np.flatnonzero(cycled)) == [1] and age[1] == k + 2
-            assert estimate[1, 0] == max_iter % 2 and ws.age[1] == max_iter
+        ws.exits(np.zeros(2, dtype=bool), max_iter)
+        if ws.cycled.any():
+            assert list(np.flatnonzero(ws.cycled)) == [1] and age[1] == k + 2
+            assert ws.age[0] == age[0] and ws.age[1] == max_iter - 1
             break
+        assert (ws.age == age).all()
         if rnd == 3:                        # the old row leaves, a new one takes its slot
             ws.admit(np.array([0]), np.zeros((1, 2), dtype=np.uint8), np.array([0.1]))
         ws.age += 1
     else:
-        pytest.fail("the periodic row never ended")
+        pytest.fail("the periodic row never cycled")
+
+
+#: a row of ``_mackay_rows(96, 0.04, 0)`` whose messages cycle, by period
+_CYCLING_ROW = {2: 30, 4: 75}
+
+
+def _cycle_jumps(monkeypatch, h, syn, prior, max_iter):
+    """``decode_stream`` of one block of ``syn``, its results, and per
+    row that ``exits`` flags as cycled, its age before and after."""
+    jumps = {}
+    exits = SpaWorkspace.exits
+
+    def spy(ws, ok, max_iter):
+        was, age = ws.cycled.copy(), ws.age.copy()
+        exits(ws, ok, max_iter)
+        for j in np.flatnonzero(ws.cycled & ~was):
+            jumps[int(ws.rows[j])] = int(age[j]), int(ws.age[j])
+
+    monkeypatch.setattr(SpaWorkspace, "exits", spy)
+    return next(decode_stream(SpaGraph(h), [(syn, prior)], max_iter)), jumps
+
+
+@pytest.mark.parametrize("period", [2, 4])
+@pytest.mark.parametrize("short", [0, 1])
+def test_cycled_row_skips_whole_periods(monkeypatch, period, short):
+    """A row found in a message cycle of period k at age t moves on by
+    whole periods: to ``max_iter`` itself when k divides max_iter - t,
+    else to k - 1 short of it (``short``), from where it runs its last
+    rounds.  Either way it leaves through ``age == max_iter``, flagged,
+    with the reference decoder's estimate and iteration count."""
+    h, syn = _mackay_rows(96, 0.04, 0)
+    syn = syn[_CYCLING_ROW[period]][None]
+    _, jumps = _cycle_jumps(monkeypatch, h, syn, 0.04, 200)
+    t = jumps[0][0]
+    qs = [np.concatenate(q) for *q, _, _, _ in itertools.islice(
+        _reference_rounds(h, syn[0], 0.04), t)]
+    # q after round t repeats q after round t - period, and no sooner
+    assert [np.array_equal(qs[-1], qs[-1 - j]) for j in range(1, period + 1)] == (
+        [False] * (period - 1) + [True])
+    max_iter = t + 3 * period + short * (period - 1)
+    (est, conv, its, cycled), jumps = _cycle_jumps(monkeypatch, h, syn, 0.04, max_iter)
+    assert jumps == {0: (t, t + 3 * period)}
+    assert cycled[0] and not conv[0] and its[0] == max_iter
+    ref_est, ref_conv, ref_its = _reference_decode(h, syn[0], 0.04, max_iter)
+    assert np.array_equal(ref_est, est[0]) and (ref_conv, ref_its) == (False, max_iter)
+
+
+def test_refilled_slot_of_a_cycled_row_starts_uncycled():
+    """A full batch of one cycling row leaves at ``max_iter``, and the
+    next queued row, a zero syndrome, takes the first freed slot:
+    ``admit`` clears the slot's flag, so the new row converges in one
+    round and reports ``cycled=False``."""
+    h, syn = _mackay_rows(96, 0.04, 0)
+    rows = np.zeros((spa.WIDTH + 1, h.rows), dtype=np.uint8)
+    rows[:-1] = syn[_CYCLING_ROW[2]]
+    prior = np.full(len(rows), 0.04)
+    prior[-1] = 0.03         # mixed priors: no round-one table, every row is queued
+    est, conv, its, cycled = next(decode_stream(SpaGraph(h), [(rows, prior)], 60))
+    assert cycled[:-1].all() and not conv[:-1].any() and (its[:-1] == 60).all()
+    assert not cycled[-1] and conv[-1] and its[-1] == 1 and not est[-1].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1210,8 +1290,8 @@ def test_workspace_owns_every_batch_array():
         ws.horizontal_step()
         ws.vertical_step()
         ws.age += 1
-        est, ok = ws.decide()
-        ws.exits(est[:-1].T, ok, 100)
+        _, ok = ws.decide()
+        ws.exits(ok, 100)
     snaps = dict(ws.snaps)
     assert snaps and max(snaps) >= spa.WIDTH // 2
     ws.admit(np.arange(0, spa.WIDTH, 3), syn[::3], np.full(len(syn[::3]), 0.03))
