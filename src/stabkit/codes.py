@@ -22,7 +22,8 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
@@ -89,6 +90,23 @@ class CssPair:
 
     hz: BitMatrix
     hx: BitMatrix
+
+    @cached_property
+    def _keyed_checks(self) -> list[tuple[np.ndarray, tuple[int, ...] | None]]:
+        """(uint64 column keys, packed columns) of hz, and of hx unless it
+        equals hz, for the kernel search of ``find_distance_violator``.
+        A check of at most 64 rows keys each column by its bits (no
+        packed columns needed); a taller one by the XOR of the fixed
+        splitmix64 words of its set rows, so hits need confirming."""
+        keyed = []
+        for h in (self.hz,) if self.hx.bits == self.hz.bits else (self.hz, self.hx):
+            bits = h.to_array()
+            rows = np.arange(h.rows, dtype=np.uint64)
+            if h.rows <= 64:
+                keyed.append((_column_keys(bits, np.uint64(1) << rows), None))
+            else:
+                keyed.append((_column_keys(bits, _splitmix64(rows)), f2.pack_rows(bits.T)))
+        return keyed
 
 
 @dataclass(frozen=True)
@@ -171,6 +189,29 @@ class QuantumCode:
         leaves the encoded state alone.  The span is eliminated on the
         first call and kept for the code's lifetime."""
         return f2._reduce(v, *self._harmless_echelon) == 0
+
+    def _css_spans(self, gens: list[PauliVec]) -> bool:
+        """Whether ``css`` has the span of ``gens``: then an error
+        commutes with every generator in ``gens`` exactly when hz kills
+        its x part and hx its z part."""
+        css = self.css
+        if css is None or css.hz.cols != self.n or css.hx.cols != self.n:
+            return False
+        width = 2 * self.n
+        pair = f2._echelon(list(css_sp_matrix(css.hz, css.hx).bits), width)[0]
+        return pair == f2._echelon([g.packed() for g in gens], width)[0]
+
+    @cached_property
+    def _css_tests_all(self) -> bool:
+        """``_css_spans`` of the generators a strict distance check
+        tests, all of them; decided on first use, never in construction."""
+        return self._css_spans(self._all_gens())
+
+    @cached_property
+    def _css_tests_measured(self) -> bool:
+        """``_css_spans`` of the generators a degenerate distance check
+        tests, the measured ones."""
+        return self._css_spans(self.measured_gens())
 
     def _check_commutation(self):
         gens = self._all_gens()
@@ -317,17 +358,26 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _one_longer(prefixes: np.ndarray, n: int) -> np.ndarray:
+def _column_keys(bits: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Linear uint64 key of each column of the 0/1 matrix ``bits``: the
+    XOR of ``words[i]`` over the rows i where the column is set."""
+    return np.bitwise_xor.reduce(np.where(bits.astype(bool), words[:, None], np.uint64(0)), axis=0)
+
+
+def _one_longer(prefixes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every ascending row of qubits below n that extends a row of the
-    ascending ``prefixes`` by one qubit, in lexicographic order."""
+    ascending ``prefixes`` by one qubit, in lexicographic order, with
+    the index of its prefix."""
     start = prefixes[:, -1] + 1
     counts = n - start
+    parent = np.repeat(np.arange(len(prefixes)), counts)
     # within each prefix's block of rows the new qubit runs start .. n - 1
-    tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
-    return np.column_stack([np.repeat(prefixes, counts, axis=0), tail])
+    tail = np.arange(len(parent)) - (np.cumsum(counts) - counts - start)[parent]
+    return np.column_stack([prefixes[parent], tail]), parent
 
 
-#: letterings per batch of the head screen: 8 MB of uint64 keys
+#: letterings per batch of the head screen, and tails per batch of the
+#: kernel search: 8 MB of uint64 keys
 _SCREEN_BATCH = 1 << 20
 
 
@@ -338,9 +388,7 @@ def _screened_heads(tested: np.ndarray, size: int):
     the heads of whole prefixes (their first size - 1 qubits), at most
     ``_SCREEN_BATCH`` letterings unless one prefix alone has more."""
     n = tested.shape[1] // 2
-    words = _splitmix64(np.arange(len(tested), dtype=np.uint64))
-    col_keys = np.bitwise_xor.reduce(
-        np.where(tested.astype(bool), words[:, None], np.uint64(0)), axis=0)
+    col_keys = _column_keys(tested, _splitmix64(np.arange(len(tested), dtype=np.uint64)))
     kx, kz = col_keys[:n], col_keys[n:]     # X sees z-columns, Z x-columns
     letter_keys = np.array((kx, kz, kx ^ kz)).T
     # about 64 n 3^size slots (at most 2^22), so that few heads pass by
@@ -353,10 +401,10 @@ def _screened_heads(tested: np.ndarray, size: int):
     # each prefix has at most n - 1 heads
     prefixes = np.arange(n)[:, None]
     for _ in range(size - 2):
-        prefixes = _one_longer(prefixes, n)
+        prefixes = _one_longer(prefixes, n)[0]
     step = max(1, _SCREEN_BATCH // 3 ** size // max(n - 1, 1))
     for lo in range(0, len(prefixes), step):
-        heads = _one_longer(prefixes[lo:lo + step], n)
+        heads = _one_longer(prefixes[lo:lo + step], n)[0]
         keys = letter_keys[heads[:, 0]]
         for p in range(1, size):
             keys = keys[:, :, None] ^ letter_keys[heads[:, p]][:, None, :]
@@ -396,6 +444,123 @@ def _head_violator(code: QuantumCode, mode: str, head: tuple[int, ...],
     return None
 
 
+def _letter_violator(code: QuantumCode, mode: str, start: int, d: int) -> PauliVec | None:
+    """The first harmful error of weight ``start`` .. d - 1 that no
+    tested generator detects, by the letter search of
+    :func:`find_distance_violator`."""
+    if start >= d:
+        return None
+    n = code.n
+    test_gens = code._all_gens() if mode == "strict" else code.measured_gens()
+    tested = (paulis_to_matrix(test_gens).to_array() if test_gens
+              else np.zeros((0, 2 * n), dtype=np.uint8))
+    # syndrome masks (bit t: symplectic product with generator t) are the
+    # columns of the tested (z|x) matrix: X on qubit q sees z-column q,
+    # Z sees x-column q, Y both
+    cols = f2.pack_rows(tested.T)
+    masks = [(cols[q], cols[q + n], cols[q] ^ cols[q + n]) for q in range(n)]
+    # every single letter by its mask, in ascending (qubit, letter) order
+    lookup: dict[int, list[tuple[int, int]]] = {}
+    for q in range(n):
+        for li, m in enumerate(masks[q]):
+            lookup.setdefault(m, []).append((q, li))
+
+    for w in range(start, d):
+        heads = (itertools.combinations(range(n), w - 1) if w < 3
+                 else _screened_heads(tested, w - 1))
+        for head in heads:
+            found = _head_violator(code, mode, head, masks, lookup)
+            if found is not None:
+                return found
+    return None
+
+
+def _kernel_words(keys: np.ndarray, cols: tuple[int, ...] | None, d: int):
+    """For w = 1 .. d - 1 in turn, the supports of the weight-w words in
+    the kernel of a binary check whose columns have the linear uint64
+    ``keys``: the w-subsets of columns that XOR to zero.
+
+    A subset splits into a head, its first w // 2 columns, and a tail,
+    the rest, and its key is the XOR of theirs.  The subsets of each
+    size up to (d - 1) // 2, the largest head, are built once, each size
+    from the one below, with their keys and the keys' sort order.  Only
+    the tails of the last weight, when it is odd, are one column longer:
+    they are built in batches of whole prefixes (their first columns)
+    and dropped.  Each tail looks its key up among the sorted head keys.
+    ``cols``, the packed columns, confirms each hit when the keys are
+    screen keys (None: the keys are the columns themselves)."""
+    n = len(keys)
+    top = (d - 1) // 2
+    # (subsets, keys, order of the keys) of each size from 0 up
+    levels = [(np.zeros((1, 0), dtype=np.intp), np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.intp)),
+              (np.arange(n)[:, None], keys, np.argsort(keys, kind="stable"))]
+
+    def extend(rows, row_keys):
+        longer, parent = _one_longer(rows, n)
+        return longer, row_keys[parent] ^ keys[longer[:, -1]]
+
+    step = max(1, _SCREEN_BATCH // max(n - 1, 1))   # each prefix has < n tails
+    for w in range(1, d):
+        h, t = w // 2, w - w // 2
+        while len(levels) <= min(t, top):
+            rows, row_keys = extend(*levels[-1][:2])
+            levels.append((rows, row_keys, np.argsort(row_keys, kind="stable")))
+        heads, head_keys, order = levels[h]
+        sorted_keys = head_keys[order]
+        if t < len(levels):
+            batches = [levels[t][:2]]
+        else:
+            prefixes, prefix_keys, _ = levels[t - 1]
+            batches = (extend(prefixes[lo:lo + step], prefix_keys[lo:lo + step])
+                       for lo in range(0, len(prefixes), step))
+        words = []
+        for tails, tail_keys in batches:
+            first = np.searchsorted(sorted_keys, tail_keys, "left")
+            count = np.searchsorted(sorted_keys, tail_keys, "right") - first
+            # when heads and tails are the same subsets (w even), every
+            # tail meets itself, which is no word
+            if not (count > (h == t)).any():
+                continue
+            # every (head, tail) pair of equal keys; a support splits
+            # once, with the head's columns all below the tail's
+            tail_at = np.repeat(np.arange(len(tails)), count)
+            head_at = order[np.arange(len(tail_at)) - np.repeat(np.cumsum(count) - count - first, count)]
+            found = np.hstack([heads[head_at], tails[tail_at]])
+            for word in found[found[:, h - 1] < found[:, h]].tolist() if h else found.tolist():
+                if cols is None or not reduce(xor, (cols[q] for q in word)):
+                    words.append(tuple(word))
+        yield words
+
+
+def _css_least_errors(css: CssPair, d: int) -> tuple[int, list[int]]:
+    """The least weight w0 < d of a nonzero error that neither half of
+    ``css`` detects, with the candidates for the first harmful one among
+    such errors of weight w0, as packed (z|x) ints in enumeration order;
+    (d, []) when every error lighter than d is detected.
+
+    The error (z|x) is missed when hz x = 0 and hx z = 0.  Below w0
+    neither kernel has a nonzero word, so a missed error of weight w0
+    with both halves nonzero has both halves of weight w0 on its
+    support: it is Y^w0 on a support S in both kernels.  The others are
+    X^w0 on a support in ker hz and Z^w0 on one in ker hx.  Y^S comes
+    after X^S, which is missed too, and it is X^S Z^S, harmless when
+    both are, so it is never the first harmful error and is left out."""
+    n = css.hz.cols
+    searches = [_kernel_words(keys, cols, d) for keys, cols in css._keyed_checks]
+    for w, found in enumerate(zip(*searches), 1):
+        in_z, in_x = set(found[0]), set(found[-1])
+        if in_z or in_x:
+            errors = []
+            for support in sorted(in_z | in_x):
+                m = sum(1 << q for q in support)
+                if support in in_z:
+                    errors.append(m << n)           # X on the support
+                if support in in_x:
+                    errors.append(m)                # Z
+            return w, errors
+    return d, []
+
+
 def find_distance_violator(
     code: QuantumCode, d: int, mode: str = "strict", budget: int = 10 ** 8
 ) -> PauliVec | None:
@@ -409,13 +574,31 @@ def find_distance_violator(
 
     The violator reported is the first in the order ascending weight,
     ascending support, X < Z < Y per position, so it is deterministic.
-    It is found by meet-in-the-middle: an error has zero syndrome
+    The budget counts the full candidate set, sum of C(n, w) 3^w, on
+    every path.
+
+    CSS path.  When the code's ``css`` pair spans exactly the tested
+    generators (all of them in strict mode, the measured ones in
+    degenerate mode), an error (z|x) is undetected exactly when
+    hz x = 0 and hx z = 0.  Nothing is undetected below w0, the least
+    weight of a nonzero word of ker hz or ker hx, and at w0 only X^w0,
+    Z^w0 and Y^w0 on kernel supports are (see ``_css_least_errors``).
+    Taken by support, then X < Z < Y, they are in enumeration order, so
+    the first harmful one is the violator the letter search would
+    report.  The kernel words come from a meet-in-the-middle over the
+    columns in numpy batches, keyed by the columns' bits when a check
+    has at most 64 rows and otherwise by the screen keys below, each
+    hit confirmed exactly.  Degenerate mode skips the harmless errors
+    of weight w0 and, when all are harmless, goes on with the letter
+    search from w0 + 1.  The span check runs once per code and mode, on
+    first use, and the column keys once per pair.
+
+    Letter search, for every other code.  An error has zero syndrome
     exactly when the syndrome mask of its last letter equals the XOR of
     the masks of the others.  So for each weight w every weight-(w-1)
     head is enumerated in that order, and the letters that complete it
     on a higher qubit are looked up in a table of single-letter masks:
-    C(n, w-1) 3^(w-1) lookups instead of C(n, w) 3^w candidates.  The
-    budget still counts the full candidate set, sum of C(n, w) 3^w.
+    C(n, w-1) 3^(w-1) lookups instead of C(n, w) 3^w candidates.
 
     From w = 3 on (heads of two or more qubits) the heads are screened
     first, in numpy batches of at most 2^20 letterings.  The key of a
@@ -443,30 +626,14 @@ def find_distance_violator(
             f"distance-{d} check on n={code.n} needs {total} candidates "
             f"(> budget {budget}): unverifiable at desk scale"
         )
-
-    n = code.n
-    test_gens = code._all_gens() if mode == "strict" else code.measured_gens()
-    tested = (paulis_to_matrix(test_gens).to_array() if test_gens
-              else np.zeros((0, 2 * n), dtype=np.uint8))
-    # syndrome masks (bit t: symplectic product with generator t) are the
-    # columns of the tested (z|x) matrix: X on qubit q sees z-column q,
-    # Z sees x-column q, Y both
-    cols = f2.pack_rows(tested.T)
-    masks = [(cols[q], cols[q + n], cols[q] ^ cols[q + n]) for q in range(n)]
-    # every single letter by its mask, in ascending (qubit, letter) order
-    lookup: dict[int, list[tuple[int, int]]] = {}
-    for q in range(n):
-        for li, m in enumerate(masks[q]):
-            lookup.setdefault(m, []).append((q, li))
-
-    for w in range(1, d):
-        heads = (itertools.combinations(range(n), w - 1) if w < 3
-                 else _screened_heads(tested, w - 1))
-        for head in heads:
-            found = _head_violator(code, mode, head, masks, lookup)
-            if found is not None:
-                return found
-    return None
+    start = 1
+    if code._css_tests_all if mode == "strict" else code._css_tests_measured:
+        w0, errors = _css_least_errors(code.css, d)
+        for vec in errors:
+            if mode == "strict" or not code.is_harmless(vec):
+                return PauliVec.from_packed(vec, code.n)
+        start = w0 + 1
+    return _letter_violator(code, mode, start, d)
 
 
 def verify_distance(code: QuantumCode, d: int, mode: str = "strict",

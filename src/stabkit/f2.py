@@ -153,8 +153,10 @@ class BitMatrix:
 
 def pack_rows(bits) -> tuple[int, ...]:
     """Packed row ints of a 2-D 0/1 array: bit ``j`` of int ``i`` is
-    ``bits[i, j]``.  The inverse of ``BitMatrix.to_array``."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little")
+    ``bits[i, j]``.  The inverse of ``BitMatrix.to_array``.  A transposed
+    view is copied to row-major order first: ``np.packbits`` along the
+    rows of a non-contiguous array is several times slower."""
+    packed = np.packbits(np.ascontiguousarray(bits, dtype=np.uint8), axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 

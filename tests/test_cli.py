@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from stabkit import codes, f2, gf4
+from stabkit import codes, f2, gf4, qc_ldpc
 from stabkit.cli import main
 from stabkit.codes import bch63_matrix, hamming_matrix, q15_matrix
 from stabkit.pauli import load_stabilizer_table, paulis_to_matrix
@@ -323,6 +323,18 @@ def test_simulate_rejects_nonpositive_workers(workers, capsys):
 def test_budget_exit_code(bch_file):
     rc, _ = run_cli("analyze", "--input", bch_file, "--distance", "9")
     assert rc == 3
+
+
+@pytest.mark.parametrize("make", [qc_ldpc.make_ex1, qc_ldpc.make_ex2])
+def test_paper_distance_six_exceeds_the_default_budget(tmp_path, capsys, make):
+    """ex1's and ex2's d = 6 checks out past the budget, but the default
+    budget counts the full enumeration and refuses it."""
+    path = tmp_path / "h.txt"
+    path.write_text(f2.format_dense(qc_ldpc.expand(make())))
+    rc, _ = run_cli("analyze", "--input", str(path), "--distance", "6")
+    assert rc == 3
+    assert ("distance-6 check on n=128 needs 65163033888 candidates (> budget 100000000): "
+            "unverifiable at desk scale") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("distance", ["0", "-2"])

@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stabkit import codes, f2, gf4, qc_ldpc, sgs
 from stabkit.codes import (
     BUILTIN_NAMES,
+    CssPair,
     QuantumCode,
     VerificationBudgetError,
     bch63_matrix,
@@ -645,27 +646,46 @@ def _enumerating_violator(code, d, mode):
     return None
 
 
-def _random_code(rng, kind, n, rows, degenerate_columns):
-    """A small random code: CSS from a binary check, from a quaternary
-    check, or straight from random (z|x) rows.  ``degenerate_columns``
-    copies one column onto another and clears a third, so that two
-    qubits share their syndrome masks and one has none."""
-    if kind == "symplectic":
-        return build_from_sp(random_bitmatrix(rng, rows, 2 * n))
-    grid = rng.integers(0, 2 if kind == "binary" else 4, size=(rows, n))
+def _random_grid(rng, q, n, rows, degenerate_columns):
+    """A random rows x n check over GF(q), q = 2 or 4.
+    ``degenerate_columns`` copies one column onto another and clears a
+    third, so that two qubits share their syndrome masks and one has
+    none."""
+    grid = rng.integers(0, q, size=(rows, n))
     if degenerate_columns:
         a, b, c = rng.choice(n, size=3, replace=False)
         grid[:, b] = grid[:, a]
         grid[:, c] = 0
+    return grid
+
+
+def _random_code(rng, kind, n, rows, degenerate_columns):
+    """A small random code: CSS from a binary check (hz = hx), from a
+    pair of binary checks hz != hx ("css"), or from a quaternary check,
+    or straight from random (z|x) rows.  A "wrong_css" code is a "css"
+    code given another random pair, which need not span its generators.
+    ``degenerate_columns`` is applied to every check, as
+    ``_random_grid`` says."""
+    if kind == "symplectic":
+        return build_from_sp(random_bitmatrix(rng, rows, 2 * n))
+    if kind in ("css", "wrong_css"):
+        hz, hx = (BitMatrix.from_rows(_random_grid(rng, 2, n, rows, degenerate_columns))
+                  for _ in range(2))
+        code = build_from_sp(css_sp_matrix(hz, hx), css=CssPair(hz, hx))
+        if kind == "wrong_css":
+            code = replace(code, css=CssPair(*(BitMatrix.from_rows(_random_grid(
+                rng, 2, n, rows, degenerate_columns)) for _ in range(2))))
+        return code
+    grid = _random_grid(rng, 2 if kind == "binary" else 4, n, rows, degenerate_columns)
     if kind == "binary":
         return build_eaqecc_binary(BitMatrix.from_rows(grid))
     return build_eaqecc_gf4(F4Matrix.from_rows(grid))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 31 - 1),
-    kind=st.sampled_from(("binary", "gf4", "symplectic")),
+    kind=st.sampled_from(("binary", "css", "wrong_css", "gf4", "symplectic")),
     n=st.integers(3, 9),
     rows=st.integers(1, 4),
     degenerate_columns=st.booleans(),
@@ -675,6 +695,10 @@ def _random_code(rng, kind, n, rows, degenerate_columns):
 )
 def test_violator_matches_enumeration(seed, kind, n, rows, degenerate_columns,
                                       variant, d, mode):
+    """The search against the enumerating oracle.  Binary and "css"
+    codes take the CSS path in strict mode, and in degenerate mode too
+    unless a pair was moved to the gauge group; "wrong_css" codes and
+    the "ungauge" variant mostly fall back to the letter search."""
     rng = np.random.default_rng(seed)
     code = _random_code(rng, kind, n, rows, degenerate_columns)
     if variant != "plain" and code.c:
@@ -763,9 +787,10 @@ def _random_wide_code(rng, kind, n, rows, columns):
          mode="degenerate")
 def test_screened_violator_matches_head_loop(seed, kind, n, rows, columns, variant, d, mode):
     """The screened search against the head-by-head one at the sizes
-    where heads of two and three qubits are screened in batches."""
+    where heads of two and three qubits are screened in batches.  The
+    codes drop their CSS pairs, so that binary ones reach the screen."""
     rng = np.random.default_rng(seed)
-    code = _random_wide_code(rng, kind, n, rows, columns)
+    code = replace(_random_wide_code(rng, kind, n, rows, columns), css=None)
     if variant != "plain" and code.c:
         code = gauge_move(code, int(rng.integers(code.c)))
         if variant == "ungauge":
@@ -776,12 +801,13 @@ def test_screened_violator_matches_head_loop(seed, kind, n, rows, columns, varia
 @pytest.mark.parametrize("batch", [1, 30, 200, 2000])
 def test_screened_violator_with_small_batches(monkeypatch, batch):
     """Batch bounds that split the heads anywhere, down to one prefix per
-    batch, some of whose prefixes have no heads at all."""
+    batch, some of whose prefixes have no heads at all.  The codes drop
+    their CSS pairs, so that binary ones reach the screen."""
     monkeypatch.setattr(codes, "_SCREEN_BATCH", batch)
     rng = np.random.default_rng(batch)
     for kind, columns, mode in [("binary", "sum", "strict"), ("gf4", "plain", "degenerate"),
                                 ("symplectic", "sum", "degenerate"), ("gf4", "sum", "strict")]:
-        code = _random_wide_code(rng, kind, 14, 12, columns)
+        code = replace(_random_wide_code(rng, kind, 14, 12, columns), css=None)
         assert find_distance_violator(code, 5, mode) == _head_loop_violator(code, 5, mode)
 
 
@@ -800,7 +826,8 @@ def test_screen_sends_few_heads_to_the_exact_step(monkeypatch, mode):
     """bch63 at d = 4: no letter on a higher qubit completes any of its
     C(63, 2) = 1953 two-qubit heads, so every head that reaches the exact
     step is a slot collision.  At most 2 % may; a weaker key or a smaller
-    table sends more.  The empty and one-qubit heads all go through."""
+    table sends more.  The empty and one-qubit heads all go through.
+    The code drops its CSS pair, so that the letter search runs."""
     sizes = []
     exact_step = codes._head_violator
 
@@ -809,7 +836,7 @@ def test_screen_sends_few_heads_to_the_exact_step(monkeypatch, mode):
         return exact_step(code, mode, head, *rest)
 
     monkeypatch.setattr(codes, "_head_violator", spy)
-    assert find_distance_violator(builtin("bch63"), 4, mode) is None
+    assert find_distance_violator(replace(builtin("bch63"), css=None), 4, mode) is None
     assert (sizes.count(0), sizes.count(1)) == (1, 63)
     assert sizes.count(2) <= 0.02 * math.comb(63, 2)
 
@@ -1002,3 +1029,173 @@ def test_derived_pins_cover_every_applicable_named_code():
 def test_derived_code_tables_pinned(name, op):
     table = codes.to_stabilizer_table(_DERIVE[op](builtin(name)))
     assert hashlib.sha256(table.encode()).hexdigest() == PINNED_DERIVED[name, op]
+
+
+# -- the CSS path --------------------------------------------------------------
+
+
+def _path_and_violator(monkeypatch, code, d, mode):
+    """Whether ``find_distance_violator`` searches the classical kernels
+    of ``code.css``, with the violator it returns."""
+    calls = []
+    least = codes._css_least_errors
+
+    def spy(*args):
+        calls.append(args)
+        return least(*args)
+
+    monkeypatch.setattr(codes, "_css_least_errors", spy)
+    found = find_distance_violator(code, d, mode)
+    monkeypatch.setattr(codes, "_css_least_errors", least)
+    return bool(calls), found
+
+
+def _css_cases():
+    """(label, code builder, mode, whether the CSS path applies)."""
+    bch_gauged = lambda: gauge_move(builtin("bch63"), 0)    # noqa: E731
+    hamming = hamming_matrix()
+    cases = [(name, lambda name=name: _named_code(name), mode, True)
+             for name in ("ex1", "mackay", "bch63", "steane7")
+             for mode in ("strict", "degenerate")]
+    cases += [
+        # moving a pair to the gauge group keeps every generator, so the
+        # strict test set still has the pair's span, but the measured one
+        # loses it
+        ("bch63 gauged", bch_gauged, "strict", True),
+        ("bch63 gauged", bch_gauged, "degenerate", False),
+        ("bch63 ungauged", lambda: ungauge(bch_gauged()), "strict", False),
+        ("bch63 ungauged", lambda: ungauge(bch_gauged()), "degenerate", False),
+        # eaoq8's pair is that of its measured generators
+        ("eaoq8", lambda: builtin("eaoq8"), "strict", False),
+        ("eaoq8", lambda: builtin("eaoq8"), "degenerate", True),
+        ("steane7, short hx", lambda: replace(builtin("steane7"), css=CssPair(
+            hamming, hamming.submatrix([0, 1]))), "strict", False),
+        ("ex1 with ex2's pair", lambda: replace(_named_code("ex1"), css=_named_code("ex2").css),
+         "strict", False),
+        ("bch63 with steane7's pair", lambda: replace(builtin("bch63"), css=builtin("steane7").css),
+         "degenerate", False),
+        ("q15", lambda: builtin("q15"), "strict", False),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("label,build,mode,css_path", _css_cases(),
+                         ids=[f"{c[0]}-{c[2]}" for c in _css_cases()])
+def test_css_path_is_taken_exactly_when_the_pair_spans_the_tested_generators(
+        monkeypatch, label, build, mode, css_path):
+    """The span check decides the path, and both paths report the letter
+    search's violator (that of the code without its pair)."""
+    code = build()
+    tested = code._all_gens() if mode == "strict" else code.measured_gens()
+    css = code.css
+    spans = css is not None and css.hz.cols == code.n and css.hx.cols == code.n and (
+        f2.rank(css_sp_matrix(css.hz, css.hx)) == len(tested)
+        == f2.rank(css_sp_matrix(css.hz, css.hx).vstack(paulis_to_matrix(tested))))
+    assert spans == css_path
+    taken, found = _path_and_violator(monkeypatch, code, 3, mode)
+    assert taken == css_path
+    assert found == find_distance_violator(replace(code, css=None), 3, mode)
+
+
+def test_degenerate_css_search_resumes_after_harmless_errors(monkeypatch):
+    """shor9's weight-2 undetected errors are ZZ pairs inside a block,
+    all of them stabilizers, so the letter search takes over at
+    weight 3."""
+    starts = []
+    letters = codes._letter_violator
+
+    def spy(code, mode, start, d):
+        starts.append(start)
+        return letters(code, mode, start, d)
+
+    monkeypatch.setattr(codes, "_letter_violator", spy)
+    shor = builtin("shor9")
+    assert find_distance_violator(shor, 4, "degenerate") == _enumerating_violator(shor, 4, "degenerate")
+    assert starts == [3]
+
+
+def test_degenerate_css_search_passes_a_harmless_x_for_a_harmful_z(monkeypatch):
+    """hz's first two columns are equal and hx's first row is XX on them,
+    a stabilizer: XX on qubits 0, 1 is the first undetected error but
+    harmless, and ZZ on the same support, also undetected, is not."""
+    hz = BitMatrix.from_rows(np.array([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]]))
+    hx = BitMatrix.from_rows(np.array([[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]]))
+    code = build_from_sp(css_sp_matrix(hz, hx), css=CssPair(hz, hx))
+    for mode, first in [("strict", "XXIII"), ("degenerate", "ZZIII")]:
+        taken, found = _path_and_violator(monkeypatch, code, 3, mode)
+        assert taken
+        assert found == _enumerating_violator(code, 3, mode) == parse_pauli(first)
+
+
+def _random_css_pair(rng, n, rows, rank, columns):
+    """A random pair of rows x n binary checks of rank at most ``rank``,
+    so that their kernels have light words even when rows > 64, with
+    ``columns`` "copy" or "sum" applied as in ``_random_wide_code``."""
+    checks = []
+    for _ in range(2):
+        grid = rng.integers(0, 2, size=(rows, rank)) @ rng.integers(0, 2, size=(rank, n)) % 2
+        if columns != "plain":
+            a, b, c = rng.choice(n, size=3, replace=False)
+            grid[:, b if columns == "copy" else c] = grid[:, a] ^ (grid[:, b] if columns == "sum" else 0)
+        checks.append(BitMatrix.from_rows(grid))
+    return CssPair(*checks)
+
+
+@pytest.mark.parametrize("batch", [1, 30, 2000])
+def test_css_kernel_search_with_small_batches(monkeypatch, batch):
+    """Batch bounds that split the streamed tails anywhere, against the
+    letter search.  Only the last weight, d - 1, streams its tails, and
+    only when it is odd: d = 4 streams tails of 2 columns, where most of
+    these pairs have their lightest words, and d = 6 tails of 3."""
+    monkeypatch.setattr(codes, "_SCREEN_BATCH", batch)
+    rng = np.random.default_rng(batch)
+    for rows, rank, columns in [(8, 8, "sum"), (9, 9, "plain"), (10, 10, "plain"), (7, 7, "copy")]:
+        css = _random_css_pair(rng, 14, rows, rank, columns)
+        code = build_from_sp(css_sp_matrix(css.hz, css.hx), css=css)
+        for d, mode in [(4, "strict"), (6, "strict"), (6, "degenerate")]:
+            assert find_distance_violator(code, d, mode) == _head_loop_violator(code, d, mode)
+
+
+def _tall_check(rng, n):
+    """A 70 x n check whose first 64 rows have rank at most 4 and whose
+    last 6 rows are random, so that the rows past the 64th shape its
+    kernel."""
+    low = rng.integers(0, 2, size=(64, 4)) @ rng.integers(0, 2, size=(4, n)) % 2
+    return BitMatrix.from_rows(np.vstack([low, rng.integers(0, 2, size=(6, n))]))
+
+
+@pytest.mark.parametrize("weak_key", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_css_path_on_checks_taller_than_64_rows(monkeypatch, seed, weak_key):
+    """Checks of more than 64 rows are keyed by their screen keys and
+    every hit is confirmed on the packed columns.  A weak key, two bits
+    of each row's index, sends many false hits to the confirmation.
+    Odd seeds pair a tall hz with a short hx, keyed by its bits."""
+    if weak_key:
+        monkeypatch.setattr(codes, "_splitmix64", lambda x: x & np.uint64(3))
+    rng = np.random.default_rng(seed)
+    hz = _tall_check(rng, 12)
+    hx = random_bitmatrix(rng, 8, 12) if seed % 2 else _tall_check(rng, 12)
+    code = build_from_sp(css_sp_matrix(hz, hx), css=CssPair(hz, hx))
+    for d, mode in [(4, "strict"), (5, "strict"), (5, "degenerate")]:
+        taken, found = _path_and_violator(monkeypatch, code, d, mode)
+        assert taken
+        assert found == _head_loop_violator(code, d, mode)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_paper_distance_six(name):
+    """The paper's d = 6 for ex1 and ex2, checked past the default budget:
+    no error of weight <= 5 goes undetected, and a weight-6 X error does
+    that is no stabilizer, so d = 6 exactly in both modes.  The default
+    budget still refuses the check, counting the full enumeration."""
+    code = _named_code(name)
+    assert find_distance_violator(code, 6, "strict", budget=10 ** 11) is None
+    found = find_distance_violator(code, 7, "strict", budget=10 ** 13)
+    assert weight(found) == 6 and found.z == 0
+    assert not any(symplectic_product(g, found) for g in code._all_gens())
+    assert not code.is_harmless(found.packed())
+    assert find_distance_violator(code, 7, "degenerate", budget=10 ** 13) == found
+    with pytest.raises(VerificationBudgetError, match=r"distance-6 check on n=128 needs "
+                                                      r"65163033888 candidates \(> budget 100000000\)"):
+        find_distance_violator(code, 6, "strict")

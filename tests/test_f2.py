@@ -263,6 +263,16 @@ def test_pack_rows_inverts_to_array(cols_bits):
     assert f2.pack_rows(m.to_array().T) == m.transpose().bits
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+def test_pack_rows_of_a_transposed_view(dtype):
+    """A non-contiguous view packs to the same ints as its row-major copy."""
+    bits = np.random.default_rng(0).integers(0, 2, size=(88, 256)).astype(dtype)
+    view = bits.T
+    assert not view.flags.c_contiguous
+    expected = tuple(sum(int(b) << j for j, b in enumerate(row)) for row in view)
+    assert f2.pack_rows(view) == f2.pack_rows(view.copy()) == expected
+
+
 def test_pack_rows_of_no_rows():
     assert f2.pack_rows(np.zeros((0, 9), dtype=np.uint8)) == ()
 
