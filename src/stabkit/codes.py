@@ -92,20 +92,16 @@ class CssPair:
     hx: BitMatrix
 
     @cached_property
-    def _keyed_checks(self) -> list[tuple[np.ndarray, tuple[int, ...] | None]]:
+    def _keyed_checks(self) -> list[tuple[np.ndarray, tuple[int, ...]]]:
         """(uint64 column keys, packed columns) of hz, and of hx unless it
         equals hz, for the kernel search of ``find_distance_violator``.
-        A check of at most 64 rows keys each column by its bits (no
-        packed columns needed); a taller one by the XOR of the fixed
-        splitmix64 words of its set rows, so hits need confirming."""
+        A column's key is the XOR of the fixed splitmix64 words of its set
+        rows; the packed columns confirm each hit."""
         keyed = []
         for h in (self.hz,) if self.hx.bits == self.hz.bits else (self.hz, self.hx):
             bits = h.to_array()
-            rows = np.arange(h.rows, dtype=np.uint64)
-            if h.rows <= 64:
-                keyed.append((_column_keys(bits, np.uint64(1) << rows), None))
-            else:
-                keyed.append((_column_keys(bits, _splitmix64(rows)), f2.pack_rows(bits.T)))
+            keyed.append((_column_keys(bits, _splitmix64(np.arange(h.rows, dtype=np.uint64))),
+                          f2.pack_rows(bits.T)))
         return keyed
 
 
@@ -475,7 +471,7 @@ def _letter_violator(code: QuantumCode, mode: str, start: int, d: int) -> PauliV
     return None
 
 
-def _kernel_words(keys: np.ndarray, cols: tuple[int, ...] | None, d: int):
+def _kernel_words(keys: np.ndarray, cols: tuple[int, ...], d: int):
     """For w = 1 .. d - 1 in turn, the supports of the weight-w words in
     the kernel of a binary check whose columns have the linear uint64
     ``keys``: the w-subsets of columns that XOR to zero.
@@ -486,9 +482,8 @@ def _kernel_words(keys: np.ndarray, cols: tuple[int, ...] | None, d: int):
     from the one below, with their keys and the keys' sort order.  Only
     the tails of the last weight, when it is odd, are one column longer:
     they are built in batches of whole prefixes (their first columns)
-    and dropped.  Each tail looks its key up among the sorted head keys.
-    ``cols``, the packed columns, confirms each hit when the keys are
-    screen keys (None: the keys are the columns themselves)."""
+    and dropped.  Each tail looks its key up among the sorted head keys,
+    and ``cols``, the packed columns, confirms each hit."""
     n = len(keys)
     top = (d - 1) // 2
     # (subsets, keys, order of the keys) of each size from 0 up
@@ -518,7 +513,8 @@ def _kernel_words(keys: np.ndarray, cols: tuple[int, ...] | None, d: int):
             first = np.searchsorted(sorted_keys, tail_keys, "left")
             count = np.searchsorted(sorted_keys, tail_keys, "right") - first
             # when heads and tails are the same subsets (w even), every
-            # tail meets itself, which is no word
+            # tail meets itself, which is no word: a batch where no key
+            # meets another skips the pairing
             if not (count > (h == t)).any():
                 continue
             # every (head, tail) pair of equal keys; a support splits
@@ -527,7 +523,7 @@ def _kernel_words(keys: np.ndarray, cols: tuple[int, ...] | None, d: int):
             head_at = order[np.arange(len(tail_at)) - np.repeat(np.cumsum(count) - count - first, count)]
             found = np.hstack([heads[head_at], tails[tail_at]])
             for word in found[found[:, h - 1] < found[:, h]].tolist() if h else found.tolist():
-                if cols is None or not reduce(xor, (cols[q] for q in word)):
+                if not reduce(xor, (cols[q] for q in word)):
                     words.append(tuple(word))
         yield words
 
@@ -586,9 +582,8 @@ def find_distance_violator(
     Taken by support, then X < Z < Y, they are in enumeration order, so
     the first harmful one is the violator the letter search would
     report.  The kernel words come from a meet-in-the-middle over the
-    columns in numpy batches, keyed by the columns' bits when a check
-    has at most 64 rows and otherwise by the screen keys below, each
-    hit confirmed exactly.  Degenerate mode skips the harmless errors
+    columns in numpy batches, keyed by the screen keys below, each hit
+    confirmed exactly.  Degenerate mode skips the harmless errors
     of weight w0 and, when all are harmless, goes on with the letter
     search from w0 + 1.  The span check runs once per code and mode, on
     first use, and the column keys once per pair.

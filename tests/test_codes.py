@@ -1167,10 +1167,10 @@ def _tall_check(rng, n):
 @pytest.mark.parametrize("weak_key", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_css_path_on_checks_taller_than_64_rows(monkeypatch, seed, weak_key):
-    """Checks of more than 64 rows are keyed by their screen keys and
-    every hit is confirmed on the packed columns.  A weak key, two bits
-    of each row's index, sends many false hits to the confirmation.
-    Odd seeds pair a tall hz with a short hx, keyed by its bits."""
+    """Checks of more than 64 rows, whose columns do not fit one uint64:
+    every hit of their screen keys is confirmed on the packed columns.
+    A weak key, two bits of each row's index, sends many false hits to
+    the confirmation.  Odd seeds pair a tall hz with a short hx."""
     if weak_key:
         monkeypatch.setattr(codes, "_splitmix64", lambda x: x & np.uint64(3))
     rng = np.random.default_rng(seed)
